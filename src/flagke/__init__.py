@@ -4,12 +4,11 @@ vector bundles over flag manifolds of the classical groups."""
 from .rootspace import Algebra, Weight, fundamental_weight, inner, positive_roots, simple_roots
 from .painted import KoszulData, PaintedDiagram, chamber_contains, diagram, is_hodge, \
     kaehler_coefficients, koszul, koszul_rule, r_m_plus, white_components
-from .bundle import AdmissibleData, BundleGeometry, StringInfo, admissible_data, \
-    bundle_geometry, eligible_strings, flag_f, kappa, kappa_z0_form, kappa_z0_oracle, \
-    koszul_update_check
+from .bundle import AdmissibleData, StringInfo, admissible_data, eligible_strings, flag_f, \
+    kappa, kappa_z0_form, kappa_z0_oracle, koszul_update_check
 from .einstein import EinsteinVerdict, classify, ray_extends, z0_face_point, z0_form
 from .profile import MetricProfile, domain_end, f_of_t, metric_profile, ode_residual, \
-    polynomial_p, t_of_f, verdiani_check
+    t_of_f, verdiani_check
 from .census import CensusRecord, enumerate_records, summarize
 
 __version__ = "0.1.0"
@@ -18,11 +17,10 @@ __all__ = [
     "Algebra", "Weight", "fundamental_weight", "inner", "positive_roots", "simple_roots",
     "KoszulData", "PaintedDiagram", "chamber_contains", "diagram", "is_hodge",
     "kaehler_coefficients", "koszul", "koszul_rule", "r_m_plus", "white_components",
-    "AdmissibleData", "BundleGeometry", "StringInfo", "admissible_data", "bundle_geometry",
-    "eligible_strings", "flag_f", "kappa", "kappa_z0_form", "kappa_z0_oracle",
-    "koszul_update_check",
+    "AdmissibleData", "StringInfo", "admissible_data", "eligible_strings", "flag_f", "kappa",
+    "kappa_z0_form", "kappa_z0_oracle", "koszul_update_check",
     "EinsteinVerdict", "classify", "ray_extends", "z0_face_point", "z0_form",
     "MetricProfile", "domain_end", "f_of_t", "metric_profile", "ode_residual",
-    "polynomial_p", "t_of_f", "verdiani_check",
+    "t_of_f", "verdiani_check",
     "CensusRecord", "enumerate_records", "summarize",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi, sqrt
+from math import sqrt
 from typing import Optional
 
 from . import painted as pd
@@ -196,9 +196,7 @@ def _beta_pairing(alg: rs.Algebra, node: int, xi: rs.Weight) -> Fraction:
     c = xi.coeffs
     ell = alg.rank
     if node == ell:
-        if alg.family == "B":
-            return c[ell - 1]
-        if alg.family == "C":
+        if alg.family in ("B", "C"):
             return c[ell - 1]
         if alg.family == "D":
             return c[ell - 2] + c[ell - 1]
@@ -264,25 +262,6 @@ def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
     if ksq <= 0:
         raise AssertionError(f"kappa^2 = {ksq} must be positive")
     return ksq, sqrt(ksq)
-
-
-@dataclass(frozen=True)
-class BundleGeometry:
-    """The flag of the regular orbits together with the normalised center
-    direction: its dual form xi_0, the norm kappa and the circle period
-    t0 = 2 pi / kappa."""
-
-    f_diagram: pd.PaintedDiagram
-    xi0: rs.Weight
-    kappa_sq: Fraction
-    kappa: float
-    t0: float
-
-
-def bundle_geometry(data: AdmissibleData) -> BundleGeometry:
-    xi0 = kappa_z0_form(data)
-    ksq, kap = kappa(data)
-    return BundleGeometry(flag_f(data), xi0, ksq, kap, 2 * pi / kap)
 
 
 def predicted_koszul_update(data: AdmissibleData) -> dict[int, int]:

@@ -30,14 +30,6 @@ from .errors import ConfigurationError
 SCHEMA_VERSION = 1
 MAX_RANK_BOUND = 9
 
-_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
-
-
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _bound_strs(bounds) -> list[str]:
     return [str(b) for b in bounds]
 
@@ -78,7 +70,6 @@ class CensusRecord:
     neg_witness: tuple[int, ...]
     neg_kappa_sq: Fraction
     neg_ray: bool
-    neg_complete: bool
 
     def to_json(self) -> str:
         payload = {
@@ -92,20 +83,20 @@ class CensusRecord:
             "lambda_zero": {
                 "exists": self.zero_exists,
                 "required_chi": list(self.zero_chi) if self.zero_chi is not None else None,
-                "kappa_sq": _frac_str(self.zero_kappa_sq) if self.zero_kappa_sq is not None else None,
+                "kappa_sq": rs.frac_str(self.zero_kappa_sq) if self.zero_kappa_sq is not None else None,
             },
             "lambda_pos": {
                 "constraint": list(self.pos_constraint),
                 "witness_chi": list(self.pos_witness),
-                "kappa_sq": _frac_str(self.pos_kappa_sq),
+                "kappa_sq": rs.frac_str(self.pos_kappa_sq),
                 "ray_extends": self.pos_ray,
             },
             "lambda_neg": {
                 "constraint": list(self.neg_constraint),
                 "witness_chi": list(self.neg_witness),
-                "kappa_sq": _frac_str(self.neg_kappa_sq),
+                "kappa_sq": rs.frac_str(self.neg_kappa_sq),
                 "ray_extends": self.neg_ray,
-                "complete": self.neg_complete,
+                "complete": self.neg_ray,
             },
         }
         return json.dumps(payload, separators=(",", ":"), sort_keys=False)
@@ -151,7 +142,8 @@ def _record_for(dg: pd.PaintedDiagram,
         data_w = bd.admissible_data(dg, string_start, beta_end, witness)
         _validated_record(data_w)
         verdict_w = es.classify(data_w)
-        assert (verdict_w.lambda_pos if tag == "pos" else verdict_w.lambda_neg).exists
+        if not (verdict_w.lambda_pos if tag == "pos" else verdict_w.lambda_neg).exists:
+            raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data_w}")
         out[tag] = (witness, bd.kappa(data_w)[0], verdict_w.ray_extends)
 
     return CensusRecord(
@@ -172,7 +164,6 @@ def _record_for(dg: pd.PaintedDiagram,
         neg_witness=out["neg"][0],
         neg_kappa_sq=out["neg"][1],
         neg_ray=out["neg"][2],
-        neg_complete=out["neg"][2],
     )
 
 
@@ -192,7 +183,7 @@ def enumerate_records(family: str, max_rank: int) -> Iterator[CensusRecord]:
         raise ConfigurationError(f"unknown family {family!r}")
     if not 1 <= max_rank <= MAX_RANK_BOUND:
         raise ConfigurationError(f"max_rank must be in 1..{MAX_RANK_BOUND}, got {max_rank}")
-    for rank in range(_MIN_RANK[family], max_rank + 1):
+    for rank in range(rs.MIN_RANK[family], max_rank + 1):
         alg = rs.Algebra(family, rank)
         masks = sorted(_all_masks(rank), key=lambda b: pd.PaintedDiagram(alg, b).mask())
         for black in masks:
@@ -232,7 +223,7 @@ def summarize(records: Iterable[CensusRecord]) -> list[SummaryRow]:
         box["diagrams"].add(rec.key)
         box["data"] += 1
         box["zero"] += rec.zero_exists
-        box["negc"] += rec.neg_complete
+        box["negc"] += rec.neg_ray
     return [
         SummaryRow(fam, rank, len(v["diagrams"]), v["data"], v["zero"], v["negc"])
         for (fam, rank), v in sorted(acc.items())

@@ -92,23 +92,19 @@ def _data_from_args(args) -> bd.AdmissibleData:
     return bd.admissible_data(dg, args.string, args.beta, chi)
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _cmd_koszul(args) -> int:
     dg = parse_diagram(args.diagram)
     data = pd.koszul(dg)
     if args.json:
         payload = {
             "diagram": dg.key(),
-            "sigma": [_frac(c) for c in data.sigma.coeffs],
+            "sigma": [rs.frac_str(c) for c in data.sigma.coeffs],
             "koszul_numbers": {str(j): n for j, n in sorted(data.numbers.items())},
         }
         print(json.dumps(payload, indent=None, separators=(",", ":")))
     else:
         print(f"diagram {dg.key()}")
-        print("sigma " + " ".join(_frac(c) for c in data.sigma.coeffs))
+        print("sigma " + " ".join(rs.frac_str(c) for c in data.sigma.coeffs))
         print("koszul " + " ".join(f"n_{j}={n}" for j, n in sorted(data.numbers.items())))
     return 0
 
@@ -136,7 +132,7 @@ def _verdict_payload(data: bd.AdmissibleData, verdict: es.EinsteinVerdict) -> di
             "complete": verdict.lambda_neg.complete,
         },
         "ray_extends": verdict.ray_extends,
-        "kappa_sq": _frac(bd.kappa(data)[0]) if _kappa_defined(data) else None,
+        "kappa_sq": rs.frac_str(bd.kappa(data)[0]) if _kappa_defined(data) else None,
     }
 
 
@@ -162,7 +158,7 @@ def _cmd_classify(args) -> int:
           + f"  complete={'yes' if verdict.lambda_neg.complete else 'no'}")
     print(f"ray_extends={'yes' if verdict.ray_extends else 'no'}")
     if _kappa_defined(data):
-        print(f"kappa_sq={_frac(bd.kappa(data)[0])}")
+        print(f"kappa_sq={rs.frac_str(bd.kappa(data)[0])}")
     return 0
 
 
@@ -187,17 +183,17 @@ def _cmd_profile(args) -> int:
         payload = {
             "diagram": data.s0.key(),
             "m": data.m,
-            "lambda": _frac(lam),
+            "lambda": rs.frac_str(lam),
             "kappa": prof.kappa,
-            "kappa_sq": _frac(prof.kappa_sq),
+            "kappa_sq": rs.frac_str(prof.kappa_sq),
             "f_sup": None if not math.isfinite(prof.f_sup) else prof.f_sup,
             "d": prof.d,
             "samples": [{"t": t, "f": f, "residual": r} for t, f, r in rows],
         }
         print(json.dumps(payload, separators=(",", ":")))
         return 0
-    print(f"diagram {data.s0.key()}  m={data.m}  lambda={_frac(lam)}")
-    print(f"kappa={prof.kappa:.12g}  kappa_sq={_frac(prof.kappa_sq)}  "
+    print(f"diagram {data.s0.key()}  m={data.m}  lambda={rs.frac_str(lam)}")
+    print(f"kappa={prof.kappa:.12g}  kappa_sq={rs.frac_str(prof.kappa_sq)}  "
           f"f_sup={'inf' if not math.isfinite(prof.f_sup) else format(prof.f_sup, '.12g')}  d={prof.d}")
     print(f"{'t':>18} {'f(t)':>18} {'residual':>12}")
     for t, f, r in rows:

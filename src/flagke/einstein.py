@@ -45,9 +45,7 @@ class Bound:
         return k == self.value
 
     def __str__(self) -> str:
-        v = self.value
-        txt = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return f"k_{self.node} {self.op} {txt}"
+        return f"k_{self.node} {self.op} {rs.frac_str(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,11 @@ class LambdaPosVerdict:
 class LambdaNegVerdict:
     exists: bool
     constraint: tuple[Bound, ...]
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        """An admitted negative constant always extends to a complete metric."""
+        return self.exists
 
 
 @dataclass(frozen=True)
@@ -118,15 +120,14 @@ def classify(data: bd.AdmissibleData) -> EinsteinVerdict:
 
     pos_bounds, neg_bounds = _bounds(data, numbers)
     pos = LambdaPosVerdict(all(b.holds(chi[b.node]) for b in pos_bounds), tuple(pos_bounds))
-    neg_exists = all(b.holds(chi[b.node]) for b in neg_bounds)
-    neg = LambdaNegVerdict(neg_exists, tuple(neg_bounds), neg_exists)
+    neg = LambdaNegVerdict(all(b.holds(chi[b.node]) for b in neg_bounds), tuple(neg_bounds))
 
     return EinsteinVerdict(
         lambda_zero=zero,
         lambda_pos=pos,
         lambda_neg=neg,
         xi_z0_times_lambda=_xi_z0_scaled(data, numbers),
-        ray_extends=ray_extends(data, 1),
+        ray_extends=ray_extends(data),
     )
 
 
@@ -173,14 +174,11 @@ def z0_is_face_point(data: bd.AdmissibleData, xi: rs.Weight) -> bool:
     return all(rs.inner(xi, simples[j - 1]) > 0 for j in data.black_nodes)
 
 
-def ray_extends(data: bd.AdmissibleData, lam_sign: int) -> bool:
-    """Whether the admissible segment continues to a ray in the chamber.
-
-    For lambda = 0 this always holds; otherwise it is the positivity of
-    xi_0 on every black root of the singular-orbit diagram.
+def ray_extends(data: bd.AdmissibleData) -> bool:
+    """Whether the admissible segment continues to a ray in the chamber for
+    lambda != 0: the positivity of xi_0 on every black root of the
+    singular-orbit diagram.  (For lambda = 0 the segment always extends.)
     """
-    if lam_sign == 0:
-        return True
     xi0 = bd.kappa_z0_form(data)
     simples = rs.simple_roots(data.s0.algebra)
     return all(rs.inner(xi0, simples[j - 1]) > 0 for j in data.black_nodes)

@@ -1,4 +1,4 @@
-"""Exact univariate polynomials over the rationals, plus Sturm root isolation.
+"""Exact univariate polynomials over the rationals.
 
 Polynomials are tuples of Fractions in ascending degree order with a zero
 leading coefficient never stored (the zero polynomial is the empty tuple).
@@ -7,7 +7,7 @@ leading coefficient never stored (the zero polynomial is the empty tuple).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 Poly = tuple[Fraction, ...]
 
@@ -21,23 +21,6 @@ def trim(p: Sequence[Fraction]) -> Poly:
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def degree(p: Poly) -> int:
-    """Degree, with -1 for the zero polynomial."""
-    return len(p) - 1
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    pp = p + (Fraction(0),) * (n - len(p))
-    qq = q + (Fraction(0),) * (n - len(q))
-    return trim(tuple(a + b for a, b in zip(pp, qq)))
-
-
-def scale(p: Poly, k) -> Poly:
-    k = Fraction(k)
-    return trim(tuple(k * c for c in p))
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -65,174 +48,3 @@ def eval_exact(p: Poly, x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def eval_float(float_coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(float_coeffs):
-        acc = acc * x + c
-    return acc
-
-
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _comp_horner(float_coeffs: Sequence[float], x: float) -> float:
-    """Compensated Horner: evaluates as if in twice the working precision."""
-    it = reversed(float_coeffs)
-    acc = next(it)
-    err = 0.0
-    for c in it:
-        p, pe = _two_prod(acc, x)
-        acc, se = _two_sum(p, c)
-        err = err * x + (pe + se)
-    return acc + err
-
-
-def eval_float_stable(float_coeffs: Sequence[float], x: float) -> float:
-    """Horner with a running magnitude guard against cancellation.
-
-    Products of many mixed-sign linear factors expand to polynomials whose
-    values sit far below the size of individual terms; plain Horner then
-    loses most digits.  When the guard detects that, the compensated pass
-    recovers full double accuracy for condition numbers up to ~1e16.
-    """
-    if not float_coeffs:
-        return 0.0
-    acc = 0.0
-    mag = 0.0
-    ax = abs(x)
-    for c in reversed(float_coeffs):
-        acc = acc * x + c
-        mag = mag * ax + abs(c)
-    if mag > 1e2 * abs(acc):
-        return _comp_horner(float_coeffs, x)
-    return acc
-
-
-def _rem(p: Poly, q: Poly) -> Poly:
-    """Remainder of p by q (q nonzero)."""
-    r = list(p)
-    dq = degree(q)
-    lq = q[-1]
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dq:
-            break
-        f = r[-1] / lq
-        shift = len(r) - 1 - dq
-        for i, c in enumerate(q):
-            r[shift + i] -= f * c
-    return trim(tuple(r))
-
-
-def gcd(p: Poly, q: Poly) -> Poly:
-    a, b = p, q
-    while b:
-        a, b = b, _rem(a, b)
-    if not a:
-        return ()
-    return scale(a, Fraction(1) / a[-1])  # monic
-
-
-def square_free(p: Poly) -> Poly:
-    if degree(p) <= 0:
-        return p
-    g = gcd(p, diff(p))
-    if degree(g) <= 0:
-        return p
-    # exact division p / g
-    out: list[Fraction] = []
-    r = list(p)
-    dg = degree(g)
-    lg = g[-1]
-    while len(r) - 1 >= dg:
-        f = r[-1] / lg
-        out.append(f)
-        shift = len(r) - 1 - dg
-        for i, c in enumerate(g):
-            r[shift + i] -= f * c
-        r = r[:-1]
-    assert not trim(tuple(r)), "square-free division left a remainder"
-    return trim(tuple(reversed(out)))
-
-
-def sturm_chain(p: Poly) -> tuple[Poly, ...]:
-    """Sturm chain of the square-free part of p."""
-    p = square_free(p)
-    chain = [p, diff(p)]
-    while chain[-1]:
-        r = _rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(scale(r, -1))
-    return tuple(c for c in chain if c)
-
-
-def _variations(chain: tuple[Poly, ...], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = eval_exact(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(chain: tuple[Poly, ...], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of the chain's polynomial in the half-open (a, b]."""
-    if a >= b:
-        return 0
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def root_bound(p: Poly) -> Fraction:
-    """Cauchy bound: all real roots lie in [-B, B]."""
-    if degree(p) < 1:
-        return Fraction(1)
-    lead = abs(p[-1])
-    return 1 + max(abs(c) / lead for c in p[:-1])
-
-
-def first_root_after(p: Poly, lo: Fraction, tol: float = 1e-13) -> Optional[float]:
-    """Smallest real root of p strictly greater than `lo`, refined to `tol`
-    relative accuracy, or None if there is none."""
-    p = square_free(p)
-    if degree(p) < 1:
-        return None
-    lo = Fraction(lo)
-    chain = sturm_chain(p)
-    hi = root_bound(p)
-    if hi <= lo or count_roots(chain, lo, hi) == 0:
-        return None
-    a, b = lo, hi
-    # shrink (a, b] keeping the leftmost root inside and none in (lo, a]
-    while True:
-        width = b - a
-        if float(width) <= tol * max(1.0, abs(float(b))):
-            break
-        mid = (a + b) / 2
-        if eval_exact(p, mid) == 0:
-            return float(mid)
-        if count_roots(chain, a, mid) >= 1:
-            b = mid
-        else:
-            a = mid
-    return float((a + b) / 2)

@@ -63,16 +63,6 @@ class MetricProfile:
     def kappa(self) -> float:
         return math.sqrt(self.kappa_sq)
 
-    @property
-    def lambda_(self) -> Fraction:
-        return self.lam
-
-    @cached_property
-    def pair_floats(self) -> tuple[tuple[float, float], ...]:
-        """(alpha(Z_0), alpha(Z^0)) as floats, converted once."""
-        k = self.kappa
-        return tuple((float(a), float(r) / k) for a, r in self.pairs)
-
     @cached_property
     def q_coeffs(self) -> poly.Poly:
         """Q(u) = prod (a_alpha + u r_alpha), exact."""
@@ -89,6 +79,7 @@ class MetricProfile:
 
     @cached_property
     def _pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (a_alpha, r_alpha) as two float arrays, converted once."""
         a = np.array([float(x) for x, _ in self.pairs])
         r = np.array([float(x) for _, x in self.pairs])
         return a, r
@@ -150,6 +141,13 @@ class MetricProfile:
                 return float(mid)
         return float((lo + hi) / 2)
 
+    @cached_property
+    def t_sup(self) -> float:
+        """Supremum of the reachable parameter values t (math.inf when unbounded)."""
+        if not math.isfinite(self.u_sup):
+            return math.inf
+        return _t_of_u(self, self.u_sup * (1 - 1e-9))
+
     @property
     def f_sup(self) -> float:
         return self.kappa * self.u_sup
@@ -192,21 +190,12 @@ def metric_profile(
     return profile
 
 
-def polynomial_p(profile: MetricProfile) -> poly.Poly:
-    """Exact coefficients of the chamber polynomial in the coordinate u = f/kappa.
-
-    The true product over alpha of (alpha(Z_0) + x alpha(Z^0)) equals this
-    polynomial evaluated at x/kappa; the rescaling keeps every coefficient
-    rational and leaves t(f) unchanged.
-    """
-    return profile.q_coeffs
-
-
 def _q_at(profile: MetricProfile, u: float) -> float:
     # factored product: stable sign behaviour near the chamber walls
+    a, r = profile._pair_arrays
     out = 1.0
-    for a, r in profile.pairs:
-        out *= float(a) + u * float(r)
+    for factor in (a + u * r).tolist():
+        out *= factor
     return out
 
 
@@ -261,12 +250,7 @@ def t_of_f(profile: MetricProfile, f: float) -> float:
 
 def parameter_end(profile: MetricProfile) -> float:
     """Supremum of the reachable parameter values t (may be +inf)."""
-    if not math.isfinite(profile.u_sup):
-        return math.inf
-    key = "_t_end"
-    if key not in profile.__dict__:
-        profile.__dict__[key] = _t_of_u(profile, profile.u_sup * (1 - 1e-9))
-    return profile.__dict__[key]
+    return profile.t_sup
 
 
 def _dt_du(profile: MetricProfile, u: float) -> float:
@@ -347,9 +331,10 @@ def f_ddot(profile: MetricProfile, f: float) -> float:
 
 def mean_curvature_sum(profile: MetricProfile, f: float) -> float:
     """A(f): the sum over the pairs of alpha(Z^0)/(alpha(Z_0) + f alpha(Z^0))."""
+    a, r = profile._pair_arrays
     total = 0.0
-    for a, b in profile.pair_floats:
-        denom = a + f * b
+    for x, b in zip(a.tolist(), (r / profile.kappa).tolist()):
+        denom = x + f * b
         if denom == 0:
             raise DomainError(f"chamber wall reached at f = {f}")
         total += b / denom

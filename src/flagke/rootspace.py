@@ -23,7 +23,12 @@ from .errors import ConfigurationError, UsageError
 
 FAMILIES = ("A", "B", "C", "D")
 
-_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
+MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
+
+
+def frac_str(x: Fraction) -> str:
+    """Canonical text of a rational: ``"p"`` when integral, else ``"p/q"``."""
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 @dataclass(frozen=True, order=True)
@@ -36,9 +41,9 @@ class Algebra:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if not isinstance(self.rank, int) or self.rank < _MIN_RANK[self.family]:
+        if not isinstance(self.rank, int) or self.rank < MIN_RANK[self.family]:
             raise ConfigurationError(
-                f"family {self.family} requires rank >= {_MIN_RANK[self.family]}, got {self.rank!r}"
+                f"family {self.family} requires rank >= {MIN_RANK[self.family]}, got {self.rank!r}"
             )
 
     @property

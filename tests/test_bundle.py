@@ -97,6 +97,7 @@ def test_kappa_z0_form_a11_example():
     chi = 2 * rs.fundamental_weight(alg, 3) + 3 * rs.fundamental_weight(alg, 6)
     w = rs.weight(alg, [2, -1, -1] + [0] * 9)
     assert bd.kappa_z0_form(data) == chi + Fraction(1, 3) * w
+    assert bd.kappa(data)[0] == Fraction(41, 18)
 
 
 def test_kappa_z0_form_m1_is_chi():
@@ -267,13 +268,3 @@ def test_koszul_update_requires_higher_rank():
     data = bd.admissible_data(diagram("B", 3, {1}), None, None, (1,))
     with pytest.raises(UsageError):
         bd.koszul_update_check(data)
-
-
-def test_bundle_geometry_aggregate():
-    data = bd.admissible_data(diagram("A", 11, {3, 6}), 1, "left", (2, 3))
-    geo = bd.bundle_geometry(data)
-    assert geo.f_diagram.black == frozenset({1, 3, 6})
-    assert geo.xi0 == bd.kappa_z0_form(data)
-    assert geo.kappa_sq == Fraction(41, 18)
-    assert math.isclose(geo.kappa * geo.t0, 2 * math.pi, rel_tol=1e-15)
-    assert geo.kappa_sq > 0

@@ -1,11 +1,18 @@
+import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from flagke import bundle as bd, census as cs, diagram, einstein as es
+import flagke
+from flagke import bundle as bd, census as cs, cli, diagram, einstein as es
 from flagke.errors import ConfigurationError
 
 
@@ -97,7 +104,7 @@ def test_records_validate_and_fields():
     records = list(cs.enumerate_records("B", 3))
     assert records, "no records enumerated"
     for rec in records:
-        assert rec.neg_complete  # an admitted negative constant always extends
+        assert rec.neg_ray  # an admitted negative constant always extends
         payload = json.loads(rec.to_json())
         assert payload["version"] == cs.SCHEMA_VERSION
         assert payload["diagram"].startswith("B")
@@ -148,3 +155,50 @@ def test_enumerate_validation():
         list(cs.enumerate_records("E", 3))
     with pytest.raises(ConfigurationError):
         list(cs.enumerate_records("A", 12))
+
+
+# sha256 of the JSONL and the summary CSV that `flagke census --family F
+# --max-rank 6` writes.  Schema v1 output must stay byte-identical: a
+# deliberate change bumps SCHEMA_VERSION and records these again.
+CENSUS_RANK6_SHA256 = {
+    "A": ("5a231f453835edc20785dc89585055dace167e4065b309d9e66395d0c6a7570e",
+          "dababbf86c5b23df8a0a77ffb747e0f3540179f84c9ec12fe87591d508aa27e8"),
+    "B": ("a3c8cd026cab645de91b121620603647e58fbc8c2c2f1edd22276f502d3ecb2d",
+          "0466efe1fb34fe48e3b91b05ca57f61335faf14e7ef7da6e437566765d2c0b44"),
+    "C": ("4419ef2ccc0e30d462dacac5d8962573ecf476d85c97f98444d2661a1dbb279f",
+          "a8ae04c787ea8b49b6ac5b81a059d2821408b468f07f67aaa3276250fbab45ad"),
+    "D": ("62b6c3cf2f0f66d749bb2cdac5b4f03889c88e5633c6fbabd2f435c103c0cf2e",
+          "26bfadb7ddde073db3faca114eb468717eb1a62e2d3536f2c120017967c1ee98"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CENSUS_RANK6_SHA256))
+def test_census_bytes_are_pinned_to_rank_6(family, tmp_path, capsys):
+    out, summary = tmp_path / "c.jsonl", tmp_path / "c.csv"
+    argv = ["census", "--family", family, "--max-rank", "6",
+            "--out", str(out), "--summary", str(summary)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, summary))
+    assert got == CENSUS_RANK6_SHA256[family]
+
+
+def test_violating_witness_raises_under_python_O():
+    # the witness self-check must not be an `assert`, which -O strips
+    script = textwrap.dedent("""
+        from flagke import census as cs, diagram
+        cs.smallest_witness = lambda bounds: (2,)  # k_2 = 2 violates k_2 < 2 and k_2 > 2
+        try:
+            cs._record_for(diagram("A", 3, {2}), 1, "left")
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("emitted")
+    """)
+    src = str(Path(flagke.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: witness (2,) violates its own pos bounds"), proc.stdout

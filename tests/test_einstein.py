@@ -114,14 +114,12 @@ def test_point_orbit_z0_is_origin():
 
 def test_ray_extension():
     dg = diagram("A", 11, {3, 6})
-    # lambda = 0: always a ray
-    assert es.ray_extends(bd.admissible_data(dg, 1, "left", (2, 3)), 0)
     # admitted negative constants always extend
-    assert es.ray_extends(bd.admissible_data(dg, 1, "left", (3, 4)), -1)
+    assert es.ray_extends(bd.admissible_data(dg, 1, "left", (3, 4)))
     # a vanishing coefficient next to the string blocks the ray
     data0 = bd.admissible_data(dg, 1, "left", (0, 1))
     assert es.classify(data0).lambda_pos.exists
-    assert not es.ray_extends(data0, 1)
+    assert not es.ray_extends(data0)
 
 
 def test_neg_admitted_implies_ray_sweep():

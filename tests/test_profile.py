@@ -67,7 +67,7 @@ def test_point_orbit_negative_profile():
 def test_polynomial_p_point_orbit_is_monomial():
     for m in (2, 4):
         prof = pf.metric_profile(point_orbit(m), 1)
-        q = pf.polynomial_p(prof)
+        q = prof.q_coeffs
         assert len(q) == m  # degree m-1
         assert all(c == 0 for c in q[:-1]) and q[-1] > 0
         assert prof.d == m - 1
@@ -75,7 +75,7 @@ def test_polynomial_p_point_orbit_is_monomial():
 
 def test_polynomial_p_structure():
     prof = pf.metric_profile(a11_data((1, 1)), Fraction(1))
-    q = pf.polynomial_p(prof)
+    q = prof.q_coeffs
     n_roots = len(prof.pairs)
     import flagke.painted as pdm
     assert n_roots == len(pdm.r_m_plus(bd.flag_f(a11_data((1, 1)))))
@@ -87,14 +87,10 @@ def test_polynomial_p_structure():
 
 def test_polynomial_p_matches_pair_product():
     prof = pf.metric_profile(a11_data((1, 1)), Fraction(1))
-    q_float = [float(c) for c in pf.polynomial_p(prof)]
-    from flagke.poly import eval_float
-    for f in (0.1, 0.4, 0.9):
-        direct = 1.0
-        for a, b in prof.pair_floats:
-            direct *= a + f * b
-        via_q = eval_float(q_float, f / prof.kappa)
-        assert math.isclose(direct, via_q, rel_tol=1e-9)
+    from flagke.poly import eval_exact
+    for u in (0.1, 0.4, 0.9):
+        via_q = float(eval_exact(prof.q_coeffs, Fraction(u)))
+        assert math.isclose(pf._q_at(prof, u), via_q, rel_tol=1e-9)
 
 
 def test_t_of_f_basics():
