@@ -56,6 +56,7 @@ class StringInfo:
         return min(self.nodes)
 
 
+@lru_cache(maxsize=None)
 def eligible_strings(dg: pd.PaintedDiagram) -> tuple[StringInfo, ...]:
     """The white components of `dg` that are A-strings, by ascending start node."""
     alg = dg.algebra
@@ -162,25 +163,19 @@ def chi_weight(data: AdmissibleData) -> rs.Weight:
 
 @lru_cache(maxsize=65536)
 def _chi_weight_cached(alg: rs.Algebra, nodes: tuple[int, ...], chi: tuple[int, ...]) -> rs.Weight:
-    coeffs = [Fraction(0)] * alg.ambient_dim
-    for k, node in zip(chi, nodes):
-        if k:
-            for i, c in enumerate(rs.fundamental_weight(alg, node).coeffs):
-                if c:
-                    coeffs[i] += k * c
-    return rs.Weight._raw(alg, tuple(coeffs))
+    return rs.fundamental_combination(alg, nodes, chi)
 
 
 @lru_cache(maxsize=None)
 def _string_w_over_m(alg: rs.Algebra, eps_seq: tuple, beta_end: str, m: int) -> rs.Weight:
     """((m-1) e_edge - sum of the other virtual epsilons) / m, edge by beta_end."""
     seq = tuple(reversed(eps_seq)) if beta_end == "right" else eps_seq
-    coeffs = [Fraction(0)] * alg.ambient_dim
+    num = [0] * alg.ambient_dim
     sign0, idx0 = seq[0]
-    coeffs[idx0 - 1] += Fraction((m - 1) * sign0, m)
+    num[idx0 - 1] += (m - 1) * sign0
     for sign, idx in seq[1:]:
-        coeffs[idx - 1] -= Fraction(sign, m)
-    return rs.Weight._raw(alg, tuple(coeffs))
+        num[idx - 1] -= sign
+    return rs.Weight.from_numerators(alg, tuple(num), m)
 
 
 def _normalise_sign(data: AdmissibleData, xi: rs.Weight) -> rs.Weight:
@@ -190,10 +185,11 @@ def _normalise_sign(data: AdmissibleData, xi: rs.Weight) -> rs.Weight:
     return xi if val > 0 else -xi
 
 
-def _beta_pairing(alg: rs.Algebra, node: int, xi: rs.Weight) -> Fraction:
-    """<beta_node, xi> up to a positive factor: simple roots are sparse, and
-    pairing against a root makes the family-A projection a no-op."""
-    c = xi.coeffs
+def _beta_pairing(alg: rs.Algebra, node: int, xi: rs.Weight) -> int:
+    """<beta_node, xi> up to a positive factor: simple roots are sparse,
+    pairing against a root makes the family-A projection a no-op, and the
+    numerators carry the sign."""
+    c = xi.num
     ell = alg.rank
     if node == ell:
         if alg.family in ("B", "C"):

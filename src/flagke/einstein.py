@@ -133,10 +133,8 @@ def classify(data: bd.AdmissibleData) -> EinsteinVerdict:
 
 def _xi_z0_scaled(data: bd.AdmissibleData, numbers: dict[int, int]) -> rs.Weight:
     """lambda * xi_{Z_0} = sum n_j pi_j -+ m chi (sign by the end choice)."""
-    alg = data.s0.algebra
-    xi = rs.zero_weight(alg)
-    for node in data.black_nodes:
-        xi = xi + numbers[node] * rs.fundamental_weight(alg, node)
+    nodes = data.black_nodes
+    xi = rs.fundamental_combination(data.s0.algebra, nodes, [numbers[j] for j in nodes])
     m_chi = data.m * bd.chi_weight(data)
     return xi + m_chi if data.beta_end == "right" else xi - m_chi
 
@@ -156,11 +154,8 @@ def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
 
 def z0_face_point(data: bd.AdmissibleData) -> rs.Weight:
     """Canonical Ricci-flat witness: the sum of the black fundamental weights of s0."""
-    alg = data.s0.algebra
-    xi = rs.zero_weight(alg)
-    for node in data.black_nodes:
-        xi = xi + rs.fundamental_weight(alg, node)
-    return xi
+    nodes = data.black_nodes
+    return rs.fundamental_combination(data.s0.algebra, nodes, [1] * len(nodes))
 
 
 def z0_is_face_point(data: bd.AdmissibleData, xi: rs.Weight) -> bool:

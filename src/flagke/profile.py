@@ -72,6 +72,11 @@ class MetricProfile:
         return q
 
     @cached_property
+    def dq_coeffs(self) -> poly.Poly:
+        """Q'(u), exact."""
+        return poly.diff(self.q_coeffs)
+
+    @cached_property
     def j_coeffs(self) -> poly.Poly:
         """J(u) = int_0^u (m - lambda w) Q(w) dw, exact."""
         integrand = poly.mul(poly.make([self.m, -self.lam]), self.q_coeffs)
@@ -324,7 +329,7 @@ def f_ddot(profile: MetricProfile, f: float) -> float:
         raise DomainError(f"chamber polynomial vanishes at f = {f}")
     jv = _j_at(profile, u)
     # the expanded derivative cancels brutally at moderate u; evaluate exactly
-    qd = float(poly.eval_exact(poly.diff(profile.q_coeffs), Fraction(u)))
+    qd = float(poly.eval_exact(profile.dq_coeffs, Fraction(u)))
     lam = float(profile.lam)
     return profile.kappa * ((profile.m - lam * u) - jv * qd / (qv * qv))
 

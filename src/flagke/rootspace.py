@@ -1,10 +1,13 @@
 """Exact arithmetic for classical root systems in epsilon coordinates.
 
-Weights of the families A, B, C, D are stored as vectors of rationals over
-the standard epsilon basis of the Cartan dual (length rank+1 for family A,
-rank otherwise).  Family-A weights are kept as the usual non-trace-free
-representatives; the inner product projects both arguments onto the
-trace-free hyperplane, so representatives differing by a multiple of
+Weights of the families A, B, C, D are vectors of rationals over the
+standard epsilon basis of the Cartan dual (length rank+1 for family A, rank
+otherwise), stored as a tuple of integer numerators over one positive common
+denominator, reduced by their gcd.  Addition, scaling and the inner product
+are integer arithmetic; only the inner product's result is a Fraction.
+Family-A weights are kept as the usual non-trace-free representatives; the
+inner product, equality and hashing work on the trace-free projection (the
+integer vector n*x_i - sum(x)), so representatives differing by a multiple of
 eps_1 + ... + eps_n compare equal.
 
 The normalisation of the inner product is the one induced by the Killing
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, UsageError
@@ -63,76 +68,108 @@ class Algebra:
             return Fraction(2 * (n + 1))
         return Fraction(2 * (n - 1))
 
+    @cached_property
+    def _two_c(self) -> int:
+        """2c as an integer, the denominator of <eps_i, eps_i>."""
+        return 2 * self.killing_constant.numerator
+
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-def _as_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Weight:
-    """An exact linear form on the Cartan, in epsilon coordinates."""
+    """An exact linear form on the Cartan, in epsilon coordinates.
+
+    Stored as integer numerators `num` over one positive denominator `den`,
+    with gcd(den, *num) == 1, so arithmetic is integer arithmetic and one
+    weight has one stored form.  `coeffs` is the rational view.
+    """
 
     algebra: Algebra
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        coeffs = _as_fractions(self.coeffs)
-        if len(coeffs) != self.algebra.ambient_dim:
-            raise UsageError(
-                f"{self.algebra} weights need {self.algebra.ambient_dim} coordinates, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, algebra: Algebra, coeffs: Iterable):
+        fracs = tuple(Fraction(c) for c in coeffs)
+        if len(fracs) != algebra.ambient_dim:
+            raise UsageError(f"{algebra} weights need {algebra.ambient_dim} coordinates, got {len(fracs)}")
+        den = lcm(*(f.denominator for f in fracs))
+        _set(self, "algebra", algebra)
+        _set(self, "num", tuple(f.numerator * (den // f.denominator) for f in fracs))
+        _set(self, "den", den)
 
     @classmethod
-    def _raw(cls, algebra: Algebra, coeffs: tuple[Fraction, ...]) -> "Weight":
-        """Internal constructor for already-canonical coefficient tuples."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "algebra", algebra)
-        object.__setattr__(w, "coeffs", coeffs)
-        return w
+    def from_numerators(cls, algebra: Algebra, num: tuple[int, ...], den: int) -> "Weight":
+        """The weight num/den (den > 0, `num` of the ambient length), reduced."""
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+        return _raw(algebra, num, den)
 
-    def projected(self) -> tuple[Fraction, ...]:
-        """Coordinates after the family-A trace-free projection (identity otherwise)."""
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The epsilon coordinates as rationals (family A: the stored representative)."""
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
+
+    def _key(self) -> tuple[tuple[int, ...], int]:
+        """Canonical (numerators, denominator); family A: of the trace-free
+        projection, n*x_i - sum(x) over n*den, reduced."""
         if self.algebra.family != "A":
-            return self.coeffs
-        n = len(self.coeffs)
-        mean = sum(self.coeffs) / n
-        if mean == 0:
-            return self.coeffs
-        return tuple(c - mean for c in self.coeffs)
+            return self.num, self.den
+        n = len(self.num)
+        total = sum(self.num)
+        proj = tuple(n * a - total for a in self.num)
+        den = n * self.den
+        g = gcd(den, *proj)
+        return tuple(a // g for a in proj), den // g
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.projected())
+        num = self.num
+        if self.algebra.family == "A":
+            return num.count(num[0]) == len(num)
+        return not any(num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Weight):
             return NotImplemented
         if self.algebra != other.algebra:
             return False
-        if self.coeffs == other.coeffs:
+        if self.num == other.num and self.den == other.den:
             return True
-        return self.projected() == other.projected()
+        return self.algebra.family == "A" and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.projected()))
+        return hash((self.algebra, self._key()))
 
     def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight._raw(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, add)
 
     def __sub__(self, other: "Weight") -> "Weight":
+        return self._combine(other, sub)
+
+    def _combine(self, other: "Weight", op) -> "Weight":
+        """Coordinatewise `op` over the least common denominator."""
         self._check(other)
-        return Weight._raw(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        dx, dy = self.den, other.den
+        if dx == dy:
+            return Weight.from_numerators(self.algebra, tuple(map(op, self.num, other.num)), dx)
+        den = lcm(dx, dy)
+        fx, fy = den // dx, den // dy
+        return Weight.from_numerators(self.algebra, tuple(op(a * fx, b * fy) for a, b in zip(self.num, other.num)), den)
 
     def __neg__(self) -> "Weight":
-        return Weight._raw(self.algebra, tuple(-a for a in self.coeffs))
+        return _raw(self.algebra, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, scalar) -> "Weight":
         s = Fraction(scalar)
-        return Weight._raw(self.algebra, tuple(s * a for a in self.coeffs))
+        p = s.numerator
+        return Weight.from_numerators(self.algebra, tuple(p * a for a in self.num), s.denominator * self.den)
 
     __rmul__ = __mul__
 
@@ -145,21 +182,30 @@ class Weight:
         return f"Weight({self.algebra}, ({body}))"
 
 
+def _raw(algebra: Algebra, num: tuple[int, ...], den: int) -> Weight:
+    """A Weight from numerators already reduced against `den`."""
+    w = object.__new__(Weight)
+    _set(w, "algebra", algebra)
+    _set(w, "num", num)
+    _set(w, "den", den)
+    return w
+
+
 def weight(algebra: Algebra, coeffs: Sequence) -> Weight:
-    return Weight(algebra, _as_fractions(coeffs))
+    return Weight(algebra, coeffs)
 
 
 def zero_weight(algebra: Algebra) -> Weight:
-    return Weight(algebra, (Fraction(0),) * algebra.ambient_dim)
+    return _raw(algebra, (0,) * algebra.ambient_dim, 1)
 
 
 def epsilon(algebra: Algebra, i: int) -> Weight:
     """The basis form eps_i (1-based)."""
     if not 1 <= i <= algebra.ambient_dim:
         raise UsageError(f"epsilon index {i} out of range for {algebra}")
-    coeffs = [Fraction(0)] * algebra.ambient_dim
-    coeffs[i - 1] = Fraction(1)
-    return Weight(algebra, tuple(coeffs))
+    num = [0] * algebra.ambient_dim
+    num[i - 1] = 1
+    return _raw(algebra, tuple(num), 1)
 
 
 @lru_cache(maxsize=None)
@@ -201,11 +247,21 @@ def positive_roots(algebra: Algebra) -> tuple[Weight, ...]:
 
 
 def inner(x: Weight, y: Weight) -> Fraction:
-    """Killing-form inner product <x, y> (family A projects both arguments)."""
-    if x.algebra != y.algebra:
-        raise UsageError(f"algebra mismatch: {x.algebra} vs {y.algebra}")
-    dot = sum(a * b for a, b in zip(x.projected(), y.projected()))
-    return dot / (2 * x.algebra.killing_constant)
+    """Killing-form inner product <x, y> (family A projects both arguments).
+
+    One integer dot product over the common denominator dx*dy*2c; for
+    family A the projection folds into (n*sum x_i y_i - sum x * sum y)/n.
+    """
+    alg = x.algebra
+    if alg != y.algebra:
+        raise UsageError(f"algebra mismatch: {alg} vs {y.algebra}")
+    xn, yn = x.num, y.num
+    dot = sum(map(mul, xn, yn))
+    den = x.den * y.den * alg._two_c
+    if alg.family == "A":
+        n = len(xn)
+        return Fraction(n * dot - sum(xn) * sum(yn), n * den)
+    return Fraction(dot, den)
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +281,19 @@ def fundamental_weight(algebra: Algebra, node: int) -> Weight:
     if node == ell - 1:  # D fork tip eps_{l-1} - eps_l
         coeffs[-1] = Fraction(-1, 2)
     return Weight(algebra, tuple(coeffs))
+
+
+def fundamental_combination(algebra: Algebra, nodes: Sequence[int], ks: Sequence[int]) -> Weight:
+    """sum k_j pi_j over `nodes`, accumulated as integers over denominator 2."""
+    acc = [0] * algebra.ambient_dim
+    for k, node in zip(ks, nodes):
+        if k:
+            pi = fundamental_weight(algebra, node)
+            scale = k * (2 // pi.den)
+            for i, a in enumerate(pi.num):
+                if a:
+                    acc[i] += scale * a
+    return Weight.from_numerators(algebra, tuple(acc), 2)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,15 @@ from flagke import rootspace as rs
 FAMILY_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
 
 
+def trace_free(w: rs.Weight) -> list[Fraction]:
+    """Rational coordinates of `w`; for family A, with their mean subtracted."""
+    coeffs = list(w.coeffs)
+    if w.algebra.family != "A":
+        return coeffs
+    mean = sum(coeffs) / len(coeffs)
+    return [c - mean for c in coeffs]
+
+
 def trace_inner(alg: rs.Algebra, x: rs.Weight, y: rs.Weight) -> Fraction:
     """Killing-form pairing via explicit diagonal matrix representatives.
 
@@ -18,8 +27,8 @@ def trace_inner(alg: rs.Algebra, x: rs.Weight, y: rs.Weight) -> Fraction:
     trace form.  Independent of the epsilon-dot shortcut in rootspace.
     """
     c = alg.killing_constant
-    xp = x.projected()
-    yp = y.projected()
+    xp = trace_free(x)
+    yp = trace_free(y)
     if alg.family == "A":
         n = alg.ambient_dim
         factor = 2 * Fraction(n)  # B = 2n tr(XY)

@@ -6,13 +6,13 @@ import pytest
 from flagke import diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams
+from conftest import FAMILY_MIN_RANK, all_diagrams, trace_free
 
 
 def in_span(alg, vectors, target) -> bool:
     """Exact rational rank test: is `target` in the span of `vectors`?"""
-    rows = [list(v.projected()) for v in vectors]
-    t = list(target.projected())
+    rows = [trace_free(v) for v in vectors]
+    t = trace_free(target)
     cols = len(t)
     pivots = 0
     for col in range(cols):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagke import rootspace as rs
 from flagke.errors import ConfigurationError, UsageError
@@ -148,3 +149,61 @@ def test_weight_arithmetic_exact():
     assert (x - y).coeffs == (Fraction(-2, 3), Fraction(15, 7))
     assert (3 * x).coeffs == (1, 6)
     assert (-x).coeffs == (Fraction(-1, 3), -2)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
+
+
+@st.composite
+def weight_cases(draw):
+    """An algebra of rank 1-16 (past MAX_RANK_BOUND) and two rational coordinate tuples."""
+    fam = draw(st.sampled_from(rs.FAMILIES))
+    alg = rs.Algebra(fam, draw(st.integers(FAMILY_MIN_RANK[fam], 16)))
+    coords = st.lists(RATIONALS, min_size=alg.ambient_dim, max_size=alg.ambient_dim).map(tuple)
+    return alg, draw(coords), draw(coords)
+
+
+def _reference_key(alg, coeffs):
+    """What a weight is as a form: family A forgets the mean of its coordinates."""
+    if alg.family != "A":
+        return coeffs
+    mean = sum(coeffs) / len(coeffs)
+    return tuple(c - mean for c in coeffs)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(weight_cases(), RATIONALS, st.integers(-5, 5), RATIONALS)
+def test_weight_matches_fraction_tuples(case, s, k, shift):
+    alg, x, y = case
+    wx, wy = rs.Weight(alg, x), rs.Weight(alg, y)
+    assert wx.coeffs == x and wy.coeffs == y
+    assert rs.Weight(alg, wx.coeffs) == wx
+    assert (wx + wy).coeffs == tuple(a + b for a, b in zip(x, y))
+    assert (wx - wy).coeffs == tuple(a - b for a, b in zip(x, y))
+    assert (-wx).coeffs == tuple(-a for a in x)
+    assert (s * wx).coeffs == (wx * s).coeffs == tuple(s * a for a in x)
+    assert (k * wx).coeffs == tuple(k * a for a in x)
+    back = (wx + wy) - wy
+    assert back == wx and hash(back) == hash(wx)
+
+    zero = tuple(Fraction(0) for _ in x)
+    assert wx.is_zero() == (_reference_key(alg, x) == _reference_key(alg, zero))
+    assert (wx - wx).is_zero() and (0 * wx).is_zero()
+    flat = rs.Weight(alg, [shift] * alg.ambient_dim)
+    assert flat.is_zero() == (alg.family == "A" or shift == 0)
+
+    same = _reference_key(alg, x) == _reference_key(alg, y)
+    assert (wx == wy) == same and (wx != wy) == (not same)
+    if same:
+        assert hash(wx) == hash(wy)
+    shifted = rs.Weight(alg, [a + shift for a in x])
+    assert (shifted == wx) == (alg.family == "A" or shift == 0)
+    if alg.family == "A":
+        assert hash(shifted) == hash(wx)
+        assert rs.inner(shifted, wy) == rs.inner(wx, wy)
+
+    assert rs.inner(wx, wy) == trace_inner(alg, wx, wy)
+    for field in ("algebra", "num", "den", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(wx, field, getattr(wy, field))
+    assert wx.coeffs == x
