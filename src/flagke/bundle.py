@@ -143,10 +143,15 @@ def admissible_data(
     chi = tuple(int(k) for k in chi)
     if string_start is None:
         return AdmissibleData(s0, None, None, chi)
+    return AdmissibleData(s0, string_at(s0, string_start), beta_end, chi)
+
+
+def string_at(s0: pd.PaintedDiagram, start: int) -> StringInfo:
+    """The eligible string of `s0` whose least node index is `start`."""
     for info in eligible_strings(s0):
-        if info.start == string_start:
-            return AdmissibleData(s0, info, beta_end, chi)
-    raise UsageError(f"{s0.key()}: no eligible white string starting at node {string_start}")
+        if info.start == start:
+            return info
+    raise UsageError(f"{s0.key()}: no eligible white string starting at node {start}")
 
 
 def flag_f(data: AdmissibleData) -> pd.PaintedDiagram:

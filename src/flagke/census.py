@@ -30,20 +30,11 @@ from .errors import ConfigurationError
 SCHEMA_VERSION = 1
 MAX_RANK_BOUND = 9
 
-def _bound_strs(bounds) -> list[str]:
-    return [str(b) for b in bounds]
-
 
 def _smallest_int_satisfying(op: str, v: Fraction) -> int:
     if op == "<":
-        if v > 0:
-            return 0
-        return int(v) - 1 if v.denominator == 1 else math.floor(v)
-    if op == ">":
-        if v < 0:
-            return 0
-        return int(v) + 1 if v.denominator == 1 else math.ceil(v)
-    return int(v)
+        return 0 if v > 0 else math.ceil(v) - 1
+    return 0 if v < 0 else math.floor(v) + 1
 
 
 def smallest_witness(bounds) -> tuple[int, ...]:
@@ -107,60 +98,49 @@ def _all_masks(rank: int) -> Iterator[frozenset[int]]:
         yield frozenset(i + 1 for i in range(rank) if bits >> i & 1)
 
 
-def _validated_record(data: bd.AdmissibleData) -> None:
-    """Cross-checks every emitted datum must pass."""
-    if data.m > 1:
-        if bd.kappa_z0_form(data) != bd.kappa_z0_oracle(data):
-            raise AssertionError(f"dual-form mismatch for {data}")
-        if not bd.koszul_update_check(data):
-            raise AssertionError(f"Koszul update relations fail for {data}")
-
-
 def _record_for(dg: pd.PaintedDiagram,
                 string_start: Optional[int],
                 beta_end: Optional[str]) -> CensusRecord:
-    nodes = tuple(sorted(dg.black))
-    template_chi = tuple((0 if string_start is not None else 1) for _ in nodes)
-    template = bd.admissible_data(dg, string_start, beta_end, template_chi)
-    numbers = pd.koszul(dg).numbers if dg.black else {}
-    verdict_any = es.classify(template)
+    string = None if string_start is None else bd.string_at(dg, string_start)
+    crit = es.criterion(dg, string, beta_end)
 
-    zero_chi = verdict_any.lambda_zero.required_chi
-    if zero_chi is not None:
-        data0 = bd.admissible_data(dg, string_start, beta_end, zero_chi)
-        _validated_record(data0)
-        zero_kappa = bd.kappa(data0)[0]
-    else:
-        zero_kappa = None
+    def checked(chi: tuple[int, ...]) -> bd.AdmissibleData:
+        data = bd.AdmissibleData(dg, string, beta_end, chi)
+        if data.m > 1 and bd.kappa_z0_form(data) != bd.kappa_z0_oracle(data):
+            raise AssertionError(f"dual-form mismatch for {data}")
+        return data
+
+    zero_chi = crit.required_chi
+    zero_kappa = None if zero_chi is None else bd.kappa(checked(zero_chi))[0]
 
     out = {}
-    for tag, bounds in (("pos", verdict_any.lambda_pos.constraint),
-                        ("neg", verdict_any.lambda_neg.constraint)):
+    for tag, bounds in (("pos", crit.pos), ("neg", crit.neg)):
         witness = smallest_witness(bounds)
-        if template.m == 1 and all(k == 0 for k in witness):
+        if string is None and not any(witness):
             witness = _nonzero_witness(bounds, witness)
-        data_w = bd.admissible_data(dg, string_start, beta_end, witness)
-        _validated_record(data_w)
-        verdict_w = es.classify(data_w)
-        if not (verdict_w.lambda_pos if tag == "pos" else verdict_w.lambda_neg).exists:
-            raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data_w}")
-        out[tag] = (witness, bd.kappa(data_w)[0], verdict_w.ray_extends)
+        data = checked(witness)
+        if not es.satisfied(bounds, witness):
+            raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
+        out[tag] = (witness, bd.kappa(data)[0], es.ray_extends(data))
+    # the update relations do not depend on chi: one datum of the record checks them
+    if string is not None and not bd.koszul_update_check(data):
+        raise AssertionError(f"Koszul update relations fail for {data}")
 
     return CensusRecord(
         key=dg.key(),
-        m=template.m,
+        m=data.m,
         string_start=string_start,
         beta_end=beta_end,
-        black_nodes=nodes,
-        koszul_numbers=tuple(numbers[j] for j in nodes),
+        black_nodes=data.black_nodes,
+        koszul_numbers=crit.numbers,
         zero_exists=zero_chi is not None,
         zero_chi=zero_chi,
         zero_kappa_sq=zero_kappa,
-        pos_constraint=tuple(_bound_strs(verdict_any.lambda_pos.constraint)),
+        pos_constraint=tuple(str(b) for b in crit.pos),
         pos_witness=out["pos"][0],
         pos_kappa_sq=out["pos"][1],
         pos_ray=out["pos"][2],
-        neg_constraint=tuple(_bound_strs(verdict_any.lambda_neg.constraint)),
+        neg_constraint=tuple(str(b) for b in crit.neg),
         neg_witness=out["neg"][0],
         neg_kappa_sq=out["neg"][1],
         neg_ray=out["neg"][2],

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import bundle as bd
@@ -34,18 +35,19 @@ class Bound:
     """A strict bound ``k_<node> <op> value`` on one character coefficient."""
 
     node: int
-    op: str  # '<' | '>' | '='
+    op: str  # '<' | '>'
     value: Fraction
 
     def holds(self, k: int) -> bool:
-        if self.op == "<":
-            return k < self.value
-        if self.op == ">":
-            return k > self.value
-        return k == self.value
+        return k < self.value if self.op == "<" else k > self.value
 
     def __str__(self) -> str:
         return f"k_{self.node} {self.op} {rs.frac_str(self.value)}"
+
+
+def satisfied(bounds: tuple[Bound, ...], chi: tuple[int, ...]) -> bool:
+    """Whether `chi`, aligned with the ascending black nodes, meets every bound."""
+    return all(b.holds(k) for b, k in zip(bounds, chi))
 
 
 @dataclass(frozen=True)
@@ -76,80 +78,66 @@ class EinsteinVerdict:
     lambda_zero: LambdaZeroVerdict
     lambda_pos: LambdaPosVerdict
     lambda_neg: LambdaNegVerdict
-    xi_z0_times_lambda: rs.Weight  # lambda * (dual form of Z_0), lambda-independent
-    ray_extends: bool              # the lambda != 0 ray condition on Z^0
+    ray_extends: bool  # the lambda != 0 ray condition on Z^0
 
 
-def _koszul_numbers(data: bd.AdmissibleData) -> dict[int, int]:
-    return pd.koszul(data.s0).numbers if data.s0.black else {}
+@dataclass(frozen=True)
+class Criterion:
+    """The chi-independent half of the verdicts of one (diagram, string, end)."""
+
+    numbers: tuple[int, ...]                 # Koszul numbers n_j, ascending black nodes
+    required_chi: Optional[tuple[int, ...]]  # the lambda = 0 character, when all m | n_j
+    pos: tuple[Bound, ...]                   # lambda > 0 iff chi meets all of these
+    neg: tuple[Bound, ...]                   # lambda < 0 iff chi meets all of these
 
 
-def _bounds(data: bd.AdmissibleData, numbers: dict[int, int]) -> tuple[list[Bound], list[Bound]]:
-    """(positive-lambda bounds, negative-lambda bounds), per ascending black node."""
-    pos, neg = [], []
-    m = data.m
-    for node in data.black_nodes:
-        n = numbers[node]
-        if m == 1:
-            pos.append(Bound(node, "<", Fraction(n)))
-            neg.append(Bound(node, ">", Fraction(n)))
-        elif data.beta_end == "left":
-            pos.append(Bound(node, "<", Fraction(n, m)))
-            neg.append(Bound(node, ">", Fraction(n, m)))
-        else:
-            pos.append(Bound(node, ">", Fraction(-n, m)))
-            neg.append(Bound(node, "<", Fraction(-n, m)))
-    return pos, neg
+@lru_cache(maxsize=None)
+def criterion(s0: pd.PaintedDiagram,
+              string: Optional[bd.StringInfo],
+              beta_end: Optional[str]) -> Criterion:
+    """Bounds and lambda = 0 character over s0; rank one passes ``None, None``."""
+    nodes = tuple(sorted(s0.black))
+    numbers = pd.koszul(s0).numbers if nodes else {}
+    ns = tuple(numbers[j] for j in nodes)
+    m = 1 if string is None else string.m
+    # the right end mirrors the left one through k_j -> -k_j
+    sign = -1 if beta_end == "right" else 1
+    limits = [sign * Fraction(n, m) for n in ns]
+    below, above = ("<", ">") if sign > 0 else (">", "<")
+    integral = all(v.denominator == 1 for v in limits)
+    return Criterion(
+        numbers=ns,
+        required_chi=tuple(int(v) for v in limits) if integral else None,
+        pos=tuple(Bound(j, below, v) for j, v in zip(nodes, limits)),
+        neg=tuple(Bound(j, above, v) for j, v in zip(nodes, limits)),
+    )
 
 
 def classify(data: bd.AdmissibleData) -> EinsteinVerdict:
     """Apply the rank-m and rank-1 existence criteria to `data`."""
-    numbers = _koszul_numbers(data)
-    m = data.m
-    nodes = data.black_nodes
-    chi = dict(zip(nodes, data.chi))
-
-    if m == 1:
-        required = tuple(numbers[j] for j in nodes)
-    elif all(numbers[j] % m == 0 for j in nodes):
-        sign = 1 if data.beta_end == "left" else -1
-        required = tuple(sign * numbers[j] // m for j in nodes)
-    else:
-        required = None
-    zero = LambdaZeroVerdict(required is not None and required == data.chi, required)
-
-    pos_bounds, neg_bounds = _bounds(data, numbers)
-    pos = LambdaPosVerdict(all(b.holds(chi[b.node]) for b in pos_bounds), tuple(pos_bounds))
-    neg = LambdaNegVerdict(all(b.holds(chi[b.node]) for b in neg_bounds), tuple(neg_bounds))
-
+    crit = criterion(data.s0, data.string, data.beta_end)
     return EinsteinVerdict(
-        lambda_zero=zero,
-        lambda_pos=pos,
-        lambda_neg=neg,
-        xi_z0_times_lambda=_xi_z0_scaled(data, numbers),
+        lambda_zero=LambdaZeroVerdict(crit.required_chi == data.chi, crit.required_chi),
+        lambda_pos=LambdaPosVerdict(satisfied(crit.pos, data.chi), crit.pos),
+        lambda_neg=LambdaNegVerdict(satisfied(crit.neg, data.chi), crit.neg),
         ray_extends=ray_extends(data),
     )
 
 
-def _xi_z0_scaled(data: bd.AdmissibleData, numbers: dict[int, int]) -> rs.Weight:
-    """lambda * xi_{Z_0} = sum n_j pi_j -+ m chi (sign by the end choice)."""
-    nodes = data.black_nodes
-    xi = rs.fundamental_combination(data.s0.algebra, nodes, [numbers[j] for j in nodes])
-    m_chi = data.m * bd.chi_weight(data)
-    return xi + m_chi if data.beta_end == "right" else xi - m_chi
-
-
 def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
-    """The exact dual form of Z_0 for a nonzero admitted Einstein constant."""
+    """The exact dual form of Z_0 for a nonzero admitted Einstein constant:
+    lambda * xi_{Z_0} = sum n_j pi_j -+ m chi (sign by the end choice)."""
     lam = Fraction(lam)
     if lam == 0:
         raise UsageError("z0_form needs lambda != 0; use z0_face_point for lambda = 0")
-    verdict = classify(data)
-    admitted = verdict.lambda_pos.exists if lam > 0 else verdict.lambda_neg.exists
-    if not admitted:
+    crit = criterion(data.s0, data.string, data.beta_end)
+    if not satisfied(crit.pos if lam > 0 else crit.neg, data.chi):
         sign = "lambda > 0" if lam > 0 else "lambda < 0"
         raise DomainError(f"data does not admit an Einstein metric with {sign}")
-    return (Fraction(1) / lam) * verdict.xi_z0_times_lambda
+    xi = rs.fundamental_combination(data.s0.algebra, data.black_nodes, crit.numbers)
+    m_chi = data.m * bd.chi_weight(data)
+    xi = xi + m_chi if data.beta_end == "right" else xi - m_chi
+    return (Fraction(1) / lam) * xi
 
 
 def z0_face_point(data: bd.AdmissibleData) -> rs.Weight:

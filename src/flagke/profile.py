@@ -218,6 +218,8 @@ def _j_at(profile: MetricProfile, u: float) -> float:
 
 def _check_f(profile: MetricProfile, f: float) -> float:
     """Validate f and return the normalised coordinate u."""
+    if not math.isfinite(f):
+        raise DomainError(f"f = {f} is not finite")
     if f < 0:
         raise DomainError(f"f = {f} is negative")
     u = f / profile.kappa
@@ -272,6 +274,8 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
     Terminates on |t(u) - t| below a relative-in-t tolerance, which keeps the
     returned f accurate in relative terms all the way down to t -> 0.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"t = {t} is not finite")
     if t < 0:
         raise DomainError(f"t = {t} is negative")
     if t == 0:

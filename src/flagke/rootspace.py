@@ -191,10 +191,6 @@ def _raw(algebra: Algebra, num: tuple[int, ...], den: int) -> Weight:
     return w
 
 
-def weight(algebra: Algebra, coeffs: Sequence) -> Weight:
-    return Weight(algebra, coeffs)
-
-
 def zero_weight(algebra: Algebra) -> Weight:
     return _raw(algebra, (0,) * algebra.ambient_dim, 1)
 

@@ -95,7 +95,7 @@ def test_kappa_z0_form_a11_example():
     data = bd.admissible_data(dg, 1, "left", (2, 3))
     alg = dg.algebra
     chi = 2 * rs.fundamental_weight(alg, 3) + 3 * rs.fundamental_weight(alg, 6)
-    w = rs.weight(alg, [2, -1, -1] + [0] * 9)
+    w = rs.Weight(alg, [2, -1, -1] + [0] * 9)
     assert bd.kappa_z0_form(data) == chi + Fraction(1, 3) * w
     assert bd.kappa(data)[0] == Fraction(41, 18)
 
@@ -111,7 +111,7 @@ def test_kappa_z0_form_m1_is_chi():
 def test_kappa_z0_form_b_exception_vector():
     dg = diagram("B", 4, {1, 4})
     data = bd.admissible_data(dg, 2, "left", (0, 0))
-    assert bd.kappa_z0_form(data) == rs.weight(
+    assert bd.kappa_z0_form(data) == rs.Weight(
         dg.algebra, [0, Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)]
     )
 
@@ -121,8 +121,8 @@ def test_kappa_z0_form_d_fork_vectors():
     left = bd.admissible_data(dg, 1, "left", (0,))
     right = bd.admissible_data(dg, 1, "right", (0,))
     quarter = Fraction(1, 4)
-    assert bd.kappa_z0_form(left) == rs.weight(dg.algebra, [3 * quarter, -quarter, -quarter, quarter])
-    assert bd.kappa_z0_form(right) == rs.weight(dg.algebra, [quarter, quarter, quarter, 3 * quarter])
+    assert bd.kappa_z0_form(left) == rs.Weight(dg.algebra, [3 * quarter, -quarter, -quarter, quarter])
+    assert bd.kappa_z0_form(right) == rs.Weight(dg.algebra, [quarter, quarter, quarter, 3 * quarter])
 
 
 def test_right_end_sign_normalisation():

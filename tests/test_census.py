@@ -158,29 +158,39 @@ def test_enumerate_validation():
 
 
 # sha256 of the JSONL and the summary CSV that `flagke census --family F
-# --max-rank 6` writes.  Schema v1 output must stay byte-identical: a
+# --max-rank R` writes, for R = 6 and 7 (the rank-7 values are those of
+# perfbench/reference.json).  Schema v1 output must stay byte-identical: a
 # deliberate change bumps SCHEMA_VERSION and records these again.
-CENSUS_RANK6_SHA256 = {
-    "A": ("5a231f453835edc20785dc89585055dace167e4065b309d9e66395d0c6a7570e",
-          "dababbf86c5b23df8a0a77ffb747e0f3540179f84c9ec12fe87591d508aa27e8"),
-    "B": ("a3c8cd026cab645de91b121620603647e58fbc8c2c2f1edd22276f502d3ecb2d",
-          "0466efe1fb34fe48e3b91b05ca57f61335faf14e7ef7da6e437566765d2c0b44"),
-    "C": ("4419ef2ccc0e30d462dacac5d8962573ecf476d85c97f98444d2661a1dbb279f",
-          "a8ae04c787ea8b49b6ac5b81a059d2821408b468f07f67aaa3276250fbab45ad"),
-    "D": ("62b6c3cf2f0f66d749bb2cdac5b4f03889c88e5633c6fbabd2f435c103c0cf2e",
-          "26bfadb7ddde073db3faca114eb468717eb1a62e2d3536f2c120017967c1ee98"),
+CENSUS_SHA256 = {
+    ("A", 6): ("5a231f453835edc20785dc89585055dace167e4065b309d9e66395d0c6a7570e",
+               "dababbf86c5b23df8a0a77ffb747e0f3540179f84c9ec12fe87591d508aa27e8"),
+    ("B", 6): ("a3c8cd026cab645de91b121620603647e58fbc8c2c2f1edd22276f502d3ecb2d",
+               "0466efe1fb34fe48e3b91b05ca57f61335faf14e7ef7da6e437566765d2c0b44"),
+    ("C", 6): ("4419ef2ccc0e30d462dacac5d8962573ecf476d85c97f98444d2661a1dbb279f",
+               "a8ae04c787ea8b49b6ac5b81a059d2821408b468f07f67aaa3276250fbab45ad"),
+    ("D", 6): ("62b6c3cf2f0f66d749bb2cdac5b4f03889c88e5633c6fbabd2f435c103c0cf2e",
+               "26bfadb7ddde073db3faca114eb468717eb1a62e2d3536f2c120017967c1ee98"),
+    ("A", 7): ("00919975441b43e85aa7afd8fb86ad165ec0b7f233bce312e53c8a21c5a965f8",
+               "7fe0de3b492e695fdb902f20a8697452caeba5a7e9a97a3ef55e7182c833a7de"),
+    ("B", 7): ("fab897ca9afb41aef6a9c237063c329507c693ba1e3fa825934c11397a97890a",
+               "d157957d37069d9142abaa48cac376cae396929e08ef297299e9421a7a476771"),
+    ("C", 7): ("52e7ae0a198e23f909e8c815fe98dbd7e5c4c7131db7190c8cb643e54fd32ef2",
+               "9a4bc4e69388df1e2df5618dba2d85e081aa58a196d8ebe50a84af4ca60f2c02"),
+    ("D", 7): ("2811d286d723b61cff0c92bd9f06c6bb1508b47018185152131dbf53a04f12b3",
+               "04bb0c6d0e9dd36ce63b91b3e5bfd6637c5fab1fed3f9bb13a8a434e3c2cd3e3"),
 }
 
 
-@pytest.mark.parametrize("family", sorted(CENSUS_RANK6_SHA256))
+@pytest.mark.parametrize("family", "ABCD")
 def test_census_bytes_are_pinned_to_rank_6(family, tmp_path, capsys):
-    out, summary = tmp_path / "c.jsonl", tmp_path / "c.csv"
-    argv = ["census", "--family", family, "--max-rank", "6",
-            "--out", str(out), "--summary", str(summary)]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, summary))
-    assert got == CENSUS_RANK6_SHA256[family]
+    for rank in (6, 7):
+        out, summary = tmp_path / f"c{rank}.jsonl", tmp_path / f"c{rank}.csv"
+        argv = ["census", "--family", family, "--max-rank", str(rank),
+                "--out", str(out), "--summary", str(summary)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        got = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, summary))
+        assert got == CENSUS_SHA256[family, rank], rank
 
 
 def test_violating_witness_raises_under_python_O():

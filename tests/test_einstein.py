@@ -1,7 +1,9 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagke import bundle as bd, diagram, einstein as es, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
@@ -194,10 +196,45 @@ def test_z0_vanishing_set_is_exactly_the_string_block():
                         assert zeros == data.m - 1, (dg.key(), info.nodes, end)
 
 
-def test_verdict_carries_scaled_z0():
+def test_verdict_constraint_strings():
     dg = diagram("A", 11, {3, 6})
-    data = bd.admissible_data(dg, 1, "left", (1, 1))
-    v = es.classify(data)
-    assert v.xi_z0_times_lambda == es.z0_form(data, Fraction(1))
+    v = es.classify(bd.admissible_data(dg, 1, "left", (1, 1)))
     assert str(v.lambda_pos.constraint[0]) == "k_3 < 2"
     assert str(v.lambda_neg.constraint[1]) == "k_6 > 3"
+
+
+@st.composite
+def painted_past_rank_bound(draw):
+    """A painting of rank 10-16, past census.MAX_RANK_BOUND, in families A-D."""
+    alg = rs.Algebra(draw(st.sampled_from(rs.FAMILIES)), draw(st.integers(10, 16)))
+    black = draw(st.frozensets(st.integers(1, alg.rank)))
+    return pd.PaintedDiagram(alg, black)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(painted_past_rank_bound(), st.data())
+def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
+    # lambda * xi_{Z_0} = sum n_j pi_j -+ m chi must be an interior face point
+    # for lambda > 0, its negative one for lambda < 0, and zero for lambda = 0
+    nodes = tuple(sorted(dg.black))
+    numbers = pd.koszul(dg).numbers if nodes else {}
+    cases = [(None, None)] if nodes else []
+    cases += [(info, end) for info in bd.eligible_strings(dg) for end in ("left", "right")]
+    for info, end in cases:
+        m = 1 if info is None else info.m
+        sign = -1 if end == "right" else 1
+        limits = [Fraction(sign * numbers[j], m) for j in nodes]
+        near = st.tuples(*(st.integers(math.floor(v) - 2, math.ceil(v) + 2) for v in limits))
+        if all(v.denominator == 1 for v in limits):
+            near = st.one_of(st.just(tuple(int(v) for v in limits)), near)
+        chi = draw.draw(near)
+        if info is None and not any(chi):
+            continue  # a rank-one bundle needs chi != 0
+        data = bd.AdmissibleData(dg, info, end, chi)
+        xi = rs.fundamental_combination(dg.algebra, nodes, [numbers[j] for j in nodes])
+        m_chi = m * bd.chi_weight(data)
+        xi = xi + m_chi if end == "right" else xi - m_chi
+        v = es.classify(data)
+        assert v.lambda_pos.exists == es.z0_is_face_point(data, xi), (dg.key(), m, end, chi)
+        assert v.lambda_neg.exists == es.z0_is_face_point(data, -xi), (dg.key(), m, end, chi)
+        assert v.lambda_zero.exists == xi.is_zero(), (dg.key(), m, end, chi)

@@ -48,11 +48,11 @@ def test_r_m_plus_examples():
     got = set(pd.r_m_plus(b3))
     alg = b3.algebra
     expect = {
-        rs.weight(alg, [1, -1, 0]),
-        rs.weight(alg, [1, 0, -1]),
-        rs.weight(alg, [1, 1, 0]),
-        rs.weight(alg, [1, 0, 1]),
-        rs.weight(alg, [1, 0, 0]),
+        rs.Weight(alg, [1, -1, 0]),
+        rs.Weight(alg, [1, 0, -1]),
+        rs.Weight(alg, [1, 1, 0]),
+        rs.Weight(alg, [1, 0, 1]),
+        rs.Weight(alg, [1, 0, 0]),
     }
     assert got == expect
 
@@ -94,9 +94,9 @@ def test_koszul_tail_examples():
 
 def test_koszul_sigma_is_exact_root_sum():
     dg = diagram("B", 3, {1})
-    assert pd.koszul(dg).sigma == rs.weight(dg.algebra, [5, 0, 0])
+    assert pd.koszul(dg).sigma == rs.Weight(dg.algebra, [5, 0, 0])
     dg = diagram("D", 4, {4})
-    assert pd.koszul(dg).sigma == rs.weight(dg.algebra, [3, 3, 3, 3])
+    assert pd.koszul(dg).sigma == rs.Weight(dg.algebra, [3, 3, 3, 3])
 
 
 def test_koszul_rejects_all_white():

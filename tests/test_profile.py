@@ -126,6 +126,25 @@ def test_f_of_t_domain_errors():
         pf.f_of_t(prof, pf.parameter_end(prof) * 1.01)
 
 
+NON_FINITE_PROFILES = {
+    # unbounded: f and t range over [0, inf)
+    "A1 lam-": lambda: pf.metric_profile(point_orbit(2), -1),
+    "A3 lam+": lambda: pf.metric_profile(
+        bd.admissible_data(diagram("A", 3, {2}), 1, "left", (-1,)), 1),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("query, arg", [
+    (pf.t_of_f, "f"), (pf.f_of_t, "t"), (pf.f_dot, "f"), (pf.ode_residual, "t"),
+], ids=lambda q: getattr(q, "__name__", q))
+@pytest.mark.parametrize("label", sorted(NON_FINITE_PROFILES))
+def test_queries_reject_non_finite_arguments(label, query, arg, value):
+    prof = NON_FINITE_PROFILES[label]()
+    with pytest.raises(DomainError, match=rf"^{arg} = {value} is not finite$"):
+        query(prof, value)
+
+
 def test_ode_residual_small_everywhere():
     for prof, label in sample_profiles():
         hi = prof.f_sup * 0.9 if math.isfinite(prof.f_sup) else 4 * prof.kappa

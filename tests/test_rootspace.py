@@ -11,7 +11,7 @@ from conftest import FAMILY_MIN_RANK, trace_inner
 
 
 def w(alg, *coeffs):
-    return rs.weight(alg, coeffs)
+    return rs.Weight(alg, coeffs)
 
 
 def test_simple_roots_examples():
@@ -81,7 +81,7 @@ def test_inner_matches_trace_oracle():
             vecs = list(rs.simple_roots(alg))
             vecs += [rs.fundamental_weight(alg, i) for i in range(1, rank + 1)]
             vecs += [
-                rs.weight(alg, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.ambient_dim)])
+                rs.Weight(alg, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.ambient_dim)])
                 for _ in range(4)
             ]
             for x in vecs:
