@@ -14,10 +14,14 @@ no such sequence (the B/C tails through the short/long end root, D components
 containing both fork tips) cannot carry the tautological rank-m module in
 this formalism and are not strings.
 
+Painting the end root beta black lowers the Koszul number of each black
+neighbour of the string by an integer d_j that depends only on how the
+neighbour attaches; `neighbour_drops` is the single table of these drops.
+
 Two dual computations of the sign-normalised form xi_0 of kappa*Z^0 are kept
 deliberately separate: `kappa_z0_form` assembles it from black fundamental
-weights with shape-dependent neighbour coefficients, `kappa_z0_oracle` from
-the virtual epsilon sequence alone.  They must agree exactly.
+weights with the coefficients d_j/m of `neighbour_drops`, `kappa_z0_oracle`
+from the virtual epsilon sequence alone.  They must agree exactly.
 """
 
 from __future__ import annotations
@@ -216,14 +220,12 @@ def kappa_z0_oracle(data: AdmissibleData) -> rs.Weight:
 
 
 def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
-    """xi_0 assembled from black fundamental weights (shape-aware coefficients).
+    """xi_0 assembled from black fundamental weights: chi for rank one, else
 
-    Left end:  chi + pi_0 - ((m-1)/m) pi_s - (c/m) pi_{s+1},
-    right end: -chi + pi_0 - (1/m) pi_s - (c(m-1)/m -> see table) pi_{s+1},
-    with c = 1 generically, while an end neighbour attached through the B
-    double edge contributes 2/m (left) resp. 2(m-1)/m (right) and the sibling
-    D fork tip 2/m (left) resp. (m-2)/m (right).  Absent neighbours simply
-    drop out.  Sign-normalised so that <beta, xi_0> > 0.
+        xi_0 = +-chi + pi_beta - sum over `neighbour_drops` of (d_j/m) pi_j,
+
+    with +chi at the left end and -chi at the right.  <beta, xi_0> > 0 holds
+    without a sign flip: beta is white, so only pi_beta pairs with it.
     """
     chi = chi_weight(data)
     if data.string is None:
@@ -231,29 +233,17 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
             raise DomainError("rank-one bundle with chi = 0 is degenerate")
         return chi
     base = _form_base(data.s0.algebra, data.string, data.beta_end, data.beta_node)
-    xi = (chi if data.beta_end == "left" else -chi) + base
-    return _normalise_sign(data, xi)
+    return (chi if data.beta_end == "left" else -chi) + base
 
 
 @lru_cache(maxsize=None)
 def _form_base(alg: rs.Algebra, info: StringInfo, beta_end: str, beta_node: int) -> rs.Weight:
-    """The chi-independent neighbour combination of the dual-form formula."""
+    """The chi-independent part pi_beta - sum (d_j/m) pi_j of the dual-form formula."""
     m = info.m
-    left = beta_end == "left"
-    xi = rs.fundamental_weight(alg, beta_node)
-    start_coef = Fraction(m - 1, m) if left else Fraction(1, m)
-    end_coef = {
-        GENERIC: Fraction(1, m) if left else Fraction(m - 1, m),
-        B_DOUBLE: Fraction(2, m) if left else Fraction(2 * (m - 1), m),
-        D_FORK: Fraction(2, m) if left else Fraction(m - 2, m),
-    }
-    if info.left_neighbor is not None:
-        xi = xi - start_coef * rs.fundamental_weight(alg, info.left_neighbor)
-    for node, shape in info.right_neighbors:
-        coef = end_coef[shape]
-        if coef:
-            xi = xi - coef * rs.fundamental_weight(alg, node)
-    return xi
+    drops = neighbour_drops(info, beta_end)
+    nodes = (beta_node,) + tuple(node for node, _ in drops)
+    ks = (m,) + tuple(-d for _, d in drops)
+    return Fraction(1, m) * rs.fundamental_combination(alg, nodes, ks)
 
 
 def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
@@ -265,30 +255,38 @@ def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
     return ksq, sqrt(ksq)
 
 
-def predicted_koszul_update(data: AdmissibleData) -> dict[int, int]:
-    """Koszul numbers of flag_f(data) predicted from those of s0.
+def neighbour_drops(info: StringInfo, beta_end: str) -> tuple[tuple[int, int], ...]:
+    """(black neighbour j, d_j): painting the `beta_end` root of `info` black
+    lowers the Koszul number n_j by d_j.
 
-    The new node gets m; the start-side neighbour loses m-1 (left) or 1
-    (right); each end-side neighbour loses 1 / m-1 generically, 2 / 2(m-1)
-    through the B double edge, 2 / m-2 at the D fork; other blacks keep n_j.
+    The start-side neighbour loses m-1 (left) or 1 (right); each end-side
+    neighbour loses 1 / m-1 generically, 2 / 2(m-1) through the B double edge,
+    2 / m-2 at the D fork.  Black nodes not listed keep n_j.
     """
-    if data.m == 1:
-        raise UsageError("koszul update is defined for m > 1 only")
-    m = data.m
-    left = data.beta_end == "left"
-    base = pd.koszul(data.s0).numbers if data.s0.black else {}
-    predicted = dict(base)
-    predicted[data.beta_node] = m
-    info = data.string
+    m = info.m
+    left = beta_end == "left"
+    drops = []
     if info.left_neighbor is not None:
-        predicted[info.left_neighbor] = base[info.left_neighbor] - ((m - 1) if left else 1)
-    drop = {
+        drops.append((info.left_neighbor, m - 1 if left else 1))
+    end_drop = {
         GENERIC: 1 if left else m - 1,
         B_DOUBLE: 2 if left else 2 * (m - 1),
         D_FORK: 2 if left else m - 2,
     }
     for node, shape in info.right_neighbors:
-        predicted[node] = base[node] - drop[shape]
+        drops.append((node, end_drop[shape]))
+    return tuple(drops)
+
+
+def predicted_koszul_update(data: AdmissibleData) -> dict[int, int]:
+    """Koszul numbers of flag_f(data) predicted from those of s0: the new
+    node gets m, each black neighbour j loses d_j of `neighbour_drops`."""
+    if data.m == 1:
+        raise UsageError("koszul update is defined for m > 1 only")
+    predicted = dict(pd.koszul(data.s0).numbers) if data.s0.black else {}
+    for node, d in neighbour_drops(data.string, data.beta_end):
+        predicted[node] -= d
+    predicted[data.beta_node] = data.m
     return predicted
 
 

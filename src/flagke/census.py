@@ -121,7 +121,7 @@ def _record_for(dg: pd.PaintedDiagram,
         data = checked(witness)
         if not es.satisfied(bounds, witness):
             raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
-        out[tag] = (witness, bd.kappa(data)[0], es.ray_extends(data))
+        out[tag] = (witness, bd.kappa(data)[0], es.satisfied(crit.ray, witness))
     # the update relations do not depend on chi: one datum of the record checks them
     if string is not None and not bd.koszul_update_check(data):
         raise AssertionError(f"Koszul update relations fail for {data}")

@@ -132,12 +132,8 @@ def _verdict_payload(data: bd.AdmissibleData, verdict: es.EinsteinVerdict) -> di
             "complete": verdict.lambda_neg.complete,
         },
         "ray_extends": verdict.ray_extends,
-        "kappa_sq": rs.frac_str(bd.kappa(data)[0]) if _kappa_defined(data) else None,
+        "kappa_sq": rs.frac_str(bd.kappa(data)[0]),
     }
-
-
-def _kappa_defined(data: bd.AdmissibleData) -> bool:
-    return data.m > 1 or any(data.chi)
 
 
 def _cmd_classify(args) -> int:
@@ -157,8 +153,7 @@ def _cmd_classify(args) -> int:
           + "; ".join(str(b) for b in verdict.lambda_neg.constraint)
           + f"  complete={'yes' if verdict.lambda_neg.complete else 'no'}")
     print(f"ray_extends={'yes' if verdict.ray_extends else 'no'}")
-    if _kappa_defined(data):
-        print(f"kappa_sq={rs.frac_str(bd.kappa(data)[0])}")
+    print(f"kappa_sq={rs.frac_str(bd.kappa(data)[0])}")
     return 0
 
 

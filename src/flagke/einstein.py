@@ -15,6 +15,11 @@ A diagram with no black node imposes no conditions: every Einstein constant
 occurs.  A negative Einstein constant always extends to a complete metric;
 for lambda != 0 the metric is unique and its initial vertex Z_0 is the exact
 dual form returned by `z0_form`.
+
+The ray condition <xi_0, alpha_j> > 0 on the black roots is a bound of the
+same kind, on the Koszul-number drops d_j of `bundle.neighbour_drops`:
+k_j > d_j/m at the left end, k_j < -d_j/m at the right end, k_j > 0 for
+rank one (d_j = 0 for a black node that is not a neighbour of the string).
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ class Criterion:
     required_chi: Optional[tuple[int, ...]]  # the lambda = 0 character, when all m | n_j
     pos: tuple[Bound, ...]                   # lambda > 0 iff chi meets all of these
     neg: tuple[Bound, ...]                   # lambda < 0 iff chi meets all of these
+    ray: tuple[Bound, ...]                   # xi_0 > 0 on the black roots iff chi meets these
 
 
 @lru_cache(maxsize=None)
@@ -105,11 +111,13 @@ def criterion(s0: pd.PaintedDiagram,
     limits = [sign * Fraction(n, m) for n in ns]
     below, above = ("<", ">") if sign > 0 else (">", "<")
     integral = all(v.denominator == 1 for v in limits)
+    drops = {} if string is None else dict(bd.neighbour_drops(string, beta_end))
     return Criterion(
         numbers=ns,
         required_chi=tuple(int(v) for v in limits) if integral else None,
         pos=tuple(Bound(j, below, v) for j, v in zip(nodes, limits)),
         neg=tuple(Bound(j, above, v) for j, v in zip(nodes, limits)),
+        ray=tuple(Bound(j, above, sign * Fraction(drops.get(j, 0), m)) for j in nodes),
     )
 
 
@@ -120,7 +128,7 @@ def classify(data: bd.AdmissibleData) -> EinsteinVerdict:
         lambda_zero=LambdaZeroVerdict(crit.required_chi == data.chi, crit.required_chi),
         lambda_pos=LambdaPosVerdict(satisfied(crit.pos, data.chi), crit.pos),
         lambda_neg=LambdaNegVerdict(satisfied(crit.neg, data.chi), crit.neg),
-        ray_extends=ray_extends(data),
+        ray_extends=satisfied(crit.ray, data.chi),
     )
 
 
@@ -160,8 +168,7 @@ def z0_is_face_point(data: bd.AdmissibleData, xi: rs.Weight) -> bool:
 def ray_extends(data: bd.AdmissibleData) -> bool:
     """Whether the admissible segment continues to a ray in the chamber for
     lambda != 0: the positivity of xi_0 on every black root of the
-    singular-orbit diagram.  (For lambda = 0 the segment always extends.)
+    singular-orbit diagram, decided by the `ray` bounds of `criterion`.
+    (For lambda = 0 the segment always extends.)
     """
-    xi0 = bd.kappa_z0_form(data)
-    simples = rs.simple_roots(data.s0.algebra)
-    return all(rs.inner(xi0, simples[j - 1]) > 0 for j in data.black_nodes)
+    return satisfied(criterion(data.s0, data.string, data.beta_end).ray, data.chi)

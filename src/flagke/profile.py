@@ -255,11 +255,6 @@ def t_of_f(profile: MetricProfile, f: float) -> float:
     return _t_of_u(profile, _check_f(profile, f))
 
 
-def parameter_end(profile: MetricProfile) -> float:
-    """Supremum of the reachable parameter values t (may be +inf)."""
-    return profile.t_sup
-
-
 def _dt_du(profile: MetricProfile, u: float) -> float:
     qv = _q_at(profile, u)
     jv = _j_at(profile, u)
@@ -280,8 +275,8 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
         raise DomainError(f"t = {t} is negative")
     if t == 0:
         return 0.0
-    if t >= parameter_end(profile):
-        raise DomainError(f"t = {t} is beyond the parameter range {parameter_end(profile)}")
+    if t >= profile.t_sup:
+        raise DomainError(f"t = {t} is beyond the parameter range {profile.t_sup}")
     if math.isfinite(profile.u_sup):
         hi = profile.u_sup * (1 - 1e-9)
     else:
@@ -340,6 +335,7 @@ def f_ddot(profile: MetricProfile, f: float) -> float:
 
 def mean_curvature_sum(profile: MetricProfile, f: float) -> float:
     """A(f): the sum over the pairs of alpha(Z^0)/(alpha(Z_0) + f alpha(Z^0))."""
+    _check_f(profile, f)
     a, r = profile._pair_arrays
     total = 0.0
     for x, b in zip(a.tolist(), (r / profile.kappa).tolist()):

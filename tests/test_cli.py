@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -89,6 +90,36 @@ def test_classify_m1(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lambda_zero"]["exists"] is True and payload["m"] == 1
+
+
+# (diagram, datum arguments, characters): each datum has characters on both
+# sides of its ray bound, and on it where the bound is an integer
+CLASSIFY_PINS = (
+    ("A3:*o*", ("--m1",), ("0,1", "1,1", "-1,2")),                           # k_j > 0
+    ("A5:*oo*o", ("--string", "2", "--beta", "left"), ("1,1", "0,1", "1,0")),   # k_1 > 2/3, k_4 > 1/3
+    ("A5:*oo*o", ("--string", "2", "--beta", "right"), ("-1,-1", "0,-1", "-1,0")),  # k_1 < -1/3, k_4 < -2/3
+    ("B2:o*", ("--string", "1", "--beta", "left"), ("0", "1", "2")),          # k_2 > 1
+    ("B2:o*", ("--string", "1", "--beta", "right"), ("-2", "-1", "0")),       # k_2 < -1
+    ("B3:oo*", ("--string", "1", "--beta", "left"), ("0", "1")),              # k_3 > 2/3
+    ("B3:oo*", ("--string", "1", "--beta", "right"), ("-2", "-1")),           # k_3 < -4/3
+    ("D4:*oo*", ("--string", "2", "--beta", "left"), ("0,0", "1,1", "1,0")),    # k_1 > 2/3, k_4 > 2/3
+    ("D4:*oo*", ("--string", "2", "--beta", "right"), ("0,0", "-1,-1", "0,-1")),  # k_1 < -1/3, k_4 < -1/3
+    ("D5:*oo*o", ("--string", "2", "--beta", "left"), ("0,0", "1,1", "0,1")),   # k_1 > 3/4, k_4 > 1/2
+    ("D5:*oo*o", ("--string", "2", "--beta", "right"), ("0,0", "-1,-1", "-1,0")),  # k_1 < -1/4, k_4 < -1/2
+    ("D4:o**o", ("--string", "4", "--beta", "left"), ("1,0", "1,1", "1,-1")),   # k_2 > 1/2, k_3 > 0
+    ("D4:o**o", ("--string", "4", "--beta", "right"), ("-1,0", "-1,-1", "-1,1")),  # k_2 < -1/2, k_3 < 0
+)
+
+
+def test_classify_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for diagram, datum, chis in CLASSIFY_PINS:
+        for chi in chis:
+            for fmt in ((), ("--json",)):
+                code, out, err = run(capsys, "classify", diagram, *datum, f"--chi={chi}", *fmt)
+                assert code == 0 and not err, (diagram, datum, chi)
+                digest.update(out.encode())
+    assert digest.hexdigest() == "c595506292c733a47b6825900771410e4d5749b632f3aa662cabb7df454b41d8"
 
 
 def test_classify_usage_errors(capsys):

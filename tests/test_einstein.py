@@ -238,3 +238,11 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         assert v.lambda_pos.exists == es.z0_is_face_point(data, xi), (dg.key(), m, end, chi)
         assert v.lambda_neg.exists == es.z0_is_face_point(data, -xi), (dg.key(), m, end, chi)
         assert v.lambda_zero.exists == xi.is_zero(), (dg.key(), m, end, chi)
+        # the ray condition by its geometric definition, and the two other
+        # readers of the end-shape table against their independent references
+        xi0 = bd.kappa_z0_form(data)
+        simples = rs.simple_roots(dg.algebra)
+        assert v.ray_extends == all(rs.inner(xi0, simples[j - 1]) > 0 for j in nodes), (dg.key(), m, end, chi)
+        if m > 1:
+            assert xi0 == bd.kappa_z0_oracle(data), (dg.key(), m, end, chi)
+            assert bd.koszul_update_check(data), (dg.key(), m, end)

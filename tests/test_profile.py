@@ -43,7 +43,7 @@ def test_point_orbit_positive_profile():
     kap = prof.kappa
     a, b = 2 * kap, -2.0 / (m + 1)
     t_max = math.pi / math.sqrt(-b)
-    assert abs(pf.parameter_end(prof) - t_max) < 1e-6
+    assert abs(prof.t_sup - t_max) < 1e-6
     assert abs(prof.f_sup - kap * (m + 1)) < 1e-12
     for i in range(33):
         t = 0.97 * t_max * i / 32
@@ -123,20 +123,39 @@ def test_f_of_t_domain_errors():
     with pytest.raises(DomainError):
         pf.f_of_t(prof, -1.0)
     with pytest.raises(DomainError):
-        pf.f_of_t(prof, pf.parameter_end(prof) * 1.01)
+        pf.f_of_t(prof, prof.t_sup * 1.01)
+
+
+def a3_wall_profile():
+    return pf.metric_profile(bd.admissible_data(diagram("A", 3, {2}), 1, "left", (-1,)), 1)
+
+
+def test_mean_curvature_sum_rejects_negative_f():
+    with pytest.raises(DomainError, match=r"^f = -5\.0 is negative$"):
+        pf.mean_curvature_sum(a3_wall_profile(), -5.0)
+
+
+def test_mean_curvature_sum_rejects_f_past_domain_end():
+    prof = a3_wall_profile()
+    assert math.isfinite(prof.f_sup)
+    with pytest.raises(DomainError, match="beyond the domain end"):
+        pf.mean_curvature_sum(prof, prof.f_sup)
+    with pytest.raises(DomainError, match="beyond the domain end"):
+        pf.mean_curvature_sum(prof, 1e9)
 
 
 NON_FINITE_PROFILES = {
     # unbounded: f and t range over [0, inf)
     "A1 lam-": lambda: pf.metric_profile(point_orbit(2), -1),
-    "A3 lam+": lambda: pf.metric_profile(
-        bd.admissible_data(diagram("A", 3, {2}), 1, "left", (-1,)), 1),
+    # bounded: the segment ends on a chamber wall at f_sup
+    "A3 lam+": a3_wall_profile,
 }
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("query, arg", [
     (pf.t_of_f, "f"), (pf.f_of_t, "t"), (pf.f_dot, "f"), (pf.ode_residual, "t"),
+    (pf.mean_curvature_sum, "f"),
 ], ids=lambda q: getattr(q, "__name__", q))
 @pytest.mark.parametrize("label", sorted(NON_FINITE_PROFILES))
 def test_queries_reject_non_finite_arguments(label, query, arg, value):
