@@ -246,12 +246,17 @@ def _form_base(alg: rs.Algebra, info: StringInfo, beta_end: str, beta_node: int)
     return Fraction(1, m) * rs.fundamental_combination(alg, nodes, ks)
 
 
-def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
-    """(kappa^2 exact, kappa float): the squared Killing norm of xi_0."""
-    xi = kappa_z0_form(data)
-    ksq = rs.inner(xi, xi)
+def kappa_sq(xi0: rs.Weight) -> Fraction:
+    """kappa^2: the squared Killing norm of a form xi_0 already built."""
+    ksq = rs.inner(xi0, xi0)
     if ksq <= 0:
         raise AssertionError(f"kappa^2 = {ksq} must be positive")
+    return ksq
+
+
+def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
+    """(kappa^2 exact, kappa float) of `data`."""
+    ksq = kappa_sq(kappa_z0_form(data))
     return ksq, sqrt(ksq)
 
 

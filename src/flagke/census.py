@@ -104,24 +104,26 @@ def _record_for(dg: pd.PaintedDiagram,
     string = None if string_start is None else bd.string_at(dg, string_start)
     crit = es.criterion(dg, string, beta_end)
 
-    def checked(chi: tuple[int, ...]) -> bd.AdmissibleData:
+    def checked(chi: tuple[int, ...]) -> tuple[bd.AdmissibleData, Fraction]:
+        """The datum of `chi` and its kappa^2, from the cross-checked xi_0."""
         data = bd.AdmissibleData(dg, string, beta_end, chi)
-        if data.m > 1 and bd.kappa_z0_form(data) != bd.kappa_z0_oracle(data):
+        xi0 = bd.kappa_z0_form(data)
+        if data.m > 1 and xi0 != bd.kappa_z0_oracle(data):
             raise AssertionError(f"dual-form mismatch for {data}")
-        return data
+        return data, bd.kappa_sq(xi0)
 
     zero_chi = crit.required_chi
-    zero_kappa = None if zero_chi is None else bd.kappa(checked(zero_chi))[0]
+    zero_kappa = None if zero_chi is None else checked(zero_chi)[1]
 
     out = {}
     for tag, bounds in (("pos", crit.pos), ("neg", crit.neg)):
         witness = smallest_witness(bounds)
         if string is None and not any(witness):
             witness = _nonzero_witness(bounds, witness)
-        data = checked(witness)
+        data, ksq = checked(witness)
         if not es.satisfied(bounds, witness):
             raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
-        out[tag] = (witness, bd.kappa(data)[0], es.satisfied(crit.ray, witness))
+        out[tag] = (witness, ksq, es.satisfied(crit.ray, witness))
     # the update relations do not depend on chi: one datum of the record checks them
     if string is not None and not bd.koszul_update_check(data):
         raise AssertionError(f"Koszul update relations fail for {data}")

@@ -172,7 +172,7 @@ def _cmd_profile(args) -> int:
     rows = []
     for t in ts:
         f = pf.f_of_t(prof, t)
-        res = pf.ode_residual(prof, t) if t > 0 else 0.0
+        res = pf.residual_at(prof, f) if t > 0 else 0.0
         rows.append((t, f, res))
     if args.json:
         payload = {

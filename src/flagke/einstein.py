@@ -154,17 +154,6 @@ def z0_face_point(data: bd.AdmissibleData) -> rs.Weight:
     return rs.fundamental_combination(data.s0.algebra, nodes, [1] * len(nodes))
 
 
-def z0_is_face_point(data: bd.AdmissibleData, xi: rs.Weight) -> bool:
-    """True iff xi vanishes on beta and is positive on every black root of s0."""
-    simples = rs.simple_roots(data.s0.algebra)
-    if data.beta_node is not None and rs.inner(xi, simples[data.beta_node - 1]) != 0:
-        return False
-    whites = data.s0.white - ({data.beta_node} if data.beta_node else set())
-    if any(rs.inner(xi, simples[w - 1]) != 0 for w in sorted(whites)):
-        return False
-    return all(rs.inner(xi, simples[j - 1]) > 0 for j in data.black_nodes)
-
-
 def ray_extends(data: bd.AdmissibleData) -> bool:
     """Whether the admissible segment continues to a ray in the chamber for
     lambda != 0: the positivity of xi_0 on every black root of the

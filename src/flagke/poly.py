@@ -34,10 +34,6 @@ def mul(p: Poly, q: Poly) -> Poly:
     return trim(tuple(out))
 
 
-def diff(p: Poly) -> Poly:
-    return trim(tuple(i * c for i, c in enumerate(p))[1:]) if p else ()
-
-
 def integrate(p: Poly) -> Poly:
     """Antiderivative with zero constant term."""
     return trim((Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p)))

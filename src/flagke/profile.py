@@ -72,11 +72,6 @@ class MetricProfile:
         return q
 
     @cached_property
-    def dq_coeffs(self) -> poly.Poly:
-        """Q'(u), exact."""
-        return poly.diff(self.q_coeffs)
-
-    @cached_property
     def j_coeffs(self) -> poly.Poly:
         """J(u) = int_0^u (m - lambda w) Q(w) dw, exact."""
         integrand = poly.mul(poly.make([self.m, -self.lam]), self.q_coeffs)
@@ -175,14 +170,13 @@ def metric_profile(
             raise UsageError("z0 is free only for lambda = 0")
         xi_z0 = es.z0_form(data, lam)
     else:
-        verdict = es.classify(data)
-        if not verdict.lambda_zero.exists:
+        if es.criterion(data.s0, data.string, data.beta_end).required_chi != data.chi:
             raise DomainError("data does not admit a Ricci-flat metric")
         xi_z0 = z0 if z0 is not None else es.z0_face_point(data)
-        if not es.z0_is_face_point(data, xi_z0):
+        if not pd.chamber_contains(data.s0, xi_z0):
             raise DomainError("supplied z0 is not an interior face point")
     xi0 = bd.kappa_z0_form(data)
-    ksq, _ = bd.kappa(data)
+    ksq = bd.kappa_sq(xi0)
     flag = bd.flag_f(data)
     pairs = tuple(
         (rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(flag)
@@ -228,17 +222,21 @@ def _check_f(profile: MetricProfile, f: float) -> float:
     return u
 
 
+def _t_integrand(profile: MetricProfile, u: float) -> float:
+    """dt/du = sqrt(Q(u) / (2 J(u))), the integrand of t(u)."""
+    qv = _q_at(profile, u)
+    jv = _j_at(profile, u)
+    if jv <= 0 or qv < 0:
+        raise DomainError(f"inner integral nonpositive at u = {u}: beyond the domain end")
+    return math.sqrt(qv / (2.0 * jv))
+
+
 def _t_of_u(profile: MetricProfile, u: float) -> float:
     if u == 0:
         return 0.0
 
     def integrand(v: float) -> float:
-        w = v * v
-        qv = _q_at(profile, w)
-        jv = _j_at(profile, w)
-        if jv <= 0 or qv < 0:
-            raise DomainError(f"inner integral nonpositive at u = {w}: beyond the domain end")
-        return 2.0 * v * math.sqrt(qv / (2.0 * jv))
+        return 2.0 * v * _t_integrand(profile, v * v)
 
     out = quad(
         integrand, 0.0, math.sqrt(u),
@@ -253,14 +251,6 @@ def _t_of_u(profile: MetricProfile, u: float) -> float:
 def t_of_f(profile: MetricProfile, f: float) -> float:
     """Arc-length parameter t as a function of the segment coordinate f."""
     return _t_of_u(profile, _check_f(profile, f))
-
-
-def _dt_du(profile: MetricProfile, u: float) -> float:
-    qv = _q_at(profile, u)
-    jv = _j_at(profile, u)
-    if jv <= 0 or qv <= 0:
-        return math.inf
-    return math.sqrt(qv / (2.0 * jv))
 
 
 def f_of_t(profile: MetricProfile, t: float) -> float:
@@ -296,7 +286,10 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
             hi = u
         else:
             lo = u
-        slope = _dt_du(profile, u)
+        try:
+            slope = _t_integrand(profile, u)
+        except DomainError:
+            slope = math.inf
         step = (t - tu) / slope if math.isfinite(slope) and slope > 0 else 0.0
         u_new = u + step
         if not (lo < u_new < hi):
@@ -310,49 +303,71 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
     return profile.kappa * u
 
 
-def f_dot(profile: MetricProfile, f: float) -> float:
-    """df/dt along the profile, from the first integral."""
+def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
+    """Validate f once and return (u, Q(u), J(u)); Q must not vanish."""
     u = _check_f(profile, f)
-    jv = _j_at(profile, u)
     qv = _q_at(profile, u)
     if qv <= 0:
         raise DomainError(f"chamber polynomial vanishes at f = {f}")
-    return profile.kappa * math.sqrt(max(2.0 * jv / qv, 0.0))
+    return u, qv, _j_at(profile, u)
 
 
-def f_ddot(profile: MetricProfile, f: float) -> float:
-    """d^2f/dt^2, by differentiating the first integral analytically."""
-    u = _check_f(profile, f)
-    qv = _q_at(profile, u)
-    if qv == 0:
-        raise DomainError(f"chamber polynomial vanishes at f = {f}")
-    jv = _j_at(profile, u)
-    # the expanded derivative cancels brutally at moderate u; evaluate exactly
-    qd = float(poly.eval_exact(profile.dq_coeffs, Fraction(u)))
-    lam = float(profile.lam)
-    return profile.kappa * ((profile.m - lam * u) - jv * qd / (qv * qv))
-
-
-def mean_curvature_sum(profile: MetricProfile, f: float) -> float:
-    """A(f): the sum over the pairs of alpha(Z^0)/(alpha(Z_0) + f alpha(Z^0))."""
-    _check_f(profile, f)
+def _log_derivative(profile: MetricProfile, u: float, f: float) -> float:
+    """S(u) = Q'(u)/Q(u), the sum over the pairs of r_alpha/(a_alpha + u r_alpha)."""
     a, r = profile._pair_arrays
     total = 0.0
-    for x, b in zip(a.tolist(), (r / profile.kappa).tolist()):
-        denom = x + f * b
+    for x, b in zip(a.tolist(), r.tolist()):
+        denom = x + u * b
         if denom == 0:
             raise DomainError(f"chamber wall reached at f = {f}")
         total += b / denom
     return total
 
 
-def ode_residual(profile: MetricProfile, t: float) -> float:
-    """Residual of  f'' + A(f)/2 f'^2 + lambda f - kappa m  at parameter t."""
-    f = f_of_t(profile, t)
-    fd = f_dot(profile, f)
-    fdd = f_ddot(profile, f)
+def _speed(profile: MetricProfile, qv: float, jv: float) -> float:
+    return profile.kappa * math.sqrt(max(2.0 * jv / qv, 0.0))
+
+
+def _acceleration(profile: MetricProfile, u: float, qv: float, jv: float, s: float) -> float:
+    # J Q'/Q^2 = J S/Q
+    return profile.kappa * ((profile.m - float(profile.lam) * u) - jv * s / qv)
+
+
+def f_dot(profile: MetricProfile, f: float) -> float:
+    """df/dt along the profile, from the first integral."""
+    _, qv, jv = _point(profile, f)
+    return _speed(profile, qv, jv)
+
+
+def f_ddot(profile: MetricProfile, f: float) -> float:
+    """d^2f/dt^2 = kappa ((m - lambda u) - J S / Q), S the log-derivative of Q."""
+    u, qv, jv = _point(profile, f)
+    return _acceleration(profile, u, qv, jv, _log_derivative(profile, u, f))
+
+
+def mean_curvature_sum(profile: MetricProfile, f: float) -> float:
+    """A(f): the sum over the pairs of alpha(Z^0)/(alpha(Z_0) + f alpha(Z^0)),
+    which is S(u)/kappa."""
+    return _log_derivative(profile, _check_f(profile, f), f) / profile.kappa
+
+
+def residual_at(profile: MetricProfile, f: float) -> float:
+    """Residual of  f'' + A(f)/2 f'^2 + lambda f - kappa m  at the point f.
+
+    f' and f'' come from the first integral, so the residual vanishes
+    identically and measures only floating-point cancellation.
+    """
+    u, qv, jv = _point(profile, f)
+    s = _log_derivative(profile, u, f)
+    fd = _speed(profile, qv, jv)
+    fdd = _acceleration(profile, u, qv, jv, s)
     lam = float(profile.lam)
-    return fdd + 0.5 * mean_curvature_sum(profile, f) * fd * fd + lam * f - profile.kappa * profile.m
+    return fdd + 0.5 * (s / profile.kappa) * fd * fd + lam * f - profile.kappa * profile.m
+
+
+def ode_residual(profile: MetricProfile, t: float) -> float:
+    """The residual of `residual_at` at the point f(t) of parameter t."""
+    return residual_at(profile, f_of_t(profile, t))
 
 
 @dataclass(frozen=True)

@@ -293,31 +293,20 @@ def fundamental_combination(algebra: Algebra, nodes: Sequence[int], ks: Sequence
 
 
 @lru_cache(maxsize=None)
-def _simple_gram_inverse(algebra: Algebra) -> tuple[tuple[Fraction, ...], ...]:
-    simples = simple_roots(algebra)
-    ell = algebra.rank
-    g = [[inner(simples[i], simples[j]) for j in range(ell)] for i in range(ell)]
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(ell)] for i, row in enumerate(g)]
-    for col in range(ell):
-        pivot = next(r for r in range(col, ell) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(ell):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[ell:]) for row in aug)
+def _fundamental_coweights(algebra: Algebra) -> tuple[Weight, ...]:
+    """2 pi_i / <alpha_i, alpha_i>: <alpha_j, pi_i> = delta_ij <alpha_i, alpha_i>/2,
+    so these pair with a weight to give its simple-root coordinates."""
+    return tuple(
+        (2 / inner(alpha, alpha)) * fundamental_weight(algebra, i)
+        for i, alpha in enumerate(simple_roots(algebra), start=1)
+    )
 
 
 def simple_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
     """Coordinates of `w` in the simple-root basis (family A: of its projection)."""
     if w.algebra != algebra:
         raise UsageError(f"algebra mismatch: {algebra} vs {w.algebra}")
-    simples = simple_roots(algebra)
-    rhs = [inner(w, s) for s in simples]
-    ginv = _simple_gram_inverse(algebra)
-    return tuple(sum(ginv[i][j] * rhs[j] for j in range(algebra.rank)) for i in range(algebra.rank))
+    return tuple(inner(w, v) for v in _fundamental_coweights(algebra))
 
 
 @lru_cache(maxsize=None)

@@ -206,6 +206,37 @@ def test_f_ddot_matches_finite_differences_of_f_dot():
         assert abs(fd - an) < 1e-4 * max(1.0, abs(an)), label
 
 
+def exact_f_ddot(prof, f):
+    """kappa ((m - lambda u) - J Q'/Q^2) at u = f/kappa, in exact rationals
+    from the pairs: Q' by the product rule, J by integrating the expanded
+    (m - lambda w) Q(w) term by term.  Also returns kappa times the larger
+    of the two terms, the scale of the cancellation between them."""
+    u = Fraction(f / prof.kappa)
+    factors = [a + u * r for a, r in prof.pairs]
+    q = math.prod(factors)
+    dq = sum(r * math.prod(factors[:k] + factors[k + 1:]) for k, (_, r) in enumerate(prof.pairs))
+    coeffs = [Fraction(1)]
+    for a, r in prof.pairs:
+        coeffs = [a * c + r * b for c, b in zip(coeffs + [0], [0] + coeffs)]
+    integrand = [prof.m * c for c in coeffs] + [Fraction(0)]
+    for i, c in enumerate(coeffs):
+        integrand[i + 1] -= prof.lam * c
+    j = sum(c * u ** (i + 1) / (i + 1) for i, c in enumerate(integrand))
+    first, second = prof.m - prof.lam * u, j * dq / (q * q)
+    return prof.kappa * float(first - second), prof.kappa * float(max(abs(first), abs(second)))
+
+
+def test_f_ddot_matches_exact_rational_value():
+    wall = pf.metric_profile(bd.admissible_data(diagram("B", 3, {1}), None, None, (-1,)), 1)
+    assert math.isfinite(wall.f_sup)
+    for prof, label in sample_profiles() + [(wall, "b3 wall")]:
+        hi = 0.9 * prof.f_sup if math.isfinite(prof.f_sup) else 4 * prof.kappa
+        for i in range(1, 11):
+            f = hi * i / 10
+            exact, scale = exact_f_ddot(prof, f)
+            assert abs(pf.f_ddot(prof, f) - exact) <= 1e-12 * scale, (label, f)
+
+
 def test_verdiani_passes_on_admitted_data():
     for prof, label in sample_profiles():
         report = pf.verdiani_check(prof)

@@ -123,6 +123,18 @@ def test_positive_root_simple_coordinates_are_nonnegative_integers():
                 assert any(c > 0 for c in coords)
 
 
+def test_simple_coordinates_rebuild_every_positive_root_to_rank_16():
+    for fam, minr in FAMILY_MIN_RANK.items():
+        for rank in range(minr, 17):
+            alg = rs.Algebra(fam, rank)
+            simples = rs.simple_roots(alg)
+            for root in rs.positive_roots(alg):
+                rebuilt = rs.zero_weight(alg)
+                for c, alpha in zip(rs.simple_coordinates(alg, root), simples):
+                    rebuilt = rebuilt + c * alpha
+                assert rebuilt == root, (fam, rank, root)
+
+
 def test_algebra_validation():
     with pytest.raises(ConfigurationError):
         rs.Algebra("D", 2)
