@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
+from operator import mul
 from typing import Optional
 
 from . import painted as pd
@@ -188,32 +189,21 @@ def _string_w_over_m(alg: rs.Algebra, eps_seq: tuple, beta_end: str, m: int) -> 
 
 
 def _normalise_sign(data: AdmissibleData, xi: rs.Weight) -> rs.Weight:
-    val = _beta_pairing(data.s0.algebra, data.beta_node, xi)
+    """xi or -xi, whichever pairs positively with beta.  The integer dot
+    product of the numerators has the sign of <beta, xi>: a root is
+    trace-free, so the family-A projection drops out, and the denominators
+    are positive."""
+    beta = rs.simple_roots(data.s0.algebra)[data.beta_node - 1]
+    val = sum(map(mul, beta.num, xi.num))
     if val == 0:
         raise AssertionError(f"degenerate sign normalisation for {data}")
     return xi if val > 0 else -xi
-
-
-def _beta_pairing(alg: rs.Algebra, node: int, xi: rs.Weight) -> int:
-    """<beta_node, xi> up to a positive factor: simple roots are sparse,
-    pairing against a root makes the family-A projection a no-op, and the
-    numerators carry the sign."""
-    c = xi.num
-    ell = alg.rank
-    if node == ell:
-        if alg.family in ("B", "C"):
-            return c[ell - 1]
-        if alg.family == "D":
-            return c[ell - 2] + c[ell - 1]
-    return c[node - 1] - c[node]
 
 
 def kappa_z0_oracle(data: AdmissibleData) -> rs.Weight:
     """xi_0 from the virtual epsilon sequence: +-(chi + w/m), sign-normalised."""
     chi = chi_weight(data)
     if data.string is None:
-        if chi.is_zero():
-            raise DomainError("rank-one bundle with chi = 0 is degenerate")
         return chi
     xi = chi + _string_w_over_m(data.s0.algebra, data.string.eps_seq, data.beta_end, data.m)
     return _normalise_sign(data, xi)
@@ -229,8 +219,6 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
     """
     chi = chi_weight(data)
     if data.string is None:
-        if chi.is_zero():
-            raise DomainError("rank-one bundle with chi = 0 is degenerate")
         return chi
     base = _form_base(data.s0.algebra, data.string, data.beta_end, data.beta_node)
     return (chi if data.beta_end == "left" else -chi) + base

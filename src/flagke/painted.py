@@ -112,14 +112,13 @@ def koszul(dg: PaintedDiagram) -> KoszulData:
 def _koszul_cached(dg: PaintedDiagram) -> tuple[rs.Weight, tuple[tuple[int, int], ...]]:
     if not dg.black:
         raise DomainError(f"{dg.key()}: all-white diagram is not a proper flag manifold")
-    sigma = rs.zero_weight(dg.algebra)
-    for root in r_m_plus(dg):
-        sigma = sigma + root
-    simples = rs.simple_roots(dg.algebra)
+    # positive roots have integer epsilon coordinates: sigma is a column sum
+    sums = map(sum, zip(*(root.num for root in r_m_plus(dg))))
+    sigma = rs.Weight.from_numerators(dg.algebra, tuple(sums), 1)
+    coords = rs.fundamental_coordinates(dg.algebra, sigma)
     numbers = []
     for j in sorted(dg.black):
-        beta = simples[j - 1]
-        val = 2 * rs.inner(sigma, beta) / rs.inner(beta, beta)
+        val = coords[j - 1]
         if val.denominator != 1 or val <= 0:
             raise AssertionError(f"non-positive-integer Koszul coordinate {val} at node {j} of {dg.key()}")
         numbers.append((j, int(val)))
@@ -169,39 +168,24 @@ def koszul_rule(dg: PaintedDiagram) -> dict[int, Optional[int]]:
     return out
 
 
-def _check_xi(dg: PaintedDiagram, xi: rs.Weight) -> None:
-    if xi.algebra != dg.algebra:
-        raise UsageError(f"algebra mismatch: {dg.algebra} vs {xi.algebra}")
-
-
-def _orthogonal_to_white(dg: PaintedDiagram, xi: rs.Weight) -> bool:
-    simples = rs.simple_roots(dg.algebra)
-    return all(rs.inner(xi, simples[i - 1]) == 0 for i in sorted(dg.white))
-
-
 def chamber_contains(dg: PaintedDiagram, xi: rs.Weight) -> bool:
-    """Dual test for membership in the T-Weyl chamber of the diagram."""
-    _check_xi(dg, xi)
-    if not _orthogonal_to_white(dg, xi):
-        return False
-    simples = rs.simple_roots(dg.algebra)
-    return all(rs.inner(xi, simples[j - 1]) > 0 for j in sorted(dg.black))
+    """Dual test for membership in the T-Weyl chamber of the diagram: xi has
+    zero coordinates over the white and positive ones over the black
+    fundamental weights."""
+    coords = rs.fundamental_coordinates(dg.algebra, xi)
+    black = dg.black
+    return all(c > 0 if i in black else c == 0 for i, c in enumerate(coords, start=1))
 
 
 def kaehler_coefficients(dg: PaintedDiagram, xi: rs.Weight) -> dict[rs.Weight, Fraction]:
     """The per-root coefficients 2<alpha, xi>/<alpha, alpha> over R_m^+."""
-    _check_xi(dg, xi)
-    if not _orthogonal_to_white(dg, xi):
+    coords = rs.fundamental_coordinates(dg.algebra, xi)
+    if any(coords[i - 1] for i in dg.white):
         raise UsageError("xi must be orthogonal to every white simple root")
     return {a: 2 * rs.inner(a, xi) / rs.inner(a, a) for a in r_m_plus(dg)}
 
 
 def is_hodge(dg: PaintedDiagram, xi: rs.Weight) -> bool:
     """True iff xi has integer coordinates over the black fundamental weights."""
-    _check_xi(dg, xi)
-    simples = rs.simple_roots(dg.algebra)
-    for j in sorted(dg.black):
-        beta = simples[j - 1]
-        if (2 * rs.inner(xi, beta) / rs.inner(beta, beta)).denominator != 1:
-            return False
-    return True
+    coords = rs.fundamental_coordinates(dg.algebra, xi)
+    return all(coords[j - 1].denominator == 1 for j in dg.black)

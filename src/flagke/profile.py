@@ -36,6 +36,7 @@ from .errors import DomainError, NumericsError, UsageError
 
 _QUAD_EPS = 1e-12  # target absolute accuracy 1e-10 with margin
 _INVERT_RTOL = 1e-12
+_CURVATURE_RTOL = 1e-4  # fitted f''(0+) against kappa in `verdiani_check`
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,11 @@ def metric_profile(
 ) -> MetricProfile:
     """Build the profile of an admitted datum.
 
-    For lambda != 0 the initial vertex is forced; for lambda = 0 the face
-    point `z0` may be supplied (default: sum of the black fundamental
-    weights of the singular orbit).
+    For lambda != 0 the initial vertex is forced.  For lambda = 0 it may be
+    any interior point of the chamber face of the singular orbit, and each
+    choice gives another Ricci-flat metric of the same datum: `z0` selects
+    it (default: the sum of the black fundamental weights).  A point off
+    the face or on its boundary raises DomainError.
     """
     lam = Fraction(lam)
     if lam != 0:
@@ -385,7 +388,7 @@ class VerdianiReport:
     passed: bool
 
 
-def verdiani_check(profile: MetricProfile, rel_tol: float = 1e-4) -> VerdianiReport:
+def verdiani_check(profile: MetricProfile) -> VerdianiReport:
     """Check f(0) = 0, f'(0+) -> 0 and f''(0+) -> kappa on a small-t probe set."""
     t_ref = _reference_time(profile)
     probes = tuple(t_ref * s for s in (1e-3, 1e-4, 1e-5))
@@ -403,7 +406,7 @@ def verdiani_check(profile: MetricProfile, rel_tol: float = 1e-4) -> VerdianiRep
     rel = abs(fitted - profile.kappa) / profile.kappa
     fdot = f_dot(profile, fs[0])
     d_ok = profile.d == profile.m - 1
-    passed = d_ok and f0 == 0.0 and rel < rel_tol
+    passed = d_ok and f0 == 0.0 and rel < _CURVATURE_RTOL
     return VerdianiReport(
         d=profile.d,
         m=profile.m,

@@ -302,11 +302,28 @@ def _fundamental_coweights(algebra: Algebra) -> tuple[Weight, ...]:
     )
 
 
-def simple_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of `w` in the simple-root basis (family A: of its projection)."""
+@lru_cache(maxsize=None)
+def _simple_coroots(algebra: Algebra) -> tuple[Weight, ...]:
+    """2 alpha_i / <alpha_i, alpha_i>, which pair with a weight to give its
+    fundamental-weight coordinates."""
+    return tuple((2 / inner(alpha, alpha)) * alpha for alpha in simple_roots(algebra))
+
+
+def _pair_all(algebra: Algebra, w: Weight, duals: tuple[Weight, ...]) -> tuple[Fraction, ...]:
     if w.algebra != algebra:
         raise UsageError(f"algebra mismatch: {algebra} vs {w.algebra}")
-    return tuple(inner(w, v) for v in _fundamental_coweights(algebra))
+    return tuple(inner(w, v) for v in duals)
+
+
+def simple_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
+    """Coordinates of `w` in the simple-root basis (family A: of its projection)."""
+    return _pair_all(algebra, w, _fundamental_coweights(algebra))
+
+
+def fundamental_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
+    """Coordinates of `w` over the fundamental weights, 2<w, alpha_i>/<alpha_i, alpha_i>
+    (Humphreys, Introduction to Lie Algebras and Representation Theory, 13.1)."""
+    return _pair_all(algebra, w, _simple_coroots(algebra))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagke import bundle as bd, diagram, einstein as es, painted as pd, rootspace as rs
+from flagke import bundle as bd, diagram, einstein as es, painted as pd, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
 from conftest import FAMILY_MIN_RANK, all_diagrams
@@ -218,6 +218,10 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
     # for lambda > 0, its negative one for lambda < 0, and zero for lambda = 0
     nodes = tuple(sorted(dg.black))
     numbers = pd.koszul(dg).numbers if nodes else {}
+    if nodes:
+        # the white-neighbour count against the root sum, where it gives one
+        rule = pd.koszul_rule(dg)
+        assert all(numbers[j] == n for j, n in rule.items() if n is not None), (dg.key(), rule, numbers)
     cases = [(None, None)] if nodes else []
     cases += [(info, end) for info in bd.eligible_strings(dg) for end in ("left", "right")]
     for info, end in cases:
@@ -246,3 +250,7 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         if m > 1:
             assert xi0 == bd.kappa_z0_oracle(data), (dg.key(), m, end, chi)
             assert bd.koszul_update_check(data), (dg.key(), m, end)
+        # building the profile checks the vanishing order d = m - 1
+        for lam, verdict in ((1, v.lambda_pos), (-1, v.lambda_neg)):
+            if verdict.exists:
+                pf.metric_profile(data, lam)

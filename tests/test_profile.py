@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from scipy.integrate import solve_ivp
 
 from flagke import bundle as bd, diagram, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
@@ -237,6 +238,30 @@ def test_f_ddot_matches_exact_rational_value():
             assert abs(pf.f_ddot(prof, f) - exact) <= 1e-12 * scale, (label, f)
 
 
+def test_f_of_t_matches_integrated_second_order_equation():
+    # f'' = kappa m - lambda f - A(f) f'^2 / 2 integrated from the series
+    # f = kappa t^2 / 2 at small t: independent of the first integral that
+    # f_of_t inverts
+    for prof, label in sample_profiles():
+        kap, m, lam = prof.kappa, prof.m, float(prof.lam)
+        pairs = [(float(a), float(r)) for a, r in prof.pairs]
+
+        def rhs(_, y):
+            f, fd = y
+            u = f / kap
+            a_of_f = sum(r / (a + u * r) for a, r in pairs) / kap
+            return [fd, kap * m - lam * f - 0.5 * a_of_f * fd * fd]
+
+        T = pf.t_of_f(prof, 0.5 * prof.f_sup if math.isfinite(prof.f_sup) else 4 * kap)
+        t0 = 1e-5 * T
+        ts = [T * i / 10 for i in range(1, 10)] + [T]
+        sol = solve_ivp(rhs, (t0, T), [kap * t0 * t0 / 2, kap * t0], method="DOP853",
+                        t_eval=ts, rtol=1e-12, atol=1e-14)
+        assert sol.success, (label, sol.message)
+        for t, f in zip(ts, sol.y[0]):
+            assert abs(pf.f_of_t(prof, t) - f) <= 1e-9 * f, (label, t)
+
+
 def test_verdiani_passes_on_admitted_data():
     for prof, label in sample_profiles():
         report = pf.verdiani_check(prof)
@@ -295,6 +320,9 @@ def test_lambda_zero_custom_face_point():
     assert pf.verdiani_check(prof).passed
     with pytest.raises(DomainError):
         pf.metric_profile(data, 0, z0=-z0)
+    # on the face's boundary: the coordinate at black node 6 is 0
+    with pytest.raises(DomainError):
+        pf.metric_profile(data, 0, z0=rs.fundamental_weight(alg, 3))
     with pytest.raises(UsageError):
         pf.metric_profile(data, 1, z0=z0)
 

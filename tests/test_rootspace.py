@@ -135,6 +135,37 @@ def test_simple_coordinates_rebuild_every_positive_root_to_rank_16():
                 assert rebuilt == root, (fam, rank, root)
 
 
+def cartan_matrix(fam, n):
+    """Rows 2<alpha_i, alpha_j>/<alpha_j, alpha_j> (0-based) from the Dynkin
+    diagram: simple edges give -1 both ways; at the B double edge the long
+    root's row reads -2 under the short root, at the C double edge the
+    short root's row reads -2 under the long root."""
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    if fam == "D":
+        simple = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    elif fam == "A" or n == 1:
+        simple = [(i, i + 1) for i in range(n - 1)]
+    else:
+        simple = [(i, i + 1) for i in range(n - 2)]
+        long_row, short_row = (n - 2, n - 1) if fam == "B" else (n - 1, n - 2)
+        cartan[long_row][short_row] = -2
+        cartan[short_row][long_row] = -1
+    for i, j in simple:
+        cartan[i][j] = cartan[j][i] = -1
+    return cartan
+
+
+def test_fundamental_coordinates_to_rank_16():
+    for fam, minr in FAMILY_MIN_RANK.items():
+        for rank in range(minr, 17):
+            alg = rs.Algebra(fam, rank)
+            for i in range(1, rank + 1):
+                unit = tuple(int(j == i) for j in range(1, rank + 1))
+                assert rs.fundamental_coordinates(alg, rs.fundamental_weight(alg, i)) == unit, (fam, rank, i)
+            rows = [rs.fundamental_coordinates(alg, alpha) for alpha in rs.simple_roots(alg)]
+            assert rows == [tuple(row) for row in cartan_matrix(fam, rank)], (fam, rank)
+
+
 def test_algebra_validation():
     with pytest.raises(ConfigurationError):
         rs.Algebra("D", 2)
@@ -149,6 +180,8 @@ def test_algebra_mismatch_rejected():
     b2 = rs.Algebra("B", 2)
     with pytest.raises(UsageError):
         rs.inner(rs.zero_weight(a2), rs.zero_weight(b2))
+    with pytest.raises(UsageError):
+        rs.fundamental_coordinates(a2, rs.zero_weight(b2))
     with pytest.raises(UsageError):
         rs.zero_weight(a2) + rs.zero_weight(b2)
 
