@@ -164,16 +164,13 @@ def _cmd_profile(args) -> int:
     n = args.samples
     if n < 2:
         raise UsageError("--samples must be at least 2")
-    if math.isfinite(prof.u_sup):
-        t_hi = pf.t_of_f(prof, 0.97 * prof.f_sup)
-    else:
-        t_hi = pf.t_of_f(prof, 8.0 * prof.kappa)
-    ts = [t_hi * i / (n - 1) for i in range(n)]
-    rows = []
-    for t in ts:
-        f = pf.f_of_t(prof, t)
-        res = pf.residual_at(prof, f) if t > 0 else 0.0
-        rows.append((t, f, res))
+    f_hi = 0.97 * prof.f_sup if math.isfinite(prof.u_sup) else 8.0 * prof.kappa
+    t_hi = pf.t_of_f(prof, f_hi)
+    # the last row is the pair (t_hi, f_hi) itself: inverting t_hi again can
+    # land on t_sup in floating point, or stall where t(f) is flat near a wall
+    points = [(t, pf.f_of_t(prof, t)) for t in (t_hi * i / (n - 1) for i in range(n - 1))]
+    points.append((t_hi, f_hi))
+    rows = [(t, f, pf.residual_at(prof, f) if t > 0 else 0.0) for t, f in points]
     if args.json:
         payload = {
             "diagram": data.s0.key(),
@@ -255,8 +252,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    # argparse reads "-1,1,1" or "-1/2" as an option: attach such a value to its flag
+    tokens: list[str] = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in ("--chi", "--lambda") and tok[:1] == "-" and tok[1:2].isdigit():
+            tokens[-1] += "=" + tok
+        else:
+            tokens.append(tok)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -105,6 +105,19 @@ class MetricProfile:
         return min(exits) if exits else None
 
     @cached_property
+    def _j_at_exit(self) -> Fraction:
+        """J(u_exit), exact (only read with lambda > 0 and an exit)."""
+        return poly.eval_exact(self.j_coeffs, self.u_exit)
+
+    @cached_property
+    def _j_split(self) -> float:
+        """Where `_j_at` switches to integrating back from the exit: m/lambda
+        when J(u_exit) == 0 exactly (lambda > 0), else inf."""
+        if self.lam > 0 and self.u_exit is not None and self._j_at_exit == 0:
+            return float(self.m / self.lam)
+        return math.inf
+
+    @cached_property
     def u_sup(self) -> float:
         """Domain end in the normalised coordinate (math.inf when unbounded).
 
@@ -117,17 +130,18 @@ class MetricProfile:
         if self.lam <= 0:
             return float(u_exit) if u_exit is not None else math.inf
         peak = Fraction(self.m) / self.lam
-        if u_exit is not None and u_exit <= peak:
-            return float(u_exit)
-        jpoly = self.j_coeffs
+        # J > 0 on (0, m/lambda] while Q > 0, so a wall before the peak would
+        # pass this test too; none exists, since lambda xi_Z0 = sigma_F - m xi0
+        # and <alpha, sigma_F> > 0 on R_M^+(F) put every wall past m/lambda.
         if u_exit is not None:
-            if poly.eval_exact(jpoly, u_exit) > 0:
+            if self._j_at_exit >= 0:
                 return float(u_exit)
             lo, hi = peak, u_exit
         else:
+            # No wall: every r_alpha >= 0, so Q is nondecreasing and
+            # J(2m/lambda) = lambda int_0^{m/lambda} s (Q(m/lambda - s) - Q(m/lambda + s)) ds <= 0.
             lo, hi = peak, max(2 * peak, Fraction(1))
-            while poly.eval_exact(jpoly, hi) > 0:
-                lo, hi = hi, 2 * hi
+        jpoly = self.j_coeffs
         # J(lo) > 0 >= J(hi): bisect the unique root of the decreasing branch
         for _ in range(80):
             if float(hi - lo) <= 1e-13 * max(1.0, abs(float(hi))):
@@ -202,15 +216,24 @@ def _q_at(profile: MetricProfile, u: float) -> float:
 
 
 def _j_at(profile: MetricProfile, u: float) -> float:
-    """J(u) = int_0^u (m - lambda w) Q(w) dw by the exact Gauss rule."""
+    """J(u) = int_0^u (m - lambda w) Q(w) dw by the exact Gauss rule.
+
+    Where J vanishes at the chamber exit, J(u) = int_u^{u_exit} (lambda w - m)
+    Q(w) dw past m/lambda: every term has one sign, while the forward sum
+    cancels to noise next to the exit.
+    """
     if u == 0.0:
         return 0.0
     nodes, weights = profile._gauss_rule
     a, r = profile._pair_arrays
-    ws = u * nodes
+    if u > profile._j_split:
+        width = profile.u_sup - u
+        ws, scale = u + width * nodes, -width
+    else:
+        ws, scale = u * nodes, u
     q_vals = np.prod(a[:, None] + np.outer(r, ws), axis=0)
     integrand = (profile.m - float(profile.lam) * ws) * q_vals
-    return u * float(weights @ integrand)
+    return scale * float(weights @ integrand)
 
 
 def _check_f(profile: MetricProfile, f: float) -> float:

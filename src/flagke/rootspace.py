@@ -5,10 +5,8 @@ standard epsilon basis of the Cartan dual (length rank+1 for family A, rank
 otherwise), stored as a tuple of integer numerators over one positive common
 denominator, reduced by their gcd.  Addition, scaling and the inner product
 are integer arithmetic; only the inner product's result is a Fraction.
-Family-A weights are kept as the usual non-trace-free representatives; the
-inner product, equality and hashing work on the trace-free projection (the
-integer vector n*x_i - sum(x)), so representatives differing by a multiple of
-eps_1 + ... + eps_n compare equal.
+The Cartan subalgebra of su(n) is the trace-free hyperplane, so a family-A
+weight is stored by its trace-free representative.
 
 The normalisation of the inner product is the one induced by the Killing
 form on each compact real form:  <eps_i, eps_j> = delta_ij / (2c)  with
@@ -80,13 +78,14 @@ class Algebra:
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, init=False)
 class Weight:
     """An exact linear form on the Cartan, in epsilon coordinates.
 
     Stored as integer numerators `num` over one positive denominator `den`,
-    with gcd(den, *num) == 1, so arithmetic is integer arithmetic and one
-    weight has one stored form.  `coeffs` is the rational view.
+    with gcd(den, *num) == 1 and, for family A, sum(num) == 0, so arithmetic
+    is integer arithmetic and one weight has one stored form: equality and
+    hashing compare (algebra, num, den).  `coeffs` is the rational view.
     """
 
     algebra: Algebra
@@ -98,13 +97,21 @@ class Weight:
         if len(fracs) != algebra.ambient_dim:
             raise UsageError(f"{algebra} weights need {algebra.ambient_dim} coordinates, got {len(fracs)}")
         den = lcm(*(f.denominator for f in fracs))
+        w = Weight.from_numerators(algebra, tuple(f.numerator * (den // f.denominator) for f in fracs), den)
         _set(self, "algebra", algebra)
-        _set(self, "num", tuple(f.numerator * (den // f.denominator) for f in fracs))
-        _set(self, "den", den)
+        _set(self, "num", w.num)
+        _set(self, "den", w.den)
 
     @classmethod
     def from_numerators(cls, algebra: Algebra, num: tuple[int, ...], den: int) -> "Weight":
-        """The weight num/den (den > 0, `num` of the ambient length), reduced."""
+        """The weight num/den (den > 0, `num` of the ambient length), reduced;
+        family A: its trace-free representative n*x_i - sum(x) over n*den."""
+        if algebra.family == "A":
+            total = sum(num)
+            if total:
+                n = len(num)
+                num = tuple(n * a - total for a in num)
+                den *= n
         g = gcd(den, *num)
         if g != 1:
             num = tuple(a // g for a in num)
@@ -113,39 +120,12 @@ class Weight:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The epsilon coordinates as rationals (family A: the stored representative)."""
+        """The epsilon coordinates as rationals (family A: trace-free)."""
         den = self.den
         return tuple(Fraction(a, den) for a in self.num)
 
-    def _key(self) -> tuple[tuple[int, ...], int]:
-        """Canonical (numerators, denominator); family A: of the trace-free
-        projection, n*x_i - sum(x) over n*den, reduced."""
-        if self.algebra.family != "A":
-            return self.num, self.den
-        n = len(self.num)
-        total = sum(self.num)
-        proj = tuple(n * a - total for a in self.num)
-        den = n * self.den
-        g = gcd(den, *proj)
-        return tuple(a // g for a in proj), den // g
-
     def is_zero(self) -> bool:
-        num = self.num
-        if self.algebra.family == "A":
-            return num.count(num[0]) == len(num)
-        return not any(num)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Weight):
-            return NotImplemented
-        if self.algebra != other.algebra:
-            return False
-        if self.num == other.num and self.den == other.den:
-            return True
-        return self.algebra.family == "A" and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self._key()))
+        return not any(self.num)
 
     def __add__(self, other: "Weight") -> "Weight":
         return self._combine(other, add)
@@ -191,17 +171,13 @@ def _raw(algebra: Algebra, num: tuple[int, ...], den: int) -> Weight:
     return w
 
 
-def zero_weight(algebra: Algebra) -> Weight:
-    return _raw(algebra, (0,) * algebra.ambient_dim, 1)
-
-
 def epsilon(algebra: Algebra, i: int) -> Weight:
     """The basis form eps_i (1-based)."""
     if not 1 <= i <= algebra.ambient_dim:
         raise UsageError(f"epsilon index {i} out of range for {algebra}")
     num = [0] * algebra.ambient_dim
     num[i - 1] = 1
-    return _raw(algebra, tuple(num), 1)
+    return Weight.from_numerators(algebra, tuple(num), 1)
 
 
 @lru_cache(maxsize=None)
@@ -243,21 +219,12 @@ def positive_roots(algebra: Algebra) -> tuple[Weight, ...]:
 
 
 def inner(x: Weight, y: Weight) -> Fraction:
-    """Killing-form inner product <x, y> (family A projects both arguments).
-
-    One integer dot product over the common denominator dx*dy*2c; for
-    family A the projection folds into (n*sum x_i y_i - sum x * sum y)/n.
-    """
+    """Killing-form inner product <x, y>: one integer dot product over the
+    common denominator dx*dy*2c."""
     alg = x.algebra
     if alg != y.algebra:
         raise UsageError(f"algebra mismatch: {alg} vs {y.algebra}")
-    xn, yn = x.num, y.num
-    dot = sum(map(mul, xn, yn))
-    den = x.den * y.den * alg._two_c
-    if alg.family == "A":
-        n = len(xn)
-        return Fraction(n * dot - sum(xn) * sum(yn), n * den)
-    return Fraction(dot, den)
+    return Fraction(sum(map(mul, x.num, y.num)), x.den * y.den * alg._two_c)
 
 
 @lru_cache(maxsize=None)
@@ -280,16 +247,18 @@ def fundamental_weight(algebra: Algebra, node: int) -> Weight:
 
 
 def fundamental_combination(algebra: Algebra, nodes: Sequence[int], ks: Sequence[int]) -> Weight:
-    """sum k_j pi_j over `nodes`, accumulated as integers over denominator 2."""
+    """sum k_j pi_j over `nodes`, accumulated as integers over a denominator
+    every pi_j divides: n = ambient_dim for family A (trace-free), else 2."""
+    den = algebra.ambient_dim if algebra.family == "A" else 2
     acc = [0] * algebra.ambient_dim
     for k, node in zip(ks, nodes):
         if k:
             pi = fundamental_weight(algebra, node)
-            scale = k * (2 // pi.den)
+            scale = k * (den // pi.den)
             for i, a in enumerate(pi.num):
                 if a:
                     acc[i] += scale * a
-    return Weight.from_numerators(algebra, tuple(acc), 2)
+    return Weight.from_numerators(algebra, tuple(acc), den)
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +285,7 @@ def _pair_all(algebra: Algebra, w: Weight, duals: tuple[Weight, ...]) -> tuple[F
 
 
 def simple_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of `w` in the simple-root basis (family A: of its projection)."""
+    """Coordinates of `w` in the simple-root basis."""
     return _pair_all(algebra, w, _fundamental_coweights(algebra))
 
 

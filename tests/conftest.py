@@ -9,6 +9,11 @@ from flagke import rootspace as rs
 FAMILY_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
 
 
+def zero_weight(alg: rs.Algebra) -> rs.Weight:
+    """The zero form of `alg`."""
+    return rs.Weight(alg, [0] * alg.ambient_dim)
+
+
 def trace_free(w: rs.Weight) -> list[Fraction]:
     """Rational coordinates of `w`; for family A, with their mean subtracted."""
     coeffs = list(w.coeffs)

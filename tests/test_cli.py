@@ -1,6 +1,9 @@
 import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 
 import pytest
 
@@ -183,6 +186,69 @@ def test_profile_wall_ended_domain_reports_without_crashing(capsys):
     assert payload["f_sup"] is not None
     interior = payload["samples"][:-1]
     assert all(abs(row["residual"]) < 1e-8 for row in interior)
+    # the last row is (t(f_hi), f_hi), not a second inversion of t(f_hi)
+    assert payload["samples"][-1]["f"] == 0.97 * payload["f_sup"]
+
+
+def test_profile_wall_of_order_21_reaches_its_last_row(capsys):
+    # t(f) is flat to 1e-16 at 0.97 f_sup: inverting t_hi again gave t_sup
+    code, out, err = run(capsys, "profile", "A9:oo*oooooo", "--m1", "--chi", "-2",
+                         "--lambda", "1", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["samples"][-1]["f"] == 0.97 * payload["f_sup"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "B6:o**oo*", "--string", "1", "--beta", "left", "--chi", "-1,1,1"),
+    ("profile", "A11:oo*oo*ooooo", "--string", "1", "--beta", "left", "--chi", "3,4",
+     "--lambda", "-1/2", "--samples", "8"),
+])
+def test_option_values_beginning_with_minus(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    joined = []
+    for tok in argv:
+        if joined and joined[-1] in ("--chi", "--lambda"):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    assert run(capsys, *joined) == (0, out, err)
+
+
+# rank-one chi = -1 over projective spaces: J vanishes at the chamber exit
+EXIT_ZERO = ("A1:*", "A2:*o", "A2:o*", "A3:*oo", "A3:oo*", "A4:*ooo", "A4:ooo*", "A5:*oooo",
+             "A5:oooo*", "B1:*", "B2:o*", "C1:*", "C2:*o", "C3:*oo", "C4:*ooo", "C5:*oooo",
+             "D3:o*o", "D3:oo*")
+
+
+@lru_cache(maxsize=None)
+def exit_zero_run(key):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["profile", key, "--m1", "--chi=-1", "--lambda", "1", "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("key", EXIT_ZERO)
+def test_exit_zero_profiles_run(key):
+    code, out, err = exit_zero_run(key)
+    assert code == 0, err
+    samples = json.loads(out)["samples"]
+    assert len(samples) == 64 and all(abs(row["residual"]) < 1e-8 for row in samples)
+
+
+def test_exit_zero_profiles_share_t_columns():
+    # one normalised problem per exit u_e: the same t(f_hi) within each group
+    for group in (("A1:*", "B1:*", "C1:*"), ("A3:*oo", "D3:o*o", "B2:o*", "C2:*o"),
+                  ("A5:*oooo", "C3:*oo")):
+        columns = []
+        for key in group:
+            code, out, err = exit_zero_run(key)
+            assert code == 0, err
+            columns.append([row["t"] for row in json.loads(out)["samples"]])
+        for column in columns[1:]:
+            assert all(abs(a - b) <= 1e-10 * b for a, b in zip(column, columns[0])), group
 
 
 def test_classify_full_black_rank_one(capsys):

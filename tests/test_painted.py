@@ -6,7 +6,7 @@ import pytest
 from flagke import diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, trace_free
+from conftest import FAMILY_MIN_RANK, all_diagrams, trace_free, zero_weight
 
 
 def in_span(alg, vectors, target) -> bool:
@@ -142,7 +142,7 @@ def test_chamber_contains():
     dg = diagram("A", 5, {1, 5})
     sigma = pd.koszul(dg).sigma
     assert pd.chamber_contains(dg, sigma)
-    assert not pd.chamber_contains(dg, rs.zero_weight(dg.algebra))
+    assert not pd.chamber_contains(dg, zero_weight(dg.algebra))
     assert not pd.chamber_contains(dg, -sigma)
 
 
@@ -156,7 +156,7 @@ def test_kaehler_coefficients_full_black_a1():
 
 def test_kaehler_coefficients_zero_and_precondition():
     dg = diagram("A", 5, {1, 5})
-    zero = rs.zero_weight(dg.algebra)
+    zero = zero_weight(dg.algebra)
     assert all(v == 0 for v in pd.kaehler_coefficients(dg, zero).values())
     alpha2 = rs.simple_roots(dg.algebra)[1]  # not orthogonal to white node 2
     with pytest.raises(UsageError):
@@ -171,7 +171,7 @@ def test_kaehler_coefficient_signs_match_chamber_membership():
             if not dg.black:
                 continue
             for _ in range(4):
-                xi = rs.zero_weight(dg.algebra)
+                xi = zero_weight(dg.algebra)
                 for j in sorted(dg.black):
                     xi = xi + Fraction(rng.randint(-3, 3)) * rs.fundamental_weight(dg.algebra, j)
                 coeffs = pd.kaehler_coefficients(dg, xi)

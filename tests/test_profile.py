@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.integrate import solve_ivp
 
-from flagke import bundle as bd, diagram, profile as pf, rootspace as rs
+from flagke import bundle as bd, cli, diagram, poly, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
 
@@ -260,6 +261,95 @@ def test_f_of_t_matches_integrated_second_order_equation():
         assert sol.success, (label, sol.message)
         for t, f in zip(ts, sol.y[0]):
             assert abs(pf.f_of_t(prof, t) - f) <= 1e-9 * f, (label, t)
+
+
+# Rank-one chi = -1 data over projective spaces: the inner integral J has a
+# double zero at the chamber exit u_e, and f(t) = (f_sup/2)(1 - cos(w t)) with
+# w = sqrt(2/u_e) (u = (u_e/2)(1 - cos theta) turns t(u) into sqrt(u_e/2) theta).
+EXIT_ZERO_SAMPLE = ("A1:*", "A2:*o", "A3:*oo", "A5:*oooo", "B2:o*", "C3:*oo", "C5:*oooo", "D3:o*o")
+
+
+def exit_zero_profile(key):
+    return pf.metric_profile(bd.admissible_data(cli.parse_diagram(key), None, None, (-1,)), 1)
+
+
+@pytest.mark.parametrize("key", EXIT_ZERO_SAMPLE)
+def test_exit_zero_profile_matches_closed_form(key):
+    prof = exit_zero_profile(key)
+    assert poly.eval_exact(prof.j_coeffs, prof.u_exit) == 0
+    omega = math.sqrt(2 / float(prof.u_exit))
+    t_end = math.pi / omega
+    for i in range(1, 50):
+        t = 0.999 * t_end * i / 49
+        f = 0.5 * prof.f_sup * (1 - math.cos(omega * t))
+        assert abs(pf.f_of_t(prof, t) - f) <= 1e-9 * f, (key, t)
+    for x in (1e-6, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6):
+        t = math.acos(1 - 2 * x) / omega
+        assert abs(pf.t_of_f(prof, x * prof.f_sup) - t) <= 1e-9 * t, (key, x)
+    # t_sup integrates only up to u_sup (1 - 1e-9): see ROADMAP item 1
+    assert abs(prof.t_sup - t_end) <= 1e-4 * t_end
+
+
+def _exact_j(prof):
+    """J(u) = int_0^u (m - lambda w) Q(w) dw expanded here from the pairs."""
+    q = [Fraction(1)]
+    for a, r in prof.pairs:
+        q = [(q[i] if i < len(q) else 0) * a + (q[i - 1] * r if i else 0) for i in range(len(q) + 1)]
+    integrand = [prof.m * c for c in q] + [Fraction(0)]
+    for i, c in enumerate(q):
+        integrand[i + 1] -= prof.lam * c
+    return [Fraction(0)] + [c / (i + 1) for i, c in enumerate(integrand)]
+
+
+def _horner(coeffs, x):
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _reference_t(prof, jc, f):
+    """t(f) = int_0^{f/kappa} sqrt(Q/(2J)) du by tanh-sinh at 30 digits, with
+    u = v^2 taking out the inverse square root at 0."""
+    with mpmath.workdps(30):
+        pairs = [(mpmath.mpf(a.numerator) / a.denominator, mpmath.mpf(r.numerator) / r.denominator)
+                 for a, r in prof.pairs]
+        jm = [mpmath.mpf(c.numerator) / c.denominator for c in jc]
+
+        def integrand(v):
+            u = v * v
+            q = mpmath.fprod(a + u * r for a, r in pairs)
+            return 2 * v * mpmath.sqrt(q / (2 * _horner(jm, u)))
+
+        kappa = mpmath.sqrt(mpmath.mpf(prof.kappa_sq.numerator) / prof.kappa_sq.denominator)
+        return float(mpmath.quad(integrand, [0, mpmath.sqrt(mpmath.mpf(f) / kappa)], method="tanh-sinh"))
+
+
+T_REFERENCE_DATA = {
+    "turning point": (("A", 11, {3, 6}), 1, (1, 1), 1),
+    "turning point before a wall": (("A", 2, {1}), 2, (0,), 1),
+    "wall of order 21": (("A", 9, {3}), None, (-2,), 1),
+    "unbounded, lambda = 0": (("A", 11, {3, 6}), 1, (2, 3), 0),
+    "unbounded, lambda = -1": (("A", 11, {3, 6}), 1, (3, 4), -1),
+}
+
+
+@pytest.mark.parametrize("label", sorted(T_REFERENCE_DATA))
+def test_t_of_f_matches_mpmath_reference(label):
+    (fam, rank, black), string, chi, lam = T_REFERENCE_DATA[label]
+    beta = None if string is None else "left"
+    data = bd.admissible_data(diagram(fam, rank, black), string, beta, chi)
+    prof = pf.metric_profile(data, lam)
+    jc = _exact_j(prof)
+    if label.startswith("turning point"):
+        u_sup = Fraction(prof.u_sup)
+        assert _horner(jc, u_sup * (1 - Fraction(1, 10**12))) > 0
+        assert _horner(jc, u_sup * (1 + Fraction(1, 10**12))) < 0
+    top = prof.f_sup if math.isfinite(prof.f_sup) else 4 * prof.kappa
+    for x in (0.1, 0.5, 0.9, 0.99):
+        f = x * top
+        ref = _reference_t(prof, jc, f)
+        assert abs(pf.t_of_f(prof, f) - ref) <= 1e-10 * ref, (label, x)
 
 
 def test_verdiani_passes_on_admitted_data():

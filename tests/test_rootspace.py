@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import rootspace as rs
 from flagke.errors import ConfigurationError, UsageError
 
-from conftest import FAMILY_MIN_RANK, trace_inner
+from conftest import FAMILY_MIN_RANK, trace_inner, zero_weight
 
 
 def w(alg, *coeffs):
@@ -129,7 +129,7 @@ def test_simple_coordinates_rebuild_every_positive_root_to_rank_16():
             alg = rs.Algebra(fam, rank)
             simples = rs.simple_roots(alg)
             for root in rs.positive_roots(alg):
-                rebuilt = rs.zero_weight(alg)
+                rebuilt = zero_weight(alg)
                 for c, alpha in zip(rs.simple_coordinates(alg, root), simples):
                     rebuilt = rebuilt + c * alpha
                 assert rebuilt == root, (fam, rank, root)
@@ -179,11 +179,11 @@ def test_algebra_mismatch_rejected():
     a2 = rs.Algebra("A", 2)
     b2 = rs.Algebra("B", 2)
     with pytest.raises(UsageError):
-        rs.inner(rs.zero_weight(a2), rs.zero_weight(b2))
+        rs.inner(zero_weight(a2), zero_weight(b2))
     with pytest.raises(UsageError):
-        rs.fundamental_coordinates(a2, rs.zero_weight(b2))
+        rs.fundamental_coordinates(a2, zero_weight(b2))
     with pytest.raises(UsageError):
-        rs.zero_weight(a2) + rs.zero_weight(b2)
+        zero_weight(a2) + zero_weight(b2)
 
 
 def test_weight_arithmetic_exact():
@@ -209,7 +209,8 @@ def weight_cases(draw):
 
 
 def _reference_key(alg, coeffs):
-    """What a weight is as a form: family A forgets the mean of its coordinates."""
+    """What a weight is as a form: family A forgets the mean of its coordinates,
+    and its stored coordinates are this trace-free tuple."""
     if alg.family != "A":
         return coeffs
     mean = sum(coeffs) / len(coeffs)
@@ -221,13 +222,16 @@ def _reference_key(alg, coeffs):
 def test_weight_matches_fraction_tuples(case, s, k, shift):
     alg, x, y = case
     wx, wy = rs.Weight(alg, x), rs.Weight(alg, y)
-    assert wx.coeffs == x and wy.coeffs == y
+    ref = lambda coeffs: _reference_key(alg, tuple(coeffs))  # noqa: E731
+    assert wx.coeffs == ref(x) and wy.coeffs == ref(y)
+    if alg.family == "A":
+        assert sum(wx.num) == 0 and sum(wy.num) == 0
     assert rs.Weight(alg, wx.coeffs) == wx
-    assert (wx + wy).coeffs == tuple(a + b for a, b in zip(x, y))
-    assert (wx - wy).coeffs == tuple(a - b for a, b in zip(x, y))
-    assert (-wx).coeffs == tuple(-a for a in x)
-    assert (s * wx).coeffs == (wx * s).coeffs == tuple(s * a for a in x)
-    assert (k * wx).coeffs == tuple(k * a for a in x)
+    assert (wx + wy).coeffs == ref(a + b for a, b in zip(x, y))
+    assert (wx - wy).coeffs == ref(a - b for a, b in zip(x, y))
+    assert (-wx).coeffs == ref(-a for a in x)
+    assert (s * wx).coeffs == (wx * s).coeffs == ref(s * a for a in x)
+    assert (k * wx).coeffs == ref(k * a for a in x)
     back = (wx + wy) - wy
     assert back == wx and hash(back) == hash(wx)
 
@@ -251,4 +255,4 @@ def test_weight_matches_fraction_tuples(case, s, k, shift):
     for field in ("algebra", "num", "den", "coeffs"):
         with pytest.raises(AttributeError):
             setattr(wx, field, getattr(wy, field))
-    assert wx.coeffs == x
+    assert wx.coeffs == ref(x)
