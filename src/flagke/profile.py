@@ -12,12 +12,35 @@ J(u) = int_0^u (m - lambda w) Q(w) dw have exact rational coefficients and
 
     t(f) = int_0^{f/kappa} sqrt(Q(u) / (2 J(u))) du .
 
-The integrand has an inverse-square-root singularity at 0; the substitution
-u = v^2 removes it before the adaptive quadrature runs.
+Each profile builds one table of t(u), once, in two parts that meet at the
+peak m/lambda of J for lambda > 0 and at u_end/2 otherwise.  The left part
+is in v = sqrt(u): Q vanishes to order m - 1 and J to order m at 0, so the
+integrand 2 v sqrt(Q/2J) is analytic in v.  The right part is in
+s = sqrt(u_end - u), where the integrand is analytic at a turning point (J
+has a simple zero), at a chamber wall of order k (Q has a zero of order k)
+and at an exit where J vanishes too.  There the table holds
+tau(s) = t_sup - t, so t_sup is an exact panel sum and a query near the end
+is resolved relative to the end.  An unbounded domain has only the left
+part: [0, 1] in u, then [2^k, 2^(k+1)] for k = 0, 1, ..., added as queries
+reach them.
+
+On the right part every factor a + u r is evaluated as (a + u_end r) -
+s^2 r with a + u_end r exact, so a factor that vanishes at a wall is exactly
+-s^2 r.  For lambda > 0, J there is J(u_end) plus the integral of
+(lambda w - m) Q over [u, u_end], with J(u_end) exact at a wall and 0 at a
+turning point; on the left part, and for lambda <= 0, J is integrated from
+0.  Either way every term of the Gauss sum has one sign, so neither end
+cancels.
+
+Each part is a run of 16-point Gauss-Legendre panels.  A panel is bisected
+until an 8-point rule agrees with it to 1e-14 max(1, |integral|).  t(f) adds
+one 16-point rule over the start of one panel to the panel sums; f(t) runs
+Newton on one panel's variable, safeguarded by that panel's bracket.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +48,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bundle as bd
 from . import einstein as es
@@ -34,9 +56,21 @@ from . import poly
 from . import rootspace as rs
 from .errors import DomainError, NumericsError, UsageError
 
-_QUAD_EPS = 1e-12  # target absolute accuracy 1e-10 with margin
-_INVERT_RTOL = 1e-12
+_PANEL_RTOL = 1e-14  # a panel's 16- and 8-point rules agree to this, times max(1, |I|)
+_NEWTON_STEPS = 60
+_NEWTON_RTOL = 1e-9  # a Newton step this small leaves an error of about its square
 _CURVATURE_RTOL = 1e-4  # fitted f''(0+) against kappa in `verdiani_check`
+
+
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+_X16, _W16 = _legendre(16)
+_X8, _W8 = _legendre(8)
+_X24 = np.concatenate((_X16, _X8))
 
 
 @dataclass(frozen=True)
@@ -79,13 +113,6 @@ class MetricProfile:
         return poly.integrate(integrand)
 
     @cached_property
-    def _pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs (a_alpha, r_alpha) as two float arrays, converted once."""
-        a = np.array([float(x) for x, _ in self.pairs])
-        r = np.array([float(x) for _, x in self.pairs])
-        return a, r
-
-    @cached_property
     def _gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes/weights on [0, 1] that integrate the inner integrand exactly.
 
@@ -94,9 +121,7 @@ class MetricProfile:
         evaluating Q in factored form keeps the rule numerically stable where
         the expanded coefficients would cancel catastrophically.
         """
-        n = (len(self.pairs) + 3) // 2 + 1
-        x, w = np.polynomial.legendre.leggauss(n)
-        return (x + 1.0) / 2.0, w / 2.0
+        return _legendre((len(self.pairs) + 3) // 2 + 1)
 
     @cached_property
     def u_exit(self) -> Optional[Fraction]:
@@ -105,37 +130,29 @@ class MetricProfile:
         return min(exits) if exits else None
 
     @cached_property
-    def _j_at_exit(self) -> Fraction:
-        """J(u_exit), exact (only read with lambda > 0 and an exit)."""
-        return poly.eval_exact(self.j_coeffs, self.u_exit)
-
-    @cached_property
-    def _j_split(self) -> float:
-        """Where `_j_at` switches to integrating back from the exit: m/lambda
-        when J(u_exit) == 0 exactly (lambda > 0), else inf."""
-        if self.lam > 0 and self.u_exit is not None and self._j_at_exit == 0:
-            return float(self.m / self.lam)
-        return math.inf
-
-    @cached_property
-    def u_sup(self) -> float:
-        """Domain end in the normalised coordinate (math.inf when unbounded).
+    def _end(self) -> tuple[Optional[Fraction], Optional[Fraction]]:
+        """(u_end, J(u_end)): the domain end, exact (None when unbounded), and
+        for lambda > 0 the inner integral there, exact at a chamber wall and 0
+        at a turning point (None for lambda <= 0, where it is not needed).
 
         For lambda > 0 the inner integral J rises on (0, m/lambda) and falls
         strictly afterwards while the chamber holds, so its first positive
-        zero is bracketed by exact sign evaluations and bisected; no general
-        root isolation is needed.
+        zero is bracketed by exact sign evaluations and bisected to a few
+        ulps; no general root isolation is needed.  u_end is then that float.
         """
         u_exit = self.u_exit
         if self.lam <= 0:
-            return float(u_exit) if u_exit is not None else math.inf
-        peak = Fraction(self.m) / self.lam
+            return u_exit, None
         # J > 0 on (0, m/lambda] while Q > 0, so a wall before the peak would
-        # pass this test too; none exists, since lambda xi_Z0 = sigma_F - m xi0
-        # and <alpha, sigma_F> > 0 on R_M^+(F) put every wall past m/lambda.
+        # pass the test J(u_exit) >= 0 too; none exists, since lambda xi_Z0 =
+        # sigma_F - m xi0 and <alpha, sigma_F> > 0 on R_M^+(F) put every wall
+        # past m/lambda.
         if u_exit is not None:
-            if self._j_at_exit >= 0:
-                return float(u_exit)
+            j_exit = poly.eval_exact(self.j_coeffs, u_exit)
+            if j_exit >= 0:
+                return u_exit, j_exit
+        peak = Fraction(self.m) / self.lam
+        if u_exit is not None:
             lo, hi = peak, u_exit
         else:
             # No wall: every r_alpha >= 0, so Q is nondecreasing and
@@ -143,8 +160,8 @@ class MetricProfile:
             lo, hi = peak, max(2 * peak, Fraction(1))
         jpoly = self.j_coeffs
         # J(lo) > 0 >= J(hi): bisect the unique root of the decreasing branch
-        for _ in range(80):
-            if float(hi - lo) <= 1e-13 * max(1.0, abs(float(hi))):
+        for _ in range(200):
+            if float(hi - lo) <= 2.0 * math.ulp(float(hi)):
                 break
             mid = (lo + hi) / 2
             v = poly.eval_exact(jpoly, mid)
@@ -153,19 +170,172 @@ class MetricProfile:
             elif v < 0:
                 hi = mid
             else:
-                return float(mid)
-        return float((lo + hi) / 2)
+                lo = hi = mid
+        return Fraction(float((lo + hi) / 2)), Fraction(0)
+
+    @cached_property
+    def u_sup(self) -> float:
+        """Domain end in the normalised coordinate (math.inf when unbounded)."""
+        u_end = self._end[0]
+        return float(u_end) if u_end is not None else math.inf
+
+    @cached_property
+    def _parts(self) -> tuple[_Part, Optional[_Part], float]:
+        """The table of t(u): its left part, its right part (None when the
+        domain is unbounded) and the u where they meet (inf when unbounded).
+
+        They meet at the peak m/lambda of J for lambda > 0, and at u_end/2
+        for lambda <= 0, where J rises all the way.  Each part integrates J
+        from the end on its side of the peak, so every term of its Gauss sum
+        has one sign.
+        """
+        u_end, j_end = self._end
+        zero = Fraction(0)
+        if u_end is None:
+            return _Part(self, zero, 1, zero, zero, Fraction(1)), None, math.inf
+        split = self.m / self.lam if self.lam > 0 else u_end / 2
+        j_point, j_at = (u_end, j_end) if self.lam > 0 else (zero, zero)
+        left = _Part(self, zero, 1, zero, zero, split)
+        right = _Part(self, u_end, -1, j_point, j_at, u_end - split)
+        return left, right, float(split)
 
     @cached_property
     def t_sup(self) -> float:
         """Supremum of the reachable parameter values t (math.inf when unbounded)."""
-        if not math.isfinite(self.u_sup):
-            return math.inf
-        return _t_of_u(self, self.u_sup * (1 - 1e-9))
+        left, right, _ = self._parts
+        return math.inf if right is None else left.panels[1][-1] + right.panels[1][-1]
 
     @property
     def f_sup(self) -> float:
         return self.kappa * self.u_sup
+
+
+class _Part:
+    """One part of the domain: the points u = anchor + orientation d, d =
+    y^2 in [0, length], and the panel table of H(y) = int_0^y h, h(y) =
+    2 y sqrt(Q/2J).
+
+    Each factor a + u r is base + d slope, with base = a + anchor r exact.
+    J is integrated from j_point (u = 0, or u = anchor on the right part for
+    lambda > 0), where it is j_at, by the exact Gauss rule in d, along which
+    dJ/dd = (e - lambda d) Q with e = orientation (m - lambda anchor).  Each
+    factor enters as a ratio to its value at d, so that Q neither underflows
+    nor cancels.
+    """
+
+    def __init__(self, profile: MetricProfile, anchor: Fraction, orientation: int,
+                 j_point: Fraction, j_at: Fraction, length: Fraction):
+        self.base = np.array([float(a + anchor * r) for a, r in profile.pairs])
+        self.r = np.array([float(r) for _, r in profile.pairs])
+        self.slope = orientation * self.r
+        self.e = float(orientation * (profile.m - profile.lam * anchor))
+        self.lam = float(profile.lam)
+        self.x, self.w = profile._gauss_rule
+        self.j_d = float(abs(j_point - anchor))  # j_point's distance d
+        self.j_shift = self.j_d * (1.0 - self.x)
+        self.j_at = float(j_at)
+        self.extent = math.sqrt(float(length))  # in y; `grow` extends it
+
+    @cached_property
+    def panels(self) -> tuple[list[float], list[float]]:
+        """(edges, cum): the panel ends in y, and H there.  Built on first use
+        over [0, extent]; `grow` extends them."""
+        edges, cum = [0.0], [0.0]
+        self._add_panels(edges, cum, self.extent)
+        return edges, cum
+
+    def factors(self, d):
+        """a + u r at the distance d (or each entry of an array d), pairs last."""
+        return self.base + np.multiply.outer(d, self.slope)
+
+    def jq(self, d, factors):
+        """J/Q at d, given `factors(d)`."""
+        nodes = np.multiply.outer(d, self.x) + self.j_shift  # from j_d to d
+        ratios = ((self.base / factors)[..., None, :]
+                  + (self.slope / factors)[..., None, :] * nodes[..., None])
+        out = (d - self.j_d) * (((self.e - self.lam * nodes) * np.prod(ratios, axis=-1)) @ self.w)
+        if self.j_at:
+            out = out + self.j_at / np.prod(factors, axis=-1)
+        return out
+
+    def h(self, y: np.ndarray) -> np.ndarray:
+        """The integrand 2 y sqrt(Q/2J) at the points y > 0."""
+        d = y * y
+        jq = self.jq(d, self.factors(d))
+        if not np.all(jq > 0):
+            raise NumericsError(f"inner integral not positive inside the domain (y in [{y.min()}, {y.max()}])")
+        return 2.0 * y / np.sqrt(2.0 * jq)
+
+    def _add_panels(self, edges: list[float], cum: list[float], hi: float) -> None:
+        """Append panels from the last edge up to hi, bisecting each until its
+        16- and 8-point rules agree."""
+        pending = [(edges[-1], hi)]
+        while pending:
+            a, b = pending.pop()
+            vals = self.h(a + (b - a) * _X24)
+            fine = (b - a) * float(vals[:16] @ _W16)
+            coarse = (b - a) * float(vals[16:] @ _W8)
+            if abs(fine - coarse) <= _PANEL_RTOL * max(1.0, abs(fine)):
+                edges.append(b)
+                cum.append(cum[-1] + fine)
+            elif b - a <= 1e-12 * hi:
+                raise NumericsError(f"panel [{a}, {b}] unresolved (rule difference {fine - coarse})")
+            else:
+                mid = 0.5 * (a + b)
+                pending += [(mid, b), (a, mid)]
+
+    def grow(self) -> None:
+        """Append the panels of [2^k, 2^(k+1)] in u after the last edge
+        y = 2^(k/2) (unbounded domains)."""
+        edges, cum = self.panels
+        hi = edges[-1] * math.sqrt(2.0)
+        if not math.isfinite(hi * hi):
+            raise NumericsError("the parameter range outgrew the float range")
+        self._add_panels(edges, cum, hi)
+
+    def integral(self, y: float) -> float:
+        """H(y), for y within the panels."""
+        edges, cum = self.panels
+        i = _panel_index(edges, y)
+        lo = edges[i]
+        if y == lo:
+            return cum[i]
+        return cum[i] + (y - lo) * float(self.h(lo + (y - lo) * _X16) @ _W16)
+
+    def solve(self, target: float) -> float:
+        """y with H(y) = target, for 0 < target within the panels: Newton in
+        (log y, log H), so that a power law H = c y^p takes one step, inside
+        the panel's bracket."""
+        edges, cum = self.panels
+        i = _panel_index(cum, target)
+        lo, start, top = edges[i], cum[i], cum[i + 1]
+        blo, bhi = lo, edges[i + 1]
+        y = lo + (bhi - lo) * (target - start) / (top - start)
+        for _ in range(_NEWTON_STEPS):
+            vals = self.h(np.append(lo + (y - lo) * _X16, y))
+            value = start + (y - lo) * float(vals[:16] @ _W16)
+            if value == target:
+                return y
+            if value < target:
+                blo = y
+            else:
+                bhi = y
+            newton = value > 0 and vals[16] > 0
+            if newton:
+                step = -math.log1p((value - target) / target) * value / (y * vals[16])
+                y_new = y * math.exp(step)
+                newton = blo < y_new < bhi
+            if not newton:
+                y_new = 0.5 * (blo + bhi)
+            if (newton and abs(y_new - y) <= _NEWTON_RTOL * y) or bhi - blo <= 4 * math.ulp(bhi):
+                return y_new
+            y = y_new
+        raise NumericsError(f"inversion did not converge at H = {target}")
+
+
+def _panel_index(ends: list[float], value: float) -> int:
+    """The panel whose ends bracket value (the last one past the end)."""
+    return min(bisect.bisect_right(ends, value), len(ends) - 1) - 1
 
 
 def metric_profile(
@@ -206,36 +376,6 @@ def metric_profile(
     return profile
 
 
-def _q_at(profile: MetricProfile, u: float) -> float:
-    # factored product: stable sign behaviour near the chamber walls
-    a, r = profile._pair_arrays
-    out = 1.0
-    for factor in (a + u * r).tolist():
-        out *= factor
-    return out
-
-
-def _j_at(profile: MetricProfile, u: float) -> float:
-    """J(u) = int_0^u (m - lambda w) Q(w) dw by the exact Gauss rule.
-
-    Where J vanishes at the chamber exit, J(u) = int_u^{u_exit} (lambda w - m)
-    Q(w) dw past m/lambda: every term has one sign, while the forward sum
-    cancels to noise next to the exit.
-    """
-    if u == 0.0:
-        return 0.0
-    nodes, weights = profile._gauss_rule
-    a, r = profile._pair_arrays
-    if u > profile._j_split:
-        width = profile.u_sup - u
-        ws, scale = u + width * nodes, -width
-    else:
-        ws, scale = u * nodes, u
-    q_vals = np.prod(a[:, None] + np.outer(r, ws), axis=0)
-    integrand = (profile.m - float(profile.lam) * ws) * q_vals
-    return scale * float(weights @ integrand)
-
-
 def _check_f(profile: MetricProfile, f: float) -> float:
     """Validate f and return the normalised coordinate u."""
     if not math.isfinite(f):
@@ -248,30 +388,16 @@ def _check_f(profile: MetricProfile, f: float) -> float:
     return u
 
 
-def _t_integrand(profile: MetricProfile, u: float) -> float:
-    """dt/du = sqrt(Q(u) / (2 J(u))), the integrand of t(u)."""
-    qv = _q_at(profile, u)
-    jv = _j_at(profile, u)
-    if jv <= 0 or qv < 0:
-        raise DomainError(f"inner integral nonpositive at u = {u}: beyond the domain end")
-    return math.sqrt(qv / (2.0 * jv))
-
-
 def _t_of_u(profile: MetricProfile, u: float) -> float:
     if u == 0:
         return 0.0
-
-    def integrand(v: float) -> float:
-        return 2.0 * v * _t_integrand(profile, v * v)
-
-    out = quad(
-        integrand, 0.0, math.sqrt(u),
-        epsabs=_QUAD_EPS, epsrel=_QUAD_EPS, limit=400, full_output=1,
-    )
-    val, err = out[0], out[1]
-    if err > 1e-8 * max(1.0, abs(val)):
-        raise NumericsError(f"quadrature failed to converge (estimated error {err})")
-    return val
+    left, right, split = profile._parts
+    if u > split:
+        return profile.t_sup - right.integral(math.sqrt(profile.u_sup - u))
+    y = math.sqrt(u)
+    while left.panels[0][-1] < y:
+        left.grow()
+    return left.integral(y)
 
 
 def t_of_f(profile: MetricProfile, f: float) -> float:
@@ -280,11 +406,7 @@ def t_of_f(profile: MetricProfile, f: float) -> float:
 
 
 def f_of_t(profile: MetricProfile, t: float) -> float:
-    """Monotone inverse of t_of_f: safeguarded Newton inside a bisection bracket.
-
-    Terminates on |t(u) - t| below a relative-in-t tolerance, which keeps the
-    returned f accurate in relative terms all the way down to t -> 0.
-    """
+    """Inverse of t_of_f: Newton on the panel of the table that holds t."""
     if not math.isfinite(t):
         raise DomainError(f"t = {t} is not finite")
     if t < 0:
@@ -293,88 +415,54 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
         return 0.0
     if t >= profile.t_sup:
         raise DomainError(f"t = {t} is beyond the parameter range {profile.t_sup}")
-    if math.isfinite(profile.u_sup):
-        hi = profile.u_sup * (1 - 1e-9)
-    else:
-        hi = 1.0
-        while _t_of_u(profile, hi) < t:
-            hi *= 2.0
-            if hi > 1e18:
-                raise NumericsError(f"failed to bracket t = {t}")
-    lo = 0.0
-    u = hi / 2
-    tol = max(_INVERT_RTOL * t, 2e-12)
-    for _ in range(200):
-        tu = _t_of_u(profile, u)
-        if abs(tu - t) <= tol:
-            break
-        if tu > t:
-            hi = u
-        else:
-            lo = u
-        try:
-            slope = _t_integrand(profile, u)
-        except DomainError:
-            slope = math.inf
-        step = (t - tu) / slope if math.isfinite(slope) and slope > 0 else 0.0
-        u_new = u + step
-        if not (lo < u_new < hi):
-            u_new = 0.5 * (lo + hi)
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            u = u_new
-            break
-        u = u_new
-    else:
-        raise NumericsError(f"inversion did not converge at t = {t}")
-    return profile.kappa * u
+    left, right, _ = profile._parts
+    if right is None:
+        while left.panels[1][-1] <= t:
+            left.grow()
+    if t < left.panels[1][-1]:
+        y = left.solve(t)
+        return profile.kappa * (y * y)
+    s = right.solve(profile.t_sup - t)
+    return profile.kappa * (profile.u_sup - s * s)
 
 
 def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
-    """Validate f once and return (u, Q(u), J(u)); Q must not vanish."""
+    """Validate f once and return (u, J(u)/Q(u), S(u)), where S = Q'/Q is the
+    sum over the pairs of r_alpha/(a_alpha + u r_alpha); Q must not vanish."""
     u = _check_f(profile, f)
-    qv = _q_at(profile, u)
-    if qv <= 0:
+    left, right, split = profile._parts
+    part, d = (right, profile.u_sup - u) if u > split else (left, u)
+    factors = part.factors(d)
+    if not np.all(factors > 0):
         raise DomainError(f"chamber polynomial vanishes at f = {f}")
-    return u, qv, _j_at(profile, u)
+    return u, float(part.jq(d, factors)), float(part.r @ (1.0 / factors))
 
 
-def _log_derivative(profile: MetricProfile, u: float, f: float) -> float:
-    """S(u) = Q'(u)/Q(u), the sum over the pairs of r_alpha/(a_alpha + u r_alpha)."""
-    a, r = profile._pair_arrays
-    total = 0.0
-    for x, b in zip(a.tolist(), r.tolist()):
-        denom = x + u * b
-        if denom == 0:
-            raise DomainError(f"chamber wall reached at f = {f}")
-        total += b / denom
-    return total
+def _speed(profile: MetricProfile, jq: float) -> float:
+    return profile.kappa * math.sqrt(max(2.0 * jq, 0.0))
 
 
-def _speed(profile: MetricProfile, qv: float, jv: float) -> float:
-    return profile.kappa * math.sqrt(max(2.0 * jv / qv, 0.0))
-
-
-def _acceleration(profile: MetricProfile, u: float, qv: float, jv: float, s: float) -> float:
-    # J Q'/Q^2 = J S/Q
-    return profile.kappa * ((profile.m - float(profile.lam) * u) - jv * s / qv)
+def _acceleration(profile: MetricProfile, u: float, jq: float, s: float) -> float:
+    # J Q'/Q^2 = (J/Q) S
+    return profile.kappa * ((profile.m - float(profile.lam) * u) - jq * s)
 
 
 def f_dot(profile: MetricProfile, f: float) -> float:
     """df/dt along the profile, from the first integral."""
-    _, qv, jv = _point(profile, f)
-    return _speed(profile, qv, jv)
+    _, jq, _ = _point(profile, f)
+    return _speed(profile, jq)
 
 
 def f_ddot(profile: MetricProfile, f: float) -> float:
     """d^2f/dt^2 = kappa ((m - lambda u) - J S / Q), S the log-derivative of Q."""
-    u, qv, jv = _point(profile, f)
-    return _acceleration(profile, u, qv, jv, _log_derivative(profile, u, f))
+    u, jq, s = _point(profile, f)
+    return _acceleration(profile, u, jq, s)
 
 
 def mean_curvature_sum(profile: MetricProfile, f: float) -> float:
     """A(f): the sum over the pairs of alpha(Z^0)/(alpha(Z_0) + f alpha(Z^0)),
     which is S(u)/kappa."""
-    return _log_derivative(profile, _check_f(profile, f), f) / profile.kappa
+    return _point(profile, f)[2] / profile.kappa
 
 
 def residual_at(profile: MetricProfile, f: float) -> float:
@@ -383,10 +471,9 @@ def residual_at(profile: MetricProfile, f: float) -> float:
     f' and f'' come from the first integral, so the residual vanishes
     identically and measures only floating-point cancellation.
     """
-    u, qv, jv = _point(profile, f)
-    s = _log_derivative(profile, u, f)
-    fd = _speed(profile, qv, jv)
-    fdd = _acceleration(profile, u, qv, jv, s)
+    u, jq, s = _point(profile, f)
+    fd = _speed(profile, jq)
+    fdd = _acceleration(profile, u, jq, s)
     lam = float(profile.lam)
     return fdd + 0.5 * (s / profile.kappa) * fd * fd + lam * f - profile.kappa * profile.m
 

@@ -45,7 +45,7 @@ def test_point_orbit_positive_profile():
     kap = prof.kappa
     a, b = 2 * kap, -2.0 / (m + 1)
     t_max = math.pi / math.sqrt(-b)
-    assert abs(prof.t_sup - t_max) < 1e-6
+    assert abs(prof.t_sup - t_max) < 1e-12
     assert abs(prof.f_sup - kap * (m + 1)) < 1e-12
     for i in range(33):
         t = 0.97 * t_max * i / 32
@@ -92,7 +92,8 @@ def test_polynomial_p_matches_pair_product():
     from flagke.poly import eval_exact
     for u in (0.1, 0.4, 0.9):
         via_q = float(eval_exact(prof.q_coeffs, Fraction(u)))
-        assert math.isclose(pf._q_at(prof, u), via_q, rel_tol=1e-9)
+        factors = prof._parts[0].factors(u)
+        assert math.isclose(math.prod(factors.tolist()), via_q, rel_tol=1e-9)
 
 
 def test_t_of_f_basics():
@@ -118,6 +119,15 @@ def test_inverse_round_trip():
         for s in (0.05, 0.3, 0.6, 0.9):
             t = s * pf.t_of_f(prof, hi)
             assert abs(pf.t_of_f(prof, pf.f_of_t(prof, t)) - t) < 1e-8, label
+
+
+def test_f_of_t_follows_the_series_at_small_t():
+    # f = kappa t^2/2 (1 + O(t^2)) at the singular orbit, down to t where f
+    # is still a normal float
+    for prof, label in sample_profiles():
+        for t in (1e-6, 1e-9, 1e-12, 1e-100):
+            series = prof.kappa * t * t / 2
+            assert abs(pf.f_of_t(prof, t) - series) <= 1e-9 * series, (label, t)
 
 
 def test_f_of_t_domain_errors():
@@ -283,11 +293,10 @@ def test_exit_zero_profile_matches_closed_form(key):
         t = 0.999 * t_end * i / 49
         f = 0.5 * prof.f_sup * (1 - math.cos(omega * t))
         assert abs(pf.f_of_t(prof, t) - f) <= 1e-9 * f, (key, t)
-    for x in (1e-6, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6):
+    for x in (1e-6, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-8, 1 - 1e-12):
         t = math.acos(1 - 2 * x) / omega
         assert abs(pf.t_of_f(prof, x * prof.f_sup) - t) <= 1e-9 * t, (key, x)
-    # t_sup integrates only up to u_sup (1 - 1e-9): see ROADMAP item 1
-    assert abs(prof.t_sup - t_end) <= 1e-4 * t_end
+    assert abs(prof.t_sup - t_end) <= 1e-12 * t_end
 
 
 def _exact_j(prof):
@@ -343,13 +352,40 @@ def test_t_of_f_matches_mpmath_reference(label):
     jc = _exact_j(prof)
     if label.startswith("turning point"):
         u_sup = Fraction(prof.u_sup)
-        assert _horner(jc, u_sup * (1 - Fraction(1, 10**12))) > 0
-        assert _horner(jc, u_sup * (1 + Fraction(1, 10**12))) < 0
+        assert _horner(jc, u_sup * (1 - Fraction(1, 10**15))) > 0
+        assert _horner(jc, u_sup * (1 + Fraction(1, 10**15))) < 0
     top = prof.f_sup if math.isfinite(prof.f_sup) else 4 * prof.kappa
     for x in (0.1, 0.5, 0.9, 0.99):
         f = x * top
         ref = _reference_t(prof, jc, f)
         assert abs(pf.t_of_f(prof, f) - ref) <= 1e-10 * ref, (label, x)
+
+
+def a9_wall_profile():
+    # all 21 root pairs are (3/5, -1/10): Q has a zero of order 21 at the wall
+    # u = 6, and t_sup - t(u) shrinks like (6 - u)^11.5
+    return pf.metric_profile(bd.admissible_data(cli.parse_diagram("A9:oo*oooooo"), None, None, (-2,)), 1)
+
+
+@pytest.mark.parametrize("x", [0.5, 0.8, 0.9])
+def test_round_trip_next_to_wall_of_order_21(x):
+    # the float t carries f only to ulp(t) f'(f): the round trip may lose
+    # that much and no more
+    prof = a9_wall_profile()
+    f = x * prof.f_sup
+    t = pf.t_of_f(prof, f)
+    bound = 1e-10 * f + 4 * math.ulp(t) * pf.f_dot(prof, f)
+    assert abs(pf.f_of_t(prof, t) - f) <= bound
+
+
+@pytest.mark.parametrize("x", [0.97, 0.999])
+def test_round_trip_past_float_resolution_of_t_raises(x):
+    # t(f) rounds to t_sup: f_of_t refuses it rather than return a wrong f
+    prof = a9_wall_profile()
+    t = pf.t_of_f(prof, x * prof.f_sup)
+    assert t == prof.t_sup
+    with pytest.raises(DomainError, match="beyond the parameter range"):
+        pf.f_of_t(prof, t)
 
 
 def test_verdiani_passes_on_admitted_data():
