@@ -6,7 +6,7 @@ from .painted import KoszulData, PaintedDiagram, chamber_contains, diagram, is_h
     kaehler_coefficients, koszul, koszul_rule, r_m_plus, white_components
 from .bundle import AdmissibleData, StringInfo, admissible_data, eligible_strings, flag_f, \
     kappa, kappa_z0_form, kappa_z0_oracle, koszul_update_check
-from .einstein import EinsteinVerdict, classify, ray_extends, z0_face_point, z0_form
+from .einstein import EinsteinVerdict, classify, z0_face_point, z0_form
 from .profile import MetricProfile, domain_end, f_of_t, metric_profile, ode_residual, \
     t_of_f, verdiani_check
 from .census import CensusRecord, enumerate_records, summarize
@@ -19,7 +19,7 @@ __all__ = [
     "kaehler_coefficients", "koszul", "koszul_rule", "r_m_plus", "white_components",
     "AdmissibleData", "StringInfo", "admissible_data", "eligible_strings", "flag_f", "kappa",
     "kappa_z0_form", "kappa_z0_oracle", "koszul_update_check",
-    "EinsteinVerdict", "classify", "ray_extends", "z0_face_point", "z0_form",
+    "EinsteinVerdict", "classify", "z0_face_point", "z0_form",
     "MetricProfile", "domain_end", "f_of_t", "metric_profile", "ode_residual",
     "t_of_f", "verdiani_check",
     "CensusRecord", "enumerate_records", "summarize",

@@ -158,12 +158,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    data = _data_from_args(args)
-    lam = _parse_rational(args.lam)
-    prof = pf.metric_profile(data, lam)
     n = args.samples
     if n < 2:
         raise UsageError("--samples must be at least 2")
+    data = _data_from_args(args)
+    lam = _parse_rational(args.lam)
+    prof = pf.metric_profile(data, lam)
     f_hi = 0.97 * prof.f_sup if math.isfinite(prof.u_sup) else 8.0 * prof.kappa
     t_hi = pf.t_of_f(prof, f_hi)
     # the last row is the pair (t_hi, f_hi) itself: inverting t_hi again can
@@ -193,17 +193,24 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _write_file(path: str, write, **open_args) -> None:
+    """Call write(stream) on a new file at path; an OSError is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", **open_args) as fh:
+            write(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_census(args) -> int:
     records = list(cs.enumerate_records(args.family, args.max_rank))
     if args.out == "-":
         cs.write_jsonl(records, sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            cs.write_jsonl(records, fh)
+        _write_file(args.out, lambda fh: cs.write_jsonl(records, fh))
     if args.summary:
         rows = cs.summarize(records)
-        with open(args.summary, "w", encoding="utf-8", newline="") as fh:
-            cs.write_summary_csv(rows, fh)
+        _write_file(args.summary, lambda fh: cs.write_summary_csv(rows, fh), newline="")
     print(f"census: {len(records)} records for family {args.family} up to rank {args.max_rank}",
           file=sys.stderr)
     return 0

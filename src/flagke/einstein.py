@@ -16,10 +16,12 @@ occurs.  A negative Einstein constant always extends to a complete metric;
 for lambda != 0 the metric is unique and its initial vertex Z_0 is the exact
 dual form returned by `z0_form`.
 
-The ray condition <xi_0, alpha_j> > 0 on the black roots is a bound of the
-same kind, on the Koszul-number drops d_j of `bundle.neighbour_drops`:
-k_j > d_j/m at the left end, k_j < -d_j/m at the right end, k_j > 0 for
-rank one (d_j = 0 for a black node that is not a neighbour of the string).
+The ray condition <xi_0, alpha_j> > 0 on the black roots (the admissible
+segment continues to a ray in the chamber for lambda != 0), which
+`classify` reports as `ray_extends`, is a bound of the same kind, on the
+Koszul-number drops d_j of `bundle.neighbour_drops`: k_j > d_j/m at the
+left end, k_j < -d_j/m at the right end, k_j > 0 for rank one (d_j = 0 for
+a black node that is not a neighbour of the string).
 """
 
 from __future__ import annotations
@@ -152,12 +154,3 @@ def z0_face_point(data: bd.AdmissibleData) -> rs.Weight:
     """Canonical Ricci-flat witness: the sum of the black fundamental weights of s0."""
     nodes = data.black_nodes
     return rs.fundamental_combination(data.s0.algebra, nodes, [1] * len(nodes))
-
-
-def ray_extends(data: bd.AdmissibleData) -> bool:
-    """Whether the admissible segment continues to a ray in the chamber for
-    lambda != 0: the positivity of xi_0 on every black root of the
-    singular-orbit diagram, decided by the `ray` bounds of `criterion`.
-    (For lambda = 0 the segment always extends.)
-    """
-    return satisfied(criterion(data.s0, data.string, data.beta_end).ray, data.chi)

@@ -52,7 +52,6 @@ import numpy as np
 from . import bundle as bd
 from . import einstein as es
 from . import painted as pd
-from . import poly
 from . import rootspace as rs
 from .errors import DomainError, NumericsError, UsageError
 
@@ -99,18 +98,37 @@ class MetricProfile:
         return math.sqrt(self.kappa_sq)
 
     @cached_property
-    def q_coeffs(self) -> poly.Poly:
-        """Q(u) = prod (a_alpha + u r_alpha), exact."""
-        q = poly.make([1])
-        for a, r in self.pairs:
-            q = poly.mul(q, poly.make([a, r]))
-        return q
+    def _j_expansion(self) -> tuple[tuple[int, ...], int]:
+        """(c, K) with J(u) = int_0^u (m - lambda w) Q(w) dw = sum c_k u^k / K,
+        c integral and K > 0.
 
-    @cached_property
-    def j_coeffs(self) -> poly.Poly:
-        """J(u) = int_0^u (m - lambda w) Q(w) dw, exact."""
-        integrand = poly.mul(poly.make([self.m, -self.lam]), self.q_coeffs)
-        return poly.integrate(integrand)
+        Over the pairs' common denominator D, Q = P / D^n with P integral;
+        m - lambda u = (m q - p u) / q for lambda = p/q; and L = lcm(1, ...,
+        n + 2) clears the 1/(k + 1) of the antiderivative.  So K = D^n q L.
+        """
+        den = math.lcm(*(x.denominator for pair in self.pairs for x in pair))
+        prod = [1]  # P, ascending
+        for a, r in self.pairs:
+            a_int, r_int = int(a * den), int(r * den)
+            prod = [c * a_int + prev * r_int for c, prev in zip(prod + [0], [0] + prod)]
+        p, q = self.lam.numerator, self.lam.denominator
+        n = len(self.pairs)
+        lcm = math.lcm(*range(1, n + 3))
+        # u^k in (m q - p u) P has the coefficient m q P_k - p P_(k-1)
+        coeffs = [0] + [(self.m * q * c - p * prev) * (lcm // (k + 1))
+                        for k, (c, prev) in enumerate(zip(prod + [0], [0] + prod))]
+        return tuple(coeffs), den ** n * q * lcm
+
+    def _j_exact(self, x: Fraction) -> Fraction:
+        """J(x), exact: sum c_k X^k Y^(N-k) / (K Y^N) for x = X/Y, by integer
+        Horner."""
+        coeffs, scale = self._j_expansion
+        num, den = x.numerator, x.denominator
+        acc, den_pow = coeffs[-1], 1
+        for c in reversed(coeffs[:-1]):
+            den_pow *= den
+            acc = acc * num + c * den_pow
+        return Fraction(acc, scale * den_pow)
 
     @cached_property
     def _gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +166,7 @@ class MetricProfile:
         # sigma_F - m xi0 and <alpha, sigma_F> > 0 on R_M^+(F) put every wall
         # past m/lambda.
         if u_exit is not None:
-            j_exit = poly.eval_exact(self.j_coeffs, u_exit)
+            j_exit = self._j_exact(u_exit)
             if j_exit >= 0:
                 return u_exit, j_exit
         peak = Fraction(self.m) / self.lam
@@ -158,13 +176,12 @@ class MetricProfile:
             # No wall: every r_alpha >= 0, so Q is nondecreasing and
             # J(2m/lambda) = lambda int_0^{m/lambda} s (Q(m/lambda - s) - Q(m/lambda + s)) ds <= 0.
             lo, hi = peak, max(2 * peak, Fraction(1))
-        jpoly = self.j_coeffs
         # J(lo) > 0 >= J(hi): bisect the unique root of the decreasing branch
         for _ in range(200):
             if float(hi - lo) <= 2.0 * math.ulp(float(hi)):
                 break
             mid = (lo + hi) / 2
-            v = poly.eval_exact(jpoly, mid)
+            v = self._j_exact(mid)
             if v > 0:
                 lo = mid
             elif v < 0:

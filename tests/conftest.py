@@ -8,6 +8,11 @@ from flagke import rootspace as rs
 
 FAMILY_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
 
+# rank-one chi = -1 over projective spaces: J vanishes at the chamber exit
+EXIT_ZERO = ("A1:*", "A2:*o", "A2:o*", "A3:*oo", "A3:oo*", "A4:*ooo", "A4:ooo*", "A5:*oooo",
+             "A5:oooo*", "B1:*", "B2:o*", "C1:*", "C2:*o", "C3:*oo", "C4:*ooo", "C5:*oooo",
+             "D3:o*o", "D3:oo*")
+
 
 def zero_weight(alg: rs.Algebra) -> rs.Weight:
     """The zero form of `alg`."""

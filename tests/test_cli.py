@@ -10,7 +10,7 @@ import pytest
 from flagke import cli
 from flagke.errors import DiagramParseError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams
+from conftest import EXIT_ZERO, FAMILY_MIN_RANK, all_diagrams
 
 
 def run(capsys, *argv):
@@ -168,6 +168,14 @@ def test_profile_rejects_floats_and_unadmitted(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("chi", ["1,1", "9,9"])
+def test_profile_checks_samples_before_building(capsys, chi):
+    # 9,9 does not admit lambda = 1: the usage error still comes first
+    code, out, err = run(capsys, "profile", "A11:oo*oo*ooooo", "--string", "1", "--beta", "left",
+                         "--chi", chi, "--lambda", "1", "--samples", "1")
+    assert (code, out, err) == (2, "", "error: --samples must be at least 2\n")
+
+
 def test_profile_accepts_fractions(capsys):
     code, out, _ = run(capsys, "profile", "A1:o", "--string", "1", "--beta", "left",
                        "--chi", "", "--lambda", "1/2", "--samples", "4", "--json")
@@ -214,12 +222,6 @@ def test_option_values_beginning_with_minus(capsys, argv):
         else:
             joined.append(tok)
     assert run(capsys, *joined) == (0, out, err)
-
-
-# rank-one chi = -1 over projective spaces: J vanishes at the chamber exit
-EXIT_ZERO = ("A1:*", "A2:*o", "A2:o*", "A3:*oo", "A3:oo*", "A4:*ooo", "A4:ooo*", "A5:*oooo",
-             "A5:oooo*", "B1:*", "B2:o*", "C1:*", "C2:*o", "C3:*oo", "C4:*ooo", "C5:*oooo",
-             "D3:o*o", "D3:oo*")
 
 
 @lru_cache(maxsize=None)
@@ -273,6 +275,16 @@ def test_census_command(tmp_path, capsys):
     assert out_path.read_bytes() == first
     for line in first.decode().splitlines():
         json.loads(line)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--summary"])
+def test_census_reports_unwritable_paths(tmp_path, capsys, flag):
+    paths = {"--out": str(tmp_path / "a.jsonl"), "--summary": str(tmp_path / "a.csv")}
+    paths[flag] = str(tmp_path / "missing" / "x")
+    code, _, err = run(capsys, "census", "--family", "A", "--max-rank", "2",
+                       "--out", paths["--out"], "--summary", paths["--summary"])
+    assert code == 2
+    assert err == f"error: cannot write {paths[flag]}: No such file or directory\n"
 
 
 def test_census_stdout_and_errors(capsys):

@@ -117,11 +117,11 @@ def test_point_orbit_z0_is_origin():
 def test_ray_extension():
     dg = diagram("A", 11, {3, 6})
     # admitted negative constants always extend
-    assert es.ray_extends(bd.admissible_data(dg, 1, "left", (3, 4)))
+    assert es.classify(bd.admissible_data(dg, 1, "left", (3, 4))).ray_extends
     # a vanishing coefficient next to the string blocks the ray
     data0 = bd.admissible_data(dg, 1, "left", (0, 1))
     assert es.classify(data0).lambda_pos.exists
-    assert not es.ray_extends(data0)
+    assert not es.classify(data0).ray_extends
 
 
 def test_neg_admitted_implies_ray_sweep():

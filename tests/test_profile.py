@@ -6,8 +6,10 @@ import mpmath
 import pytest
 from scipy.integrate import solve_ivp
 
-from flagke import bundle as bd, cli, diagram, poly, profile as pf, rootspace as rs
+from flagke import bundle as bd, cli, diagram, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
+
+from conftest import EXIT_ZERO
 
 
 def point_orbit(m):
@@ -69,7 +71,7 @@ def test_point_orbit_negative_profile():
 def test_polynomial_p_point_orbit_is_monomial():
     for m in (2, 4):
         prof = pf.metric_profile(point_orbit(m), 1)
-        q = prof.q_coeffs
+        q = _exact_q(prof)
         assert len(q) == m  # degree m-1
         assert all(c == 0 for c in q[:-1]) and q[-1] > 0
         assert prof.d == m - 1
@@ -77,7 +79,7 @@ def test_polynomial_p_point_orbit_is_monomial():
 
 def test_polynomial_p_structure():
     prof = pf.metric_profile(a11_data((1, 1)), Fraction(1))
-    q = prof.q_coeffs
+    q = _exact_q(prof)
     n_roots = len(prof.pairs)
     import flagke.painted as pdm
     assert n_roots == len(pdm.r_m_plus(bd.flag_f(a11_data((1, 1)))))
@@ -89,9 +91,8 @@ def test_polynomial_p_structure():
 
 def test_polynomial_p_matches_pair_product():
     prof = pf.metric_profile(a11_data((1, 1)), Fraction(1))
-    from flagke.poly import eval_exact
     for u in (0.1, 0.4, 0.9):
-        via_q = float(eval_exact(prof.q_coeffs, Fraction(u)))
+        via_q = float(_horner(_exact_q(prof), Fraction(u)))
         factors = prof._parts[0].factors(u)
         assert math.isclose(math.prod(factors.tolist()), via_q, rel_tol=1e-9)
 
@@ -220,20 +221,14 @@ def test_f_ddot_matches_finite_differences_of_f_dot():
 
 def exact_f_ddot(prof, f):
     """kappa ((m - lambda u) - J Q'/Q^2) at u = f/kappa, in exact rationals
-    from the pairs: Q' by the product rule, J by integrating the expanded
-    (m - lambda w) Q(w) term by term.  Also returns kappa times the larger
-    of the two terms, the scale of the cancellation between them."""
+    from the pairs: Q' by the product rule, J from `_exact_j`.  Also returns
+    kappa times the larger of the two terms, the scale of the cancellation
+    between them."""
     u = Fraction(f / prof.kappa)
     factors = [a + u * r for a, r in prof.pairs]
     q = math.prod(factors)
     dq = sum(r * math.prod(factors[:k] + factors[k + 1:]) for k, (_, r) in enumerate(prof.pairs))
-    coeffs = [Fraction(1)]
-    for a, r in prof.pairs:
-        coeffs = [a * c + r * b for c, b in zip(coeffs + [0], [0] + coeffs)]
-    integrand = [prof.m * c for c in coeffs] + [Fraction(0)]
-    for i, c in enumerate(coeffs):
-        integrand[i + 1] -= prof.lam * c
-    j = sum(c * u ** (i + 1) / (i + 1) for i, c in enumerate(integrand))
+    j = _horner(_exact_j(prof), u)
     first, second = prof.m - prof.lam * u, j * dq / (q * q)
     return prof.kappa * float(first - second), prof.kappa * float(max(abs(first), abs(second)))
 
@@ -286,7 +281,8 @@ def exit_zero_profile(key):
 @pytest.mark.parametrize("key", EXIT_ZERO_SAMPLE)
 def test_exit_zero_profile_matches_closed_form(key):
     prof = exit_zero_profile(key)
-    assert poly.eval_exact(prof.j_coeffs, prof.u_exit) == 0
+    assert _horner(_exact_j(prof), prof.u_exit) == 0
+    assert prof._end == (prof.u_exit, 0)
     omega = math.sqrt(2 / float(prof.u_exit))
     t_end = math.pi / omega
     for i in range(1, 50):
@@ -299,11 +295,20 @@ def test_exit_zero_profile_matches_closed_form(key):
     assert abs(prof.t_sup - t_end) <= 1e-12 * t_end
 
 
-def _exact_j(prof):
-    """J(u) = int_0^u (m - lambda w) Q(w) dw expanded here from the pairs."""
+def _exact_q(prof):
+    """Q(u) = prod (a + u r) expanded here from the pairs, ascending, with no
+    zero leading coefficient."""
     q = [Fraction(1)]
     for a, r in prof.pairs:
         q = [(q[i] if i < len(q) else 0) * a + (q[i - 1] * r if i else 0) for i in range(len(q) + 1)]
+    while q and q[-1] == 0:
+        q.pop()
+    return q
+
+
+def _exact_j(prof):
+    """J(u) = int_0^u (m - lambda w) Q(w) dw expanded here from the pairs."""
+    q = _exact_q(prof)
     integrand = [prof.m * c for c in q] + [Fraction(0)]
     for i, c in enumerate(q):
         integrand[i + 1] -= prof.lam * c
@@ -315,6 +320,30 @@ def _horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+# the lambda > 0 data of `sample_profiles`, and the exit-zero data
+J_CHECK_DATA = [
+    ("A11:oo*oo*ooooo", 1, "left", (1, 1)),
+    ("B3:*oo", None, None, (2,)),
+    ("D4:oo*o", 1, "left", (1,)),
+] + [(key, None, None, (-1,)) for key in EXIT_ZERO]
+
+
+def test_exact_j_matches_fraction_expansion():
+    # the integer expansion of J against the Fraction one, at the exit, the
+    # peak m/lambda and the domain end, for lambdas with and without a
+    # denominator (each datum admits every lambda > 0)
+    for key, string, beta, chi in J_CHECK_DATA:
+        data = bd.admissible_data(cli.parse_diagram(key), string, beta, chi)
+        for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)):
+            prof = pf.metric_profile(data, lam)
+            jc = _exact_j(prof)
+            points = [prof.m / prof.lam, prof._end[0]]
+            if prof.u_exit is not None:
+                points.append(prof.u_exit)
+            for x in points:
+                assert prof._j_exact(x) == _horner(jc, x), (key, chi, lam, x)
 
 
 def _reference_t(prof, jc, f):

@@ -26,3 +26,22 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_public_names_resolve():
+    missing = [name for name in flagke.__all__ if not hasattr(flagke, name)]
+    assert not missing, missing
+    namespace = {}
+    exec("from flagke import *", namespace)
+    assert set(flagke.__all__) <= set(namespace)
+
+
+def test_import_loads_every_module():
+    # no module of the package survives only for tests
+    root = Path(flagke.__file__).resolve().parent
+    expected = {f"flagke.{path.stem}" for path in root.glob("*.py")} - {"flagke.__init__", "flagke.__main__"}
+    code = "import sys, flagke, flagke.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(root.parent)})
+    loaded = set(out.stdout.split())
+    assert expected <= loaded, sorted(expected - loaded)
