@@ -21,7 +21,9 @@ neighbour attaches; `neighbour_drops` is the single table of these drops.
 Two dual computations of the sign-normalised form xi_0 of kappa*Z^0 are kept
 deliberately separate: `kappa_z0_form` assembles it from black fundamental
 weights with the coefficients d_j/m of `neighbour_drops`, `kappa_z0_oracle`
-from the virtual epsilon sequence alone.  They must agree exactly.
+from the virtual epsilon sequence alone; neither reads the other's tables.
+Both are one integer reduction of chi's numerators against a chi-free
+integer tuple cached per (diagram, string, end).  They must agree exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
-from operator import mul
+from math import lcm, sqrt
+from operator import index, mul
 from typing import Optional
 
 from . import painted as pd
@@ -58,7 +60,7 @@ class StringInfo:
 
     @property
     def start(self) -> int:
-        return min(self.nodes)
+        return self.nodes[0]
 
 
 @lru_cache(maxsize=None)
@@ -109,13 +111,17 @@ class AdmissibleData:
     s0: pd.PaintedDiagram
     string: Optional[StringInfo]
     beta_end: Optional[str]  # 'left' | 'right'
-    chi: tuple[int, ...]     # over black nodes of s0 in ascending order
+    chi: tuple[int, ...]     # over black nodes of s0 in ascending order; integers only
 
     def __post_init__(self):
         if (self.string is None) != (self.beta_end is None):
             raise UsageError("string and beta_end must be given together")
         if self.beta_end not in (None, "left", "right"):
             raise UsageError(f"beta_end must be 'left' or 'right', got {self.beta_end!r}")
+        try:  # the bounds are integer edges, exact only for integer chi
+            object.__setattr__(self, "chi", tuple(map(index, self.chi)))
+        except TypeError as exc:
+            raise UsageError(f"chi entries must be integers, got {self.chi!r}") from exc
         if len(self.chi) != len(self.s0.black):
             raise UsageError(
                 f"chi has {len(self.chi)} entries, diagram has {len(self.s0.black)} black nodes"
@@ -145,7 +151,6 @@ def admissible_data(
     chi: "tuple[int, ...] | list[int]",
 ) -> AdmissibleData:
     """Build AdmissibleData, resolving the string by its least node index."""
-    chi = tuple(int(k) for k in chi)
     if string_start is None:
         return AdmissibleData(s0, None, None, chi)
     return AdmissibleData(s0, string_at(s0, string_start), beta_end, chi)
@@ -177,36 +182,33 @@ def _chi_weight_cached(alg: rs.Algebra, nodes: tuple[int, ...], chi: tuple[int, 
 
 
 @lru_cache(maxsize=None)
-def _string_w_over_m(alg: rs.Algebra, eps_seq: tuple, beta_end: str, m: int) -> rs.Weight:
-    """((m-1) e_edge - sum of the other virtual epsilons) / m, edge by beta_end."""
+def _string_w(alg: rs.Algebra, eps_seq: tuple, beta_end: str) -> tuple[int, ...]:
+    """Numerators of w = (m-1) e_edge - sum of the other virtual epsilons,
+    edge by beta_end."""
     seq = tuple(reversed(eps_seq)) if beta_end == "right" else eps_seq
     num = [0] * alg.ambient_dim
     sign0, idx0 = seq[0]
-    num[idx0 - 1] += (m - 1) * sign0
+    num[idx0 - 1] += (len(seq) - 1) * sign0
     for sign, idx in seq[1:]:
         num[idx - 1] -= sign
-    return rs.Weight.from_numerators(alg, tuple(num), m)
-
-
-def _normalise_sign(data: AdmissibleData, xi: rs.Weight) -> rs.Weight:
-    """xi or -xi, whichever pairs positively with beta.  The integer dot
-    product of the numerators has the sign of <beta, xi>: a root is
-    trace-free, so the family-A projection drops out, and the denominators
-    are positive."""
-    beta = rs.simple_roots(data.s0.algebra)[data.beta_node - 1]
-    val = sum(map(mul, beta.num, xi.num))
-    if val == 0:
-        raise AssertionError(f"degenerate sign normalisation for {data}")
-    return xi if val > 0 else -xi
+    return tuple(num)
 
 
 def kappa_z0_oracle(data: AdmissibleData) -> rs.Weight:
-    """xi_0 from the virtual epsilon sequence: +-(chi + w/m), sign-normalised."""
+    """xi_0 from the virtual epsilon sequence: +-(chi + w/m), sign-normalised,
+    i.e. +-(m chi + den w) over m den for chi = num/den.  The integer dot
+    product with beta's numerators has the sign of <beta, xi>: a root is
+    trace-free, so the family-A projection drops out."""
     chi = chi_weight(data)
     if data.string is None:
         return chi
-    xi = chi + _string_w_over_m(data.s0.algebra, data.string.eps_seq, data.beta_end, data.m)
-    return _normalise_sign(data, xi)
+    alg, m, den = data.s0.algebra, data.m, chi.den
+    w = _string_w(alg, data.string.eps_seq, data.beta_end)
+    num = [m * a + den * b for a, b in zip(chi.num, w)]
+    val = sum(map(mul, rs.simple_roots(alg)[data.beta_node - 1].num, num))
+    if val == 0:
+        raise AssertionError(f"degenerate sign normalisation for {data}")
+    return rs.Weight.from_numerators(alg, tuple(num if val > 0 else [-a for a in num]), m * den)
 
 
 def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
@@ -220,18 +222,25 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
     chi = chi_weight(data)
     if data.string is None:
         return chi
-    base = _form_base(data.s0.algebra, data.string, data.beta_end, data.beta_node)
-    return (chi if data.beta_end == "left" else -chi) + base
+    alg = data.s0.algebra
+    base, den = _form_base(alg, data.string, data.beta_end, data.beta_node)
+    scale = den // chi.den if data.beta_end == "left" else -(den // chi.den)
+    return rs.Weight.from_numerators(alg, tuple([scale * a + b for a, b in zip(chi.num, base)]), den)
 
 
 @lru_cache(maxsize=None)
-def _form_base(alg: rs.Algebra, info: StringInfo, beta_end: str, beta_node: int) -> rs.Weight:
-    """The chi-independent part pi_beta - sum (d_j/m) pi_j of the dual-form formula."""
+def _form_base(alg: rs.Algebra, info: StringInfo, beta_end: str,
+               beta_node: int) -> tuple[tuple[int, ...], int]:
+    """The chi-independent part pi_beta - sum (d_j/m) pi_j of the dual-form
+    formula as (numerators, m * d), with d the lcm of the denominators of the
+    fundamental weights, which the denominator of every chi weight divides."""
     m = info.m
     drops = neighbour_drops(info, beta_end)
     nodes = (beta_node,) + tuple(node for node, _ in drops)
     ks = (m,) + tuple(-d for _, d in drops)
-    return Fraction(1, m) * rs.fundamental_combination(alg, nodes, ks)
+    sum_pi = rs.fundamental_combination(alg, nodes, ks)
+    d = lcm(*(rs.fundamental_weight(alg, i).den for i in range(1, alg.rank + 1)))
+    return tuple(a * (d // sum_pi.den) for a in sum_pi.num), m * d
 
 
 def kappa_sq(xi0: rs.Weight) -> Fraction:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -31,15 +30,10 @@ SCHEMA_VERSION = 1
 MAX_RANK_BOUND = 9
 
 
-def _smallest_int_satisfying(op: str, v: Fraction) -> int:
-    if op == "<":
-        return 0 if v > 0 else math.ceil(v) - 1
-    return 0 if v < 0 else math.floor(v) + 1
-
-
 def smallest_witness(bounds) -> tuple[int, ...]:
-    """Per-node integer of least magnitude satisfying each strict bound."""
-    return tuple(_smallest_int_satisfying(b.op, b.value) for b in bounds)
+    """Per-node integer of least magnitude satisfying each strict bound: 0 when
+    it does, else the bound's edge, the admissible integer nearest 0."""
+    return tuple(0 if b.holds(0) else b.edge for b in bounds)
 
 
 @dataclass(frozen=True)

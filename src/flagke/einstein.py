@@ -26,9 +26,10 @@ a black node that is not a neighbour of the string).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, floor
 from typing import Optional
 
 from . import bundle as bd
@@ -39,22 +40,30 @@ from .errors import DomainError, UsageError
 
 @dataclass(frozen=True)
 class Bound:
-    """A strict bound ``k_<node> <op> value`` on one character coefficient."""
+    """A strict bound ``k_<node> <op> value`` on one character coefficient.
+    `edge` is the extreme admissible integer, so an integer k holds the bound
+    iff k <= edge ('<') or k >= edge ('>')."""
 
     node: int
     op: str  # '<' | '>'
     value: Fraction
+    edge: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = self.value
+        object.__setattr__(self, "edge", ceil(v) - 1 if self.op == "<" else floor(v) + 1)
 
     def holds(self, k: int) -> bool:
-        return k < self.value if self.op == "<" else k > self.value
+        return k <= self.edge if self.op == "<" else k >= self.edge
 
     def __str__(self) -> str:
         return f"k_{self.node} {self.op} {rs.frac_str(self.value)}"
 
 
 def satisfied(bounds: tuple[Bound, ...], chi: tuple[int, ...]) -> bool:
-    """Whether `chi`, aligned with the ascending black nodes, meets every bound."""
-    return all(b.holds(k) for b, k in zip(bounds, chi))
+    """Whether the integer `chi`, aligned with the ascending black nodes, meets
+    every bound."""
+    return all(map(Bound.holds, bounds, chi))
 
 
 @dataclass(frozen=True)

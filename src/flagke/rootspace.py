@@ -262,45 +262,27 @@ def fundamental_combination(algebra: Algebra, nodes: Sequence[int], ks: Sequence
 
 
 @lru_cache(maxsize=None)
-def _fundamental_coweights(algebra: Algebra) -> tuple[Weight, ...]:
-    """2 pi_i / <alpha_i, alpha_i>: <alpha_j, pi_i> = delta_ij <alpha_i, alpha_i>/2,
-    so these pair with a weight to give its simple-root coordinates."""
-    return tuple(
-        (2 / inner(alpha, alpha)) * fundamental_weight(algebra, i)
-        for i, alpha in enumerate(simple_roots(algebra), start=1)
-    )
-
-
-@lru_cache(maxsize=None)
 def _simple_coroots(algebra: Algebra) -> tuple[Weight, ...]:
     """2 alpha_i / <alpha_i, alpha_i>, which pair with a weight to give its
     fundamental-weight coordinates."""
     return tuple((2 / inner(alpha, alpha)) * alpha for alpha in simple_roots(algebra))
 
 
-def _pair_all(algebra: Algebra, w: Weight, duals: tuple[Weight, ...]) -> tuple[Fraction, ...]:
-    if w.algebra != algebra:
-        raise UsageError(f"algebra mismatch: {algebra} vs {w.algebra}")
-    return tuple(inner(w, v) for v in duals)
-
-
-def simple_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of `w` in the simple-root basis."""
-    return _pair_all(algebra, w, _fundamental_coweights(algebra))
-
-
 def fundamental_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
     """Coordinates of `w` over the fundamental weights, 2<w, alpha_i>/<alpha_i, alpha_i>
-    (Humphreys, Introduction to Lie Algebras and Representation Theory, 13.1)."""
-    return _pair_all(algebra, w, _simple_coroots(algebra))
+    (Humphreys, Introduction to Lie Algebras and Representation Theory, 13.1);
+    `inner` rejects a weight of another algebra."""
+    return tuple(inner(w, v) for v in _simple_coroots(algebra))
 
 
 @lru_cache(maxsize=None)
 def positive_root_supports(algebra: Algebra) -> tuple[frozenset[int], ...]:
     """For each positive root, the set of simple-root nodes (1-based) with
-    nonzero coefficient in its simple-root expansion."""
-    supports = []
-    for root in positive_roots(algebra):
-        coords = simple_coordinates(algebra, root)
-        supports.append(frozenset(i + 1 for i, c in enumerate(coords) if c != 0))
-    return tuple(supports)
+    nonzero coefficient in its simple-root expansion.  That coefficient is
+    <root, pi_i> times 2/<alpha_i, alpha_i>, so it is nonzero iff the integer
+    dot product of the numerators of the root and of pi_i is."""
+    pis = [fundamental_weight(algebra, i).num for i in range(1, algebra.rank + 1)]
+    return tuple(
+        frozenset(i for i, pi in enumerate(pis, start=1) if sum(map(mul, root.num, pi)))
+        for root in positive_roots(algebra)
+    )

@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagke import bundle as bd, diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
@@ -88,6 +90,54 @@ def test_admissible_data_validation():
         bd.admissible_data(dg, 2, None, (0, 0))  # beta required with string
     with pytest.raises(UsageError):
         bd.AdmissibleData(dg, None, "left", (0, 0))
+
+
+def test_admissible_data_rejects_non_integer_chi():
+    # the Einstein bounds are integer edges, exact only for integer chi
+    dg = diagram("A", 3, {2})
+    info = bd.string_at(dg, 1)
+    for bad in (0.5, 2.0, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(UsageError):
+            bd.AdmissibleData(dg, info, "left", (bad,))
+        with pytest.raises(UsageError):
+            bd.admissible_data(dg, 1, "left", [bad])
+    data = bd.AdmissibleData(dg, info, "left", (np.int64(2),))
+    assert data.chi == (2,) and type(data.chi[0]) is int
+    assert data == bd.admissible_data(dg, 1, "left", [2])
+
+
+@st.composite
+def painted_to_rank_12(draw):
+    fam = draw(st.sampled_from(rs.FAMILIES))
+    alg = rs.Algebra(fam, draw(st.integers(FAMILY_MIN_RANK[fam], 12)))
+    return pd.PaintedDiagram(alg, draw(st.frozensets(st.integers(1, alg.rank))))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(painted_to_rank_12(), st.data())
+def test_dual_forms_match_weight_arithmetic(dg, draw):
+    # both dual forms against their formulas rebuilt with Weight arithmetic
+    alg, nodes = dg.algebra, tuple(sorted(dg.black))
+    for info in bd.eligible_strings(dg):
+        for end in ("left", "right"):
+            chi = draw.draw(st.tuples(*(st.integers(-5, 5) for _ in nodes)))
+            data = bd.AdmissibleData(dg, info, end, chi)
+            m, beta = info.m, rs.simple_roots(alg)[data.beta_node - 1]
+            chi_w = bd.chi_weight(data)
+            drops = bd.neighbour_drops(info, end)
+            base = Fraction(1, m) * rs.fundamental_combination(
+                alg, (data.beta_node,) + tuple(j for j, _ in drops), (m,) + tuple(-d for _, d in drops))
+            form = (chi_w if end == "left" else -chi_w) + base
+            assert bd.kappa_z0_form(data) == form, (dg.key(), info.nodes, end, chi)
+
+            seq = info.eps_seq[::-1] if end == "right" else info.eps_seq
+            (sign0, idx0), rest = seq[0], seq[1:]
+            w = (m - 1) * sign0 * rs.epsilon(alg, idx0)
+            for sign, idx in rest:
+                w = w - sign * rs.epsilon(alg, idx)
+            xi = chi_w + Fraction(1, m) * w
+            oracle = xi if rs.inner(xi, beta) > 0 else -xi
+            assert bd.kappa_z0_oracle(data) == oracle, (dg.key(), info.nodes, end, chi)
 
 
 def test_kappa_z0_form_a11_example():

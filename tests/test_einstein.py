@@ -203,6 +203,26 @@ def test_verdict_constraint_strings():
     assert str(v.lambda_neg.constraint[1]) == "k_6 > 3"
 
 
+BOUND_CASES = st.tuples(st.sampled_from("<>"), st.integers(-60, 60), st.integers(1, 12), st.integers(-20, 20))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(BOUND_CASES, min_size=1, max_size=3))
+def test_bound_edges_match_fraction_comparison(cases):
+    bounds, chi, direct = [], [], []
+    for node, (op, p, q, k) in enumerate(cases, start=1):
+        value = Fraction(p, q)
+        b = es.Bound(node, op, value)
+        truth = k < value if op == "<" else k > value
+        assert b.holds(k) == truth, (op, value, k, b.edge)
+        assert es.satisfied((b,), (k,)) == truth
+        assert str(b) == f"k_{node} {op} {value}"
+        bounds.append(b)
+        chi.append(k)
+        direct.append(truth)
+    assert es.satisfied(tuple(bounds), tuple(chi)) == all(direct)
+
+
 @st.composite
 def painted_past_rank_bound(draw):
     """A painting of rank 10-16, past census.MAX_RANK_BOUND, in families A-D."""

@@ -113,12 +113,20 @@ def test_family_a_projection_semantics():
     assert x != x + alpha
 
 
+def simple_coordinates(alg, w):
+    """Coordinates of `w` in the simple-root basis, as Fractions: its pairings
+    with the fundamental coweights 2 pi_i / <alpha_i, alpha_i>, since
+    <alpha_j, pi_i> = delta_ij <alpha_i, alpha_i> / 2."""
+    return tuple(2 * rs.inner(w, rs.fundamental_weight(alg, i)) / rs.inner(alpha, alpha)
+                 for i, alpha in enumerate(rs.simple_roots(alg), start=1))
+
+
 def test_positive_root_simple_coordinates_are_nonnegative_integers():
     for fam, minr in FAMILY_MIN_RANK.items():
         for rank in range(minr, 7):
             alg = rs.Algebra(fam, rank)
             for root in rs.positive_roots(alg):
-                coords = rs.simple_coordinates(alg, root)
+                coords = simple_coordinates(alg, root)
                 assert all(c.denominator == 1 and c >= 0 for c in coords), (fam, rank, root)
                 assert any(c > 0 for c in coords)
 
@@ -130,9 +138,20 @@ def test_simple_coordinates_rebuild_every_positive_root_to_rank_16():
             simples = rs.simple_roots(alg)
             for root in rs.positive_roots(alg):
                 rebuilt = zero_weight(alg)
-                for c, alpha in zip(rs.simple_coordinates(alg, root), simples):
+                for c, alpha in zip(simple_coordinates(alg, root), simples):
                     rebuilt = rebuilt + c * alpha
                 assert rebuilt == root, (fam, rank, root)
+
+
+def test_positive_root_supports_are_nonzero_simple_coordinates_to_rank_16():
+    for fam, minr in FAMILY_MIN_RANK.items():
+        for rank in range(minr, 17):
+            alg = rs.Algebra(fam, rank)
+            expected = tuple(
+                frozenset(i for i, c in enumerate(simple_coordinates(alg, root), start=1) if c != 0)
+                for root in rs.positive_roots(alg)
+            )
+            assert rs.positive_root_supports(alg) == expected, (fam, rank)
 
 
 def cartan_matrix(fam, n):
