@@ -141,7 +141,7 @@ class AdmissibleData:
 
     @property
     def black_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.s0.black))
+        return self.s0.black_nodes
 
 
 def admissible_data(

@@ -113,7 +113,7 @@ def criterion(s0: pd.PaintedDiagram,
               string: Optional[bd.StringInfo],
               beta_end: Optional[str]) -> Criterion:
     """Bounds and lambda = 0 character over s0; rank one passes ``None, None``."""
-    nodes = tuple(sorted(s0.black))
+    nodes = s0.black_nodes
     numbers = pd.koszul(s0).numbers if nodes else {}
     ns = tuple(numbers[j] for j in nodes)
     m = 1 if string is None else string.m
@@ -153,10 +153,9 @@ def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
     if not satisfied(crit.pos if lam > 0 else crit.neg, data.chi):
         sign = "lambda > 0" if lam > 0 else "lambda < 0"
         raise DomainError(f"data does not admit an Einstein metric with {sign}")
-    xi = rs.fundamental_combination(data.s0.algebra, data.black_nodes, crit.numbers)
-    m_chi = data.m * bd.chi_weight(data)
-    xi = xi + m_chi if data.beta_end == "right" else xi - m_chi
-    return (Fraction(1) / lam) * xi
+    sign = 1 if data.beta_end == "right" else -1
+    ks = [n + sign * data.m * k for n, k in zip(crit.numbers, data.chi)]
+    return (Fraction(1) / lam) * rs.fundamental_combination(data.s0.algebra, data.black_nodes, ks)
 
 
 def z0_face_point(data: bd.AdmissibleData) -> rs.Weight:

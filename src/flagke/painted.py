@@ -4,15 +4,17 @@ A diagram is a classical algebra plus the set of black nodes.  White nodes
 span the semisimple part of the isotropy; the complementary positive roots
 R_m^+ are the positive roots whose simple-root expansion touches a black
 node.  The Koszul form is their exact sum; its coordinates over the black
-fundamental weights are the Koszul numbers.
+fundamental weights are the Koszul numbers.  `koszul` builds them once per
+diagram and checks them against the white-neighbour count `koszul_rule`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from types import MappingProxyType
 
 from . import rootspace as rs
 from .errors import ConfigurationError, DomainError, UsageError
@@ -22,12 +24,14 @@ from .errors import ConfigurationError, DomainError, UsageError
 class PaintedDiagram:
     algebra: rs.Algebra
     black: frozenset[int]
+    black_nodes: tuple[int, ...] = field(init=False, repr=False, compare=False)  # ascending
 
     def __post_init__(self):
         black = frozenset(self.black)
         if not all(isinstance(i, int) and 1 <= i <= self.algebra.rank for i in black):
             raise ConfigurationError(f"black nodes {sorted(self.black)} out of range for {self.algebra}")
         object.__setattr__(self, "black", black)
+        object.__setattr__(self, "black_nodes", tuple(sorted(black)))
 
     @property
     def white(self) -> frozenset[int]:
@@ -99,72 +103,68 @@ def r_m_plus(dg: PaintedDiagram) -> tuple[rs.Weight, ...]:
 @dataclass(frozen=True)
 class KoszulData:
     sigma: rs.Weight
-    numbers: dict[int, int]  # black node -> Koszul number
-
-
-def koszul(dg: PaintedDiagram) -> KoszulData:
-    """Koszul form (exact root sum over R_m^+) and its black coordinates."""
-    sigma, items = _koszul_cached(dg)
-    return KoszulData(sigma, dict(items))
+    numbers: Mapping[int, int]  # black node -> Koszul number; read-only, the object is cached
 
 
 @lru_cache(maxsize=None)
-def _koszul_cached(dg: PaintedDiagram) -> tuple[rs.Weight, tuple[tuple[int, int], ...]]:
+def koszul(dg: PaintedDiagram) -> KoszulData:
+    """Koszul form (exact root sum over R_m^+) and its black coordinates,
+    checked against `koszul_rule` when they are built."""
     if not dg.black:
         raise DomainError(f"{dg.key()}: all-white diagram is not a proper flag manifold")
     # positive roots have integer epsilon coordinates: sigma is a column sum
     sums = map(sum, zip(*(root.num for root in r_m_plus(dg))))
     sigma = rs.Weight.from_numerators(dg.algebra, tuple(sums), 1)
     coords = rs.fundamental_coordinates(dg.algebra, sigma)
-    numbers = []
-    for j in sorted(dg.black):
-        val = coords[j - 1]
-        if val.denominator != 1 or val <= 0:
-            raise AssertionError(f"non-positive-integer Koszul coordinate {val} at node {j} of {dg.key()}")
-        numbers.append((j, int(val)))
-    return sigma, tuple(numbers)
+    numbers = {j: coords[j - 1] for j in dg.black_nodes}
+    rule = koszul_rule(dg)
+    if numbers != rule:
+        raise AssertionError(f"{dg.key()}: root-sum Koszul numbers {numbers} differ from "
+                             f"the white-neighbour count {rule}")
+    return KoszulData(sigma, MappingProxyType(rule))  # equal to the exact coordinates
 
 
-def koszul_rule(dg: PaintedDiagram) -> dict[int, Optional[int]]:
-    """Koszul numbers by the combinatorial white-neighbour count.
+def koszul_rule(dg: PaintedDiagram) -> dict[int, int]:
+    """Koszul numbers by the white-neighbour count of Alekseevsky and
+    Perelomov (Funct. Anal. Appl. 20, 1986): 2 plus a weight for each white
+    component K of size s adjacent to the black node j.
 
-    Per black node: 2 plus the total weight of the adjacent white components,
-    where an ordinary component counts its size, the B-tail so_{2r+1} counts
-    2(r-1)+1, the C-tail sp_r counts 2r and the D-tail so_{2r} (both fork
-    tips in one component) counts 2(r-1).
-
-    Two shapes get ``None`` instead of a count: a black D fork tip whose
-    sibling tip is white, and the black short node of B_n with white
-    neighbours.  For both, the published counting recipe does not determine
-    the value the root-sum oracle gives, so they are left to the oracle.
+    sigma = 2 rho - sum_K 2 rho_K and <2 rho, alpha_j^v> = 2 (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 10.2), so
+    n_j = 2 - sum_K <2 rho_K, alpha_j^v>.  K meets j at one node i (the
+    diagram is a tree), so its weight is c_i |<alpha_i, alpha_j^v>|, with
+    c_i the coefficient of alpha_i in 2 rho_K (Humphreys 13.2).  The pairing
+    is 2 from a long alpha_i to a short alpha_j across a double edge, else 1.
+    At an end node c_i is s for A_s, 2s - 1 for B_s (long end), 2s for C_s
+    (short end) and 2(s-1) for D_s (end of the long arm).  The weights:
+    - an ordinary string: s;
+    - the B tail, K holds the short node of B_n: 2s - 1 (B_1 = A_1: 1 * 1);
+    - the C tail, K holds the long node of C_n: 2s (C_1 = A_1: 1 * 2);
+    - the black short node of B_n: K is an A_s ending at node n - 1, s * 2;
+    - the D tail, K holds both fork tips: 2(s-1);
+    - a black D fork tip with its sibling tip in K: K is an A_s path met at
+      its second-to-last node, the fork node, where c_i = 2(s-1).
     """
     if not dg.black:
         raise DomainError(f"{dg.key()}: all-white diagram is not a proper flag manifold")
-    alg = dg.algebra
-    ell = alg.rank
-    adj = adjacency(alg)
-    comps = white_components(dg)
-    comp_of = {node: comp for comp in comps for node in comp}
-    fork_tips = {ell - 1, ell} if alg.family == "D" else set()
-    out: dict[int, Optional[int]] = {}
-    for j in sorted(dg.black):
-        neighbour_comps = {comp_of[w] for w in adj[j] if w in comp_of}
-        total = 0
-        ambiguous = alg.family == "B" and j == ell and bool(neighbour_comps)
-        for comp in neighbour_comps:
-            size = len(comp)
-            members = set(comp)
-            if alg.family == "B" and ell in members:
-                total += 2 * (size - 1) + 1
-            elif alg.family == "C" and ell in members:
-                total += 2 * size
-            elif alg.family == "D" and fork_tips <= members:
-                total += 2 * (size - 1)
-            elif alg.family == "D" and j in fork_tips and members & fork_tips:
-                ambiguous = True
+    fam, ell = dg.algebra.family, dg.algebra.rank
+    adj = adjacency(dg.algebra)
+    comp_of = {node: comp for comp in white_components(dg) for node in comp}
+    fork_tips = {ell - 1, ell}
+    out: dict[int, int] = {}
+    for j in dg.black_nodes:
+        total = 2
+        for comp in {comp_of[w] for w in adj[j] if w in comp_of}:
+            s = len(comp)
+            if fam == "D" and fork_tips <= {j, *comp}:
+                total += 2 * (s - 1)
+            elif fam == "B" and ell in comp:
+                total += 2 * s - 1
+            elif (fam == "C" and ell in comp) or (fam == "B" and j == ell):
+                total += 2 * s
             else:
-                total += size
-        out[j] = None if ambiguous else total + 2
+                total += s
+        out[j] = total
     return out
 
 

@@ -239,9 +239,10 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
     nodes = tuple(sorted(dg.black))
     numbers = pd.koszul(dg).numbers if nodes else {}
     if nodes:
-        # the white-neighbour count against the root sum, where it gives one
+        # the white-neighbour count against the root sum, at every black node
         rule = pd.koszul_rule(dg)
-        assert all(numbers[j] == n for j, n in rule.items() if n is not None), (dg.key(), rule, numbers)
+        assert all(numbers[j] == n for j, n in rule.items()), (dg.key(), rule, numbers)
+        assert rule.keys() == numbers.keys(), (dg.key(), rule, numbers)
     cases = [(None, None)] if nodes else []
     cases += [(info, end) for info in bd.eligible_strings(dg) for end in ("left", "right")]
     for info, end in cases:
@@ -273,4 +274,5 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         # building the profile checks the vanishing order d = m - 1
         for lam, verdict in ((1, v.lambda_pos), (-1, v.lambda_neg)):
             if verdict.exists:
+                assert es.z0_form(data, lam) == lam * xi, (dg.key(), m, end, chi, lam)
                 pf.metric_profile(data, lam)

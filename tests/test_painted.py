@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,27 +110,75 @@ def test_koszul_rejects_all_white():
 
 
 def test_koszul_rule_matches_sum_when_unambiguous():
-    ambiguous = 0
     for fam, minr in FAMILY_MIN_RANK.items():
         for rank in range(minr, 6):
             for dg in all_diagrams(fam, rank):
                 if not dg.black:
                     continue
-                numbers = pd.koszul(dg).numbers
-                rule = pd.koszul_rule(dg)
-                for j, v in rule.items():
-                    if v is None:
-                        ambiguous += 1
-                    else:
-                        assert v == numbers[j], (dg.key(), j)
-    assert ambiguous > 0  # the D fork / B short-node end cases do occur
+                assert pd.koszul_rule(dg) == dict(pd.koszul(dg).numbers), dg.key()
 
 
 def test_koszul_rule_ambiguous_cases_are_marked():
-    assert pd.koszul_rule(diagram("D", 4, {4})) == {4: None}
-    assert pd.koszul_rule(diagram("B", 2, {2})) == {2: None}
-    # black short node with no white neighbour is fine
-    assert pd.koszul_rule(diagram("B", 2, {1, 2})) == {1: 2, 2: 2}
+    # the black B short node, and a black D fork tip whose sibling tip lies in
+    # the adjacent white component, against the root sums
+    cases = {
+        ("D", 4, (4,)): {4: 6},
+        ("B", 2, (2,)): {2: 4},
+        ("B", 5, (5,)): {5: 10},
+        ("D", 6, (5,)): {5: 10},
+        ("D", 7, (3, 7)): {3: 7, 7: 6},
+        ("B", 2, (1, 2)): {1: 2, 2: 2},  # black short node with no white neighbour
+    }
+    for (fam, rank, black), expected in cases.items():
+        dg = diagram(fam, rank, black)
+        assert pd.koszul_rule(dg) == expected, dg.key()
+        assert pd.koszul(dg).numbers == expected, dg.key()
+
+
+def test_koszul_is_cached_and_read_only():
+    dg = diagram("A", 11, {3, 6})
+    assert pd.koszul(dg) is pd.koszul(dg)
+    with pytest.raises(TypeError):
+        pd.koszul(dg).numbers[3] = 7
+
+
+def test_koszul_checks_the_rule_when_built(monkeypatch):
+    monkeypatch.setattr(pd, "koszul_rule", lambda dg: {j: 3 for j in dg.black_nodes})
+    pd.koszul.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="white-neighbour count"):
+            pd.koszul(diagram("A", 11, {3, 6}))
+    finally:
+        pd.koszul.cache_clear()
+
+
+def test_koszul_check_raises_under_python_O():
+    # the check must not be an `assert`, which -O strips
+    script = textwrap.dedent("""
+        from flagke import diagram, painted as pd
+        pd.koszul_rule = lambda dg: {j: 3 for j in dg.black_nodes}
+        pd.koszul.cache_clear()
+        try:
+            pd.koszul(diagram("A", 11, {3, 6}))
+        except AssertionError as exc:
+            print("raised:", exc)
+        else:
+            print("built")
+    """)
+    src = str(Path(pd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: A11:oo*oo*ooooo: root-sum Koszul numbers"), proc.stdout
+
+
+def test_black_nodes_are_sorted_once_and_not_compared():
+    dg = diagram("D", 7, {7, 3, 5})
+    assert dg.black_nodes == (3, 5, 7)
+    assert dg == diagram("D", 7, (3, 5, 7)) and hash(dg) == hash(diagram("D", 7, (5, 7, 3)))
+    assert repr(dg) == "PaintedDiagram('D7:oo*o*o*')"
 
 
 def test_koszul_numbers_positive_integers():
