@@ -33,14 +33,20 @@ turning point; on the left part, and for lambda <= 0, J is integrated from
 cancels.
 
 Each part is a run of 16-point Gauss-Legendre panels.  A panel is bisected
-until an 8-point rule agrees with it to 1e-14 max(1, |integral|).  t(f) adds
-one 16-point rule over the start of one panel to the panel sums; f(t) runs
-Newton on one panel's variable, safeguarded by that panel's bracket.
+until an 8-point rule agrees with it to 1e-14 max(1, |integral|), and keeps
+its 16 values of the integrand as the Legendre coefficients of their
+degree-15 interpolant.  t(f) adds one 16-point rule over the start of one
+panel to the panel sums.  f(t) first solves for the point where the
+integral of the panel's interpolant reaches t, by Newton on the polynomial
+with no evaluation of the integrand; from there Newton on the exact 16-point
+value, safeguarded by the panel's bracket, usually stops after that one
+evaluation.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,18 +64,46 @@ from .errors import DomainError, NumericsError, UsageError
 _PANEL_RTOL = 1e-14  # a panel's 16- and 8-point rules agree to this, times max(1, |I|)
 _NEWTON_STEPS = 60
 _NEWTON_RTOL = 1e-9  # a Newton step this small leaves an error of about its square
+# Newton on a panel's interpolant stops on a step in theta below
+# 1e-12 theta + 1e-15.  Its integral G is rounded to about 1e-16 of the
+# panel's mean, so theta is not resolved below 1e-15; below theta = 1e-8 the
+# linear start, off by O(theta) relative, is as close and is taken as it is.
+_START_RTOL, _START_ATOL, _LINEAR_START = 1e-12, 1e-15, 1e-8
 _CURVATURE_RTOL = 1e-4  # fitted f''(0+) against kappa in `verdiani_check`
 
 
+@functools.lru_cache(maxsize=None)
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 _X16, _W16 = _legendre(16)
 _X8, _W8 = _legendre(8)
 _X24 = np.concatenate((_X16, _X8))
+
+
+def _series_matrix() -> np.ndarray:
+    """(33, 16): from the values of h at the 16 nodes of a panel to the
+    Legendre coefficients, in P_k(2 theta - 1), of its degree-15 interpolant
+    p (rows 0-15) and of G(theta) = int_0^theta p (rows 16-32).
+
+    The 16-point rule is exact for p P_k, so c_k = (2k + 1) sum_j w_j h_j
+    P_k(2 x_j - 1); G is the antiderivative in x = 2 theta - 1, halved, that
+    vanishes at x = -1.
+    """
+    legendre = np.polynomial.legendre
+    vander = legendre.legvander(2.0 * _X16 - 1.0, 15)
+    to_p = (2.0 * np.arange(16) + 1.0)[:, None] * (vander * _W16[:, None]).T
+    return np.vstack((to_p, legendre.legint(to_p, lbnd=-1, scl=0.5)))
+
+
+_TO_SERIES = _series_matrix()
+# P_k = a_k x P_(k-1) - b_k P_(k-2), for k = 2, ..., 16
+_RECURRENCE = tuple(((2 * k - 1) / k, (k - 1) / k) for k in range(2, 17))
 
 
 @dataclass(frozen=True)
@@ -254,12 +288,15 @@ class _Part:
         self.extent = math.sqrt(float(length))  # in y; `grow` extends it
 
     @cached_property
-    def panels(self) -> tuple[list[float], list[float]]:
-        """(edges, cum): the panel ends in y, and H there.  Built on first use
-        over [0, extent]; `grow` extends them."""
-        edges, cum = [0.0], [0.0]
-        self._add_panels(edges, cum, self.extent)
-        return edges, cum
+    def panels(self) -> tuple[list[float], list[float], list[np.ndarray]]:
+        """(edges, cum, series): the panel ends in y, H there, and per panel
+        [a, b] the Legendre coefficients (`_TO_SERIES`) of the interpolant p
+        of theta -> h(a + theta (b - a)) at the 16 Gauss nodes and of G =
+        int_0^theta p, so that H = cum + (b - a) G(theta) to the panel's
+        accuracy.  Built on first use over [0, extent]; `grow` extends them."""
+        edges, cum, series = [0.0], [0.0], []
+        self._add_panels(edges, cum, series, self.extent)
+        return edges, cum, series
 
     def factors(self, d):
         """a + u r at the distance d (or each entry of an array d), pairs last."""
@@ -283,9 +320,10 @@ class _Part:
             raise NumericsError(f"inner integral not positive inside the domain (y in [{y.min()}, {y.max()}])")
         return 2.0 * y / np.sqrt(2.0 * jq)
 
-    def _add_panels(self, edges: list[float], cum: list[float], hi: float) -> None:
+    def _add_panels(self, edges: list[float], cum: list[float], series: list[np.ndarray],
+                    hi: float) -> None:
         """Append panels from the last edge up to hi, bisecting each until its
-        16- and 8-point rules agree."""
+        16- and 8-point rules agree, and keep each panel's interpolant."""
         pending = [(edges[-1], hi)]
         while pending:
             a, b = pending.pop()
@@ -295,6 +333,7 @@ class _Part:
             if abs(fine - coarse) <= _PANEL_RTOL * max(1.0, abs(fine)):
                 edges.append(b)
                 cum.append(cum[-1] + fine)
+                series.append(_TO_SERIES @ vals[:16])
             elif b - a <= 1e-12 * hi:
                 raise NumericsError(f"panel [{a}, {b}] unresolved (rule difference {fine - coarse})")
             else:
@@ -304,15 +343,15 @@ class _Part:
     def grow(self) -> None:
         """Append the panels of [2^k, 2^(k+1)] in u after the last edge
         y = 2^(k/2) (unbounded domains)."""
-        edges, cum = self.panels
+        edges, cum, series = self.panels
         hi = edges[-1] * math.sqrt(2.0)
         if not math.isfinite(hi * hi):
             raise NumericsError("the parameter range outgrew the float range")
-        self._add_panels(edges, cum, hi)
+        self._add_panels(edges, cum, series, hi)
 
     def integral(self, y: float) -> float:
         """H(y), for y within the panels."""
-        edges, cum = self.panels
+        edges, cum, _ = self.panels
         i = _panel_index(edges, y)
         lo = edges[i]
         if y == lo:
@@ -320,14 +359,19 @@ class _Part:
         return cum[i] + (y - lo) * float(self.h(lo + (y - lo) * _X16) @ _W16)
 
     def solve(self, target: float) -> float:
-        """y with H(y) = target, for 0 < target within the panels: Newton in
-        (log y, log H), so that a power law H = c y^p takes one step, inside
-        the panel's bracket."""
-        edges, cum = self.panels
+        """y with H(y) = target, for 0 < target within the panels.
+
+        The start is the root of the panel's interpolant (`_interpolant_root`),
+        which costs no evaluation of h.  From there Newton runs in (log y,
+        log H), so that a power law H = c y^p takes one step, inside the
+        panel's bracket, on the exact 16-point value of H.
+        """
+        edges, cum, series = self.panels
         i = _panel_index(cum, target)
-        lo, start, top = edges[i], cum[i], cum[i + 1]
+        lo, start = edges[i], cum[i]
         blo, bhi = lo, edges[i + 1]
-        y = lo + (bhi - lo) * (target - start) / (top - start)
+        width = bhi - lo
+        y = lo + width * _interpolant_root(series[i], (target - start) / width)
         for _ in range(_NEWTON_STEPS):
             vals = self.h(np.append(lo + (y - lo) * _X16, y))
             value = start + (y - lo) * float(vals[:16] @ _W16)
@@ -341,13 +385,53 @@ class _Part:
             if newton:
                 step = -math.log1p((value - target) / target) * value / (y * vals[16])
                 y_new = y * math.exp(step)
+                # a converged step may round onto an end of the bracket
+                if blo <= y_new <= bhi and abs(y_new - y) <= _NEWTON_RTOL * y:
+                    return y_new
                 newton = blo < y_new < bhi
             if not newton:
                 y_new = 0.5 * (blo + bhi)
-            if (newton and abs(y_new - y) <= _NEWTON_RTOL * y) or bhi - blo <= 4 * math.ulp(bhi):
+            if bhi - blo <= 4 * math.ulp(bhi):
                 return y_new
             y = y_new
         raise NumericsError(f"inversion did not converge at H = {target}")
+
+
+def _interpolant_root(series: np.ndarray, tau: float) -> float:
+    """theta in (0, 1) with G(theta) = tau for one panel's `series`: Newton
+    on the polynomial in plain floats, safeguarded by bisection, from the
+    linear start tau / G(1), which is returned as it is when tiny."""
+    coeffs = series.tolist()
+    p, g = coeffs[:16], coeffs[16:]
+    theta = tau / p[0]  # G(1) = p[0], the panel's mean of h
+    if theta <= _LINEAR_START:
+        return theta
+    if theta >= 1.0:
+        theta = 0.5
+    lo, hi = 0.0, 1.0
+    for _ in range(_NEWTON_STEPS):
+        x = 2.0 * theta - 1.0
+        prev, cur = 1.0, x
+        slope, value = p[0] + p[1] * x, g[0] + g[1] * x
+        for (a_k, b_k), p_k, g_k in zip(_RECURRENCE, p[2:], g[2:]):
+            prev, cur = cur, a_k * x * cur - b_k * prev
+            slope += p_k * cur
+            value += g_k * cur
+        a_k, b_k = _RECURRENCE[-1]
+        value += g[16] * (a_k * x * cur - b_k * prev)
+        if value < tau:
+            lo = theta
+        else:
+            hi = theta
+        if slope > 0:
+            new = theta - (value - tau) / slope
+            if lo <= new <= hi and abs(new - theta) <= _START_RTOL * theta + _START_ATOL:
+                return new
+            if lo < new < hi:
+                theta = new
+                continue
+        theta = 0.5 * (lo + hi)
+    return theta
 
 
 def _panel_index(ends: list[float], value: float) -> int:
@@ -423,7 +507,8 @@ def t_of_f(profile: MetricProfile, f: float) -> float:
 
 
 def f_of_t(profile: MetricProfile, t: float) -> float:
-    """Inverse of t_of_f: Newton on the panel of the table that holds t."""
+    """Inverse of t_of_f: Newton on the panel of the table that holds t,
+    started from that panel's interpolant."""
     if not math.isfinite(t):
         raise DomainError(f"t = {t} is not finite")
     if t < 0:
@@ -474,12 +559,6 @@ def f_ddot(profile: MetricProfile, f: float) -> float:
     """d^2f/dt^2 = kappa ((m - lambda u) - J S / Q), S the log-derivative of Q."""
     u, jq, s = _point(profile, f)
     return _acceleration(profile, u, jq, s)
-
-
-def mean_curvature_sum(profile: MetricProfile, f: float) -> float:
-    """A(f): the sum over the pairs of alpha(Z^0)/(alpha(Z_0) + f alpha(Z^0)),
-    which is S(u)/kappa."""
-    return _point(profile, f)[2] / profile.kappa
 
 
 def residual_at(profile: MetricProfile, f: float) -> float:

@@ -143,18 +143,18 @@ def a3_wall_profile():
     return pf.metric_profile(bd.admissible_data(diagram("A", 3, {2}), 1, "left", (-1,)), 1)
 
 
-def test_mean_curvature_sum_rejects_negative_f():
+def test_f_dot_rejects_negative_f():
     with pytest.raises(DomainError, match=r"^f = -5\.0 is negative$"):
-        pf.mean_curvature_sum(a3_wall_profile(), -5.0)
+        pf.f_dot(a3_wall_profile(), -5.0)
 
 
-def test_mean_curvature_sum_rejects_f_past_domain_end():
+def test_f_dot_rejects_f_past_domain_end():
     prof = a3_wall_profile()
     assert math.isfinite(prof.f_sup)
     with pytest.raises(DomainError, match="beyond the domain end"):
-        pf.mean_curvature_sum(prof, prof.f_sup)
+        pf.f_dot(prof, prof.f_sup)
     with pytest.raises(DomainError, match="beyond the domain end"):
-        pf.mean_curvature_sum(prof, 1e9)
+        pf.f_dot(prof, 1e9)
 
 
 NON_FINITE_PROFILES = {
@@ -168,7 +168,7 @@ NON_FINITE_PROFILES = {
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("query, arg", [
     (pf.t_of_f, "f"), (pf.f_of_t, "t"), (pf.f_dot, "f"), (pf.ode_residual, "t"),
-    (pf.mean_curvature_sum, "f"),
+    (pf.f_ddot, "f"),
 ], ids=lambda q: getattr(q, "__name__", q))
 @pytest.mark.parametrize("label", sorted(NON_FINITE_PROFILES))
 def test_queries_reject_non_finite_arguments(label, query, arg, value):
@@ -415,6 +415,78 @@ def test_round_trip_past_float_resolution_of_t_raises(x):
     assert t == prof.t_sup
     with pytest.raises(DomainError, match="beyond the parameter range"):
         pf.f_of_t(prof, t)
+
+
+def inversion_profiles():
+    """`sample_profiles`, the order-21 wall and two exit-zero data."""
+    return sample_profiles() + [(a9_wall_profile(), "a9 wall of order 21")] + [
+        (exit_zero_profile(key), key) for key in ("A1:*", "C3:*oo")]
+
+
+def interior_times(prof, n):
+    """n evenly spaced t strictly inside (0, t_hi), t_hi = t(0.9 f_sup), or
+    t(4 kappa) when unbounded; the table is built up to t_hi."""
+    t_hi = pf.t_of_f(prof, 0.9 * prof.f_sup if math.isfinite(prof.f_sup) else 4 * prof.kappa)
+    return t_hi, [t_hi * i / (n + 1) for i in range(1, n + 1)]
+
+
+def test_f_of_t_matches_mpmath_reference():
+    # t(f) by tanh-sinh in mpmath at the computed f gives back t: an oracle
+    # on f that shares only the exact pairs with the panel table
+    for prof, label in inversion_profiles():
+        jc = _exact_j(prof)
+        for t in interior_times(prof, 8)[1]:
+            ref = _reference_t(prof, jc, pf.f_of_t(prof, t))
+            assert abs(ref - t) <= 1e-12 * max(1.0, t), (label, t, ref)
+
+
+def test_f_of_t_inverts_the_table_to_float_resolution():
+    # t(f(t)) = t up to the rounding of t and of f: the Newton answer solves
+    # the exact 16-point value of t, not the interpolant that starts it
+    for prof, label in inversion_profiles():
+        t_hi, ts = interior_times(prof, 63)
+        for t in ts + [1e-7 * t_hi, 1e-3 * t_hi]:
+            f = pf.f_of_t(prof, t)
+            bound = 8 * (math.ulp(t) + math.ulp(f) / pf.f_dot(prof, f))
+            assert abs(pf.t_of_f(prof, f) - t) <= bound, (label, t)
+
+
+def count_integrand_calls(monkeypatch):
+    """Count `_Part.h` evaluations from here on; returns the counter."""
+    calls = [0]
+    h = pf._Part.h
+
+    def counted(self, y):
+        calls[0] += 1
+        return h(self, y)
+
+    monkeypatch.setattr(pf._Part, "h", counted)
+    return calls
+
+
+def test_f_of_t_needs_at_most_two_integrand_evaluations(monkeypatch):
+    # the panel's interpolant starts Newton so close to the root that one
+    # exact evaluation, or two, settles it
+    profiles = inversion_profiles()
+    grids = [interior_times(prof, 63) for prof, _ in profiles]
+    calls = count_integrand_calls(monkeypatch)
+    for (prof, label), (t_hi, ts) in zip(profiles, grids):
+        for t in ts + [1e-7 * t_hi]:
+            calls[0] = 0
+            pf.f_of_t(prof, t)
+            assert calls[0] <= 2, (label, t, calls[0])
+
+
+def test_converged_step_onto_the_bracket_needs_no_bisection(monkeypatch, capsys):
+    # the rows of this command need one exact evaluation each; a converged
+    # Newton step that rounds onto an end of the bracket is accepted, where
+    # bisecting the whole panel from there costs 22-45 evaluations a row
+    calls = count_integrand_calls(monkeypatch)
+    argv = ["profile", "A5:o*o*o", "--string", "3", "--beta", "right", "--chi", "-2,-2",
+            "--lambda", "0", "--samples", "6"]
+    assert cli.main(argv) == 0
+    assert "f(t)" in capsys.readouterr().out
+    assert calls[0] <= 15
 
 
 def test_verdiani_passes_on_admitted_data():
