@@ -24,6 +24,13 @@ is resolved relative to the end.  An unbounded domain has only the left
 part: [0, 1] in u, then [2^k, 2^(k+1)] for k = 0, 1, ..., added as queries
 reach them.
 
+The pairs are grouped into their distinct values, each with its multiplicity
+mu (every root of one T-root has the same pair), so Q = prod (a + u r)^mu
+over the distinct pairs and each factor is evaluated once however often it
+occurs.  The inner integral takes Q(w)/Q(u) at the nodes w of its Gauss
+rule as exp(sum mu log(factor(w)/factor(u))), one weighted sum of logs, so
+that Q neither underflows nor cancels.
+
 On the right part every factor a + u r is evaluated as (a + u_end r) -
 s^2 r with a + u_end r exact, so a factor that vanishes at a wall is exactly
 -s^2 r.  For lambda > 0, J there is J(u_end) plus the integral of
@@ -46,6 +53,7 @@ evaluation.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -132,6 +140,13 @@ class MetricProfile:
         return math.sqrt(self.kappa_sq)
 
     @cached_property
+    def _distinct_pairs(self) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[int, ...]]:
+        """The distinct values among `pairs`, in order of first occurrence,
+        and the multiplicity of each: Q = prod (a + u r)^mu over them."""
+        counts = collections.Counter(self.pairs)
+        return tuple(counts), tuple(counts.values())
+
+    @cached_property
     def _j_expansion(self) -> tuple[tuple[int, ...], int]:
         """(c, K) with J(u) = int_0^u (m - lambda w) Q(w) dw = sum c_k u^k / K,
         c integral and K > 0.
@@ -169,11 +184,12 @@ class MetricProfile:
         """Nodes/weights on [0, 1] that integrate the inner integrand exactly.
 
         The integrand (m - lambda w) Q(w) is a polynomial of degree |pairs|+1,
-        so Gauss-Legendre with ceil((deg+1)/2) points has no truncation error;
-        evaluating Q in factored form keeps the rule numerically stable where
-        the expanded coefficients would cancel catastrophically.
+        so Gauss-Legendre with ceil((deg+1)/2) = (|pairs| + 3)//2 points has
+        no truncation error; evaluating Q in factored form keeps the rule
+        numerically stable where the expanded coefficients would cancel
+        catastrophically.
         """
-        return _legendre((len(self.pairs) + 3) // 2 + 1)
+        return _legendre((len(self.pairs) + 3) // 2)
 
     @cached_property
     def u_exit(self) -> Optional[Fraction]:
@@ -266,24 +282,33 @@ class _Part:
     y^2 in [0, length], and the panel table of H(y) = int_0^y h, h(y) =
     2 y sqrt(Q/2J).
 
-    Each factor a + u r is base + d slope, with base = a + anchor r exact.
-    J is integrated from j_point (u = 0, or u = anchor on the right part for
-    lambda > 0), where it is j_at, by the exact Gauss rule in d, along which
-    dJ/dd = (e - lambda d) Q with e = orientation (m - lambda anchor).  Each
-    factor enters as a ratio to its value at d, so that Q neither underflows
+    The arrays run over the distinct pairs, and Q is the product of their
+    factors raised to the multiplicities mu.  Each factor a + u r is base +
+    d slope, with base = a + anchor r exact.  J is integrated from j_point
+    (u = 0, or u = anchor on the right part for lambda > 0), where it is
+    j_at, by the exact Gauss rule in d, along which dJ/dd = (e - lambda d) Q
+    with e = orientation (m - lambda anchor).  At the node w = j_d (1 - x) +
+    d x, a factor's ratio to its value at d is x + (1 - x) at_j/factor(d),
+    at_j its value at j_point: two terms of one sign.  Q(w)/Q(d) is exp of
+    the sum of the ratios' logs weighted by mu, so that Q neither underflows
     nor cancels.
     """
 
     def __init__(self, profile: MetricProfile, anchor: Fraction, orientation: int,
                  j_point: Fraction, j_at: Fraction, length: Fraction):
-        self.base = np.array([float(a + anchor * r) for a, r in profile.pairs])
-        self.r = np.array([float(r) for _, r in profile.pairs])
+        pairs, mult = profile._distinct_pairs
+        self.mu = np.array(mult, dtype=float)
+        self.base = np.array([float(a + anchor * r) for a, r in pairs])
+        self.at_j = np.array([float(a + j_point * r) for a, r in pairs])
+        self.r = np.array([float(r) for _, r in pairs])
         self.slope = orientation * self.r
-        self.e = float(orientation * (profile.m - profile.lam * anchor))
-        self.lam = float(profile.lam)
-        self.x, self.w = profile._gauss_rule
+        x, w = profile._gauss_rule
+        self.x, self.one_minus_x = x[:, None], (1.0 - x)[:, None]
         self.j_d = float(abs(j_point - anchor))  # j_point's distance d
-        self.j_shift = self.j_d * (1.0 - self.x)
+        # (e - lambda w) times the Gauss weight is w0 - d w1 at the node w
+        e, lam = float(orientation * (profile.m - profile.lam * anchor)), float(profile.lam)
+        self.w0 = w * (e - lam * self.j_d * (1.0 - x))
+        self.w1 = lam * w * x
         self.j_at = float(j_at)
         self.extent = math.sqrt(float(length))  # in y; `grow` extends it
 
@@ -299,17 +324,17 @@ class _Part:
         return edges, cum, series
 
     def factors(self, d):
-        """a + u r at the distance d (or each entry of an array d), pairs last."""
+        """a + u r at the distance d (or each entry of an array d), one per
+        distinct pair, pairs last."""
         return self.base + np.multiply.outer(d, self.slope)
 
     def jq(self, d, factors):
         """J/Q at d, given `factors(d)`."""
-        nodes = np.multiply.outer(d, self.x) + self.j_shift  # from j_d to d
-        ratios = ((self.base / factors)[..., None, :]
-                  + (self.slope / factors)[..., None, :] * nodes[..., None])
-        out = (d - self.j_d) * (((self.e - self.lam * nodes) * np.prod(ratios, axis=-1)) @ self.w)
+        ratios = (self.at_j / factors)[..., None, :] * self.one_minus_x + self.x
+        q_ratio = np.exp(np.log(ratios) @ self.mu)  # Q(w)/Q(d) at the nodes
+        out = (d - self.j_d) * (q_ratio * (self.w0 - np.multiply.outer(d, self.w1))).sum(axis=-1)
         if self.j_at:
-            out = out + self.j_at / np.prod(factors, axis=-1)
+            out = out + self.j_at / np.prod(factors ** self.mu, axis=-1)
         return out
 
     def h(self, y: np.ndarray) -> np.ndarray:
@@ -383,7 +408,13 @@ class _Part:
                 bhi = y
             newton = value > 0 and vals[16] > 0
             if newton:
-                step = -math.log1p((value - target) / target) * value / (y * vals[16])
+                # log1p keeps the digits of log(value/target) near the root;
+                # far below it, its argument rounds to -1
+                if value < 0.5 * target:
+                    log_ratio = math.log(value / target)
+                else:
+                    log_ratio = math.log1p((value - target) / target)
+                step = -log_ratio * value / (y * vals[16])
                 y_new = y * math.exp(step)
                 # a converged step may round onto an end of the bracket
                 if blo <= y_new <= bhi and abs(y_new - y) <= _NEWTON_RTOL * y:
@@ -530,14 +561,15 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
 
 def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
     """Validate f once and return (u, J(u)/Q(u), S(u)), where S = Q'/Q is the
-    sum over the pairs of r_alpha/(a_alpha + u r_alpha); Q must not vanish."""
+    sum over the pairs of r_alpha/(a_alpha + u r_alpha), each distinct pair
+    weighted by its multiplicity; Q must not vanish."""
     u = _check_f(profile, f)
     left, right, split = profile._parts
     part, d = (right, profile.u_sup - u) if u > split else (left, u)
     factors = part.factors(d)
     if not np.all(factors > 0):
         raise DomainError(f"chamber polynomial vanishes at f = {f}")
-    return u, float(part.jq(d, factors)), float(part.r @ (1.0 / factors))
+    return u, float(part.jq(d, factors)), float(part.r @ (part.mu / factors))
 
 
 def _speed(profile: MetricProfile, jq: float) -> float:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
@@ -28,6 +29,25 @@ def sample_profiles():
         (pf.metric_profile(bd.admissible_data(diagram("B", 3, {1}), None, None, (2,)), Fraction(1)), "b3 m1"),
         (pf.metric_profile(bd.admissible_data(diagram("D", 4, {3}), 1, "left", (1,)), Fraction(2)), "d4 fork"),
     ]
+
+
+def multiplicity_profiles():
+    """Data whose pairs repeat most: D9 rank one at lambda = 0 has one pair
+    of multiplicity 16; A8 rank one at lambda = 1 has 25 pairs in 6 distinct
+    values and ends at a wall."""
+    return [
+        (pf.metric_profile(bd.admissible_data(cli.parse_diagram("D9:*oooooooo"), None, None, (16,)), 0),
+         "d9 one pair"),
+        (pf.metric_profile(bd.admissible_data(cli.parse_diagram("A8:**oooo*o"), None, None, (-1, 0, -2)), 1),
+         "a8 wall"),
+    ]
+
+
+def grouping_profiles():
+    """`sample_profiles`, a wall at lambda = 1 and `multiplicity_profiles`."""
+    wall = pf.metric_profile(bd.admissible_data(diagram("B", 3, {1}), None, None, (-1,)), 1)
+    assert math.isfinite(wall.f_sup)
+    return sample_profiles() + [(wall, "b3 wall")] + multiplicity_profiles()
 
 
 def test_point_orbit_flat_profile():
@@ -91,10 +111,12 @@ def test_polynomial_p_structure():
 
 def test_polynomial_p_matches_pair_product():
     prof = pf.metric_profile(a11_data((1, 1)), Fraction(1))
+    _, mult = prof._distinct_pairs
     for u in (0.1, 0.4, 0.9):
         via_q = float(_horner(_exact_q(prof), Fraction(u)))
+        # one factor per distinct pair, raised to its multiplicity
         factors = prof._parts[0].factors(u)
-        assert math.isclose(math.prod(factors.tolist()), via_q, rel_tol=1e-9)
+        assert math.isclose(math.prod(f ** k for f, k in zip(factors.tolist(), mult)), via_q, rel_tol=1e-9)
 
 
 def test_t_of_f_basics():
@@ -234,12 +256,16 @@ def exact_f_ddot(prof, f):
 
 
 def test_f_ddot_matches_exact_rational_value():
-    wall = pf.metric_profile(bd.admissible_data(diagram("B", 3, {1}), None, None, (-1,)), 1)
-    assert math.isfinite(wall.f_sup)
-    for prof, label in sample_profiles() + [(wall, "b3 wall")]:
+    # on both parts, where each distinct pair is weighted by its multiplicity
+    for prof, label in grouping_profiles():
+        pairs, mult = prof._distinct_pairs
+        assert sum(mult) == len(prof.pairs) and len(set(pairs)) == len(pairs), label
         hi = 0.9 * prof.f_sup if math.isfinite(prof.f_sup) else 4 * prof.kappa
-        for i in range(1, 11):
-            f = hi * i / 10
+        fs = [hi * i / 10 for i in range(1, 11)]
+        _, right, split = prof._parts
+        if right is not None:
+            fs += [prof.kappa * (split + (prof.u_sup - split) * x) for x in (0.1, 0.5, 0.9)]
+        for f in fs:
             exact, scale = exact_f_ddot(prof, f)
             assert abs(pf.f_ddot(prof, f) - exact) <= 1e-12 * scale, (label, f)
 
@@ -346,6 +372,26 @@ def test_exact_j_matches_fraction_expansion():
                 assert prof._j_exact(x) == _horner(jc, x), (key, chi, lam, x)
 
 
+def test_inner_rule_matches_exact_j_over_q():
+    # the inner Gauss rule integrates its degree-(n + 1) integrand exactly:
+    # J/Q on both parts against the expansion of J over the pair product.
+    # For lambda > 0 the right part integrates from u_end, where J is taken
+    # to be j_end (0 at a turning point rounded to a float)
+    for prof, label in grouping_profiles():
+        jc = _exact_j(prof)
+        left, right, _ = prof._parts
+        u_end, j_end = prof._end
+        for part, anchor, sign in ((left, Fraction(0), 1), (right, u_end, -1)):
+            if part is None:
+                continue
+            offset = j_end - _horner(jc, u_end) if sign < 0 and prof.lam > 0 else 0
+            d = (part.extent * np.arange(1, 10) / 10) ** 2
+            for di, got in zip(d.tolist(), part.jq(d, part.factors(d)).tolist()):
+                u = anchor + sign * Fraction(di)
+                exact = float((_horner(jc, u) + offset) / math.prod(a + u * r for a, r in prof.pairs))
+                assert abs(got - exact) <= 1e-12 * exact, (label, sign, di)
+
+
 def _reference_t(prof, jc, f):
     """t(f) = int_0^{f/kappa} sqrt(Q/(2J)) du by tanh-sinh at 30 digits, with
     u = v^2 taking out the inverse square root at 0."""
@@ -433,7 +479,7 @@ def interior_times(prof, n):
 def test_f_of_t_matches_mpmath_reference():
     # t(f) by tanh-sinh in mpmath at the computed f gives back t: an oracle
     # on f that shares only the exact pairs with the panel table
-    for prof, label in inversion_profiles():
+    for prof, label in inversion_profiles() + multiplicity_profiles():
         jc = _exact_j(prof)
         for t in interior_times(prof, 8)[1]:
             ref = _reference_t(prof, jc, pf.f_of_t(prof, t))
@@ -487,6 +533,21 @@ def test_converged_step_onto_the_bracket_needs_no_bisection(monkeypatch, capsys)
     assert cli.main(argv) == 0
     assert "f(t)" in capsys.readouterr().out
     assert calls[0] <= 15
+
+
+def test_f_of_t_from_a_start_far_below_the_root(monkeypatch):
+    # Newton from 1e-18 of the interpolant's root: value/target is so small
+    # that (value - target)/target rounds to -1; the step takes log(value /
+    # target) there and lands on the same f
+    data = bd.admissible_data(cli.parse_diagram("A5:o*ooo"), 3, "left", (1,))
+    prof = pf.metric_profile(data, 1)
+    t_hi = pf.t_of_f(prof, 0.5 * prof.f_sup)
+    ts = [1e-10 * t_hi, 1e-100 * t_hi]
+    expected = [pf.f_of_t(prof, t) for t in ts]
+    root = pf._interpolant_root
+    monkeypatch.setattr(pf, "_interpolant_root", lambda series, tau: root(series, tau) * 1e-18)
+    for t, f in zip(ts, expected):
+        assert math.isclose(pf.f_of_t(prof, t), f, rel_tol=1e-12), t
 
 
 def test_verdiani_passes_on_admitted_data():
