@@ -2,8 +2,8 @@
 vector bundles over flag manifolds of the classical groups."""
 
 from .rootspace import Algebra, Weight, fundamental_weight, inner, positive_roots, simple_roots
-from .painted import KoszulData, PaintedDiagram, chamber_contains, diagram, is_hodge, \
-    kaehler_coefficients, koszul, koszul_rule, r_m_plus, white_components
+from .painted import KoszulData, PaintedDiagram, chamber_contains, diagram, koszul, \
+    koszul_rule, r_m_plus, white_components
 from .bundle import AdmissibleData, StringInfo, admissible_data, eligible_strings, flag_f, \
     kappa, kappa_z0_form, kappa_z0_oracle, koszul_update_check
 from .einstein import EinsteinVerdict, classify, z0_face_point, z0_form
@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algebra", "Weight", "fundamental_weight", "inner", "positive_roots", "simple_roots",
-    "KoszulData", "PaintedDiagram", "chamber_contains", "diagram", "is_hodge",
-    "kaehler_coefficients", "koszul", "koszul_rule", "r_m_plus", "white_components",
+    "KoszulData", "PaintedDiagram", "chamber_contains", "diagram", "koszul", "koszul_rule",
+    "r_m_plus", "white_components",
     "AdmissibleData", "StringInfo", "admissible_data", "eligible_strings", "flag_f", "kappa",
     "kappa_z0_form", "kappa_z0_oracle", "koszul_update_check",
     "EinsteinVerdict", "classify", "z0_face_point", "z0_form",

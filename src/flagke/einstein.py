@@ -22,6 +22,10 @@ segment continues to a ray in the chamber for lambda != 0), which
 Koszul-number drops d_j of `bundle.neighbour_drops`: k_j > d_j/m at the
 left end, k_j < -d_j/m at the right end, k_j > 0 for rank one (d_j = 0 for
 a black node that is not a neighbour of the string).
+
+Bounds are built from integer numerators over m (no Fraction products), their
+integer edges by floor division, and one `Bound` object is shared per
+(node, op, numerator, m), since bounds are immutable.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
 from typing import Optional
 
 from . import bundle as bd
@@ -50,8 +53,11 @@ class Bound:
     edge: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = self.value
-        object.__setattr__(self, "edge", ceil(v) - 1 if self.op == "<" else floor(v) + 1)
+        op, v = self.op, self.value
+        if op not in ("<", ">") or not isinstance(v, (int, Fraction)):
+            raise UsageError(f"a bound needs op '<' or '>' and an exact value, got {op!r} {v!r}")
+        p, q = v.numerator, v.denominator
+        object.__setattr__(self, "edge", -(-p // q) - 1 if op == "<" else p // q + 1)
 
     def holds(self, k: int) -> bool:
         return k <= self.edge if self.op == "<" else k >= self.edge
@@ -109,6 +115,12 @@ class Criterion:
 
 
 @lru_cache(maxsize=None)
+def _bound(node: int, op: str, p: int, q: int) -> Bound:
+    """The bound ``k_<node> <op> p/q`` (q > 0), one shared object per key."""
+    return Bound(node, op, Fraction(p, q))
+
+
+@lru_cache(maxsize=None)
 def criterion(s0: pd.PaintedDiagram,
               string: Optional[bd.StringInfo],
               beta_end: Optional[str]) -> Criterion:
@@ -119,16 +131,15 @@ def criterion(s0: pd.PaintedDiagram,
     m = 1 if string is None else string.m
     # the right end mirrors the left one through k_j -> -k_j
     sign = -1 if beta_end == "right" else 1
-    limits = [sign * Fraction(n, m) for n in ns]
     below, above = ("<", ">") if sign > 0 else (">", "<")
-    integral = all(v.denominator == 1 for v in limits)
+    integral = all(n % m == 0 for n in ns)
     drops = {} if string is None else dict(bd.neighbour_drops(string, beta_end))
     return Criterion(
         numbers=ns,
-        required_chi=tuple(int(v) for v in limits) if integral else None,
-        pos=tuple(Bound(j, below, v) for j, v in zip(nodes, limits)),
-        neg=tuple(Bound(j, above, v) for j, v in zip(nodes, limits)),
-        ray=tuple(Bound(j, above, sign * Fraction(drops.get(j, 0), m)) for j in nodes),
+        required_chi=tuple(sign * n // m for n in ns) if integral else None,
+        pos=tuple(_bound(j, below, sign * n, m) for j, n in zip(nodes, ns)),
+        neg=tuple(_bound(j, above, sign * n, m) for j, n in zip(nodes, ns)),
+        ray=tuple(_bound(j, above, sign * drops.get(j, 0), m) for j in nodes),
     )
 
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
 from . import rootspace as rs
-from .errors import ConfigurationError, DomainError, UsageError
+from .errors import ConfigurationError, DomainError
 
 
 @dataclass(frozen=True)
@@ -176,16 +175,3 @@ def chamber_contains(dg: PaintedDiagram, xi: rs.Weight) -> bool:
     black = dg.black
     return all(c > 0 if i in black else c == 0 for i, c in enumerate(coords, start=1))
 
-
-def kaehler_coefficients(dg: PaintedDiagram, xi: rs.Weight) -> dict[rs.Weight, Fraction]:
-    """The per-root coefficients 2<alpha, xi>/<alpha, alpha> over R_m^+."""
-    coords = rs.fundamental_coordinates(dg.algebra, xi)
-    if any(coords[i - 1] for i in dg.white):
-        raise UsageError("xi must be orthogonal to every white simple root")
-    return {a: 2 * rs.inner(a, xi) / rs.inner(a, a) for a in r_m_plus(dg)}
-
-
-def is_hodge(dg: PaintedDiagram, xi: rs.Weight) -> bool:
-    """True iff xi has integer coordinates over the black fundamental weights."""
-    coords = rs.fundamental_coordinates(dg.algebra, xi)
-    return all(coords[j - 1].denominator == 1 for j in dg.black)

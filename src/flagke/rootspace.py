@@ -262,17 +262,21 @@ def fundamental_combination(algebra: Algebra, nodes: Sequence[int], ks: Sequence
 
 
 @lru_cache(maxsize=None)
-def _simple_coroots(algebra: Algebra) -> tuple[Weight, ...]:
-    """2 alpha_i / <alpha_i, alpha_i>, which pair with a weight to give its
-    fundamental-weight coordinates."""
-    return tuple((2 / inner(alpha, alpha)) * alpha for alpha in simple_roots(algebra))
+def _simple_root_norms(algebra: Algebra) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each simple root's integer numerators (its denominator is 1) with their
+    square sum."""
+    return tuple((alpha.num, sum(map(mul, alpha.num, alpha.num))) for alpha in simple_roots(algebra))
 
 
 def fundamental_coordinates(algebra: Algebra, w: Weight) -> tuple[Fraction, ...]:
     """Coordinates of `w` over the fundamental weights, 2<w, alpha_i>/<alpha_i, alpha_i>
-    (Humphreys, Introduction to Lie Algebras and Representation Theory, 13.1);
-    `inner` rejects a weight of another algebra."""
-    return tuple(inner(w, v) for v in _simple_coroots(algebra))
+    (Humphreys, Introduction to Lie Algebras and Representation Theory, 13.1).
+    The Killing normalisation cancels, so each is one integer dot product:
+    2 (w.num . alpha_i) / (w.den |alpha_i|^2)."""
+    if w.algebra != algebra:
+        raise UsageError(f"algebra mismatch: {algebra} vs {w.algebra}")
+    num, den = w.num, w.den
+    return tuple(Fraction(2 * sum(map(mul, num, a)), den * sq) for a, sq in _simple_root_norms(algebra))
 
 
 @lru_cache(maxsize=None)

@@ -59,6 +59,12 @@ def trace_inner(alg: rs.Algebra, x: rs.Weight, y: rs.Weight) -> Fraction:
     return factor * sum(a * b for a, b in zip(diag_x, diag_y))
 
 
+def trace_coordinates(alg: rs.Algebra, x: rs.Weight) -> tuple[Fraction, ...]:
+    """Coordinates of `x` over the fundamental weights, 2<x, alpha_i>/<alpha_i, alpha_i>,
+    paired by `trace_inner` instead of rootspace."""
+    return tuple(2 * trace_inner(alg, x, a) / trace_inner(alg, a, a) for a in rs.simple_roots(alg))
+
+
 def all_diagrams(family: str, rank: int):
     """Every painting of the given diagram, all-white included."""
     from flagke import painted as pd

@@ -217,10 +217,30 @@ def test_bound_edges_match_fraction_comparison(cases):
         assert b.holds(k) == truth, (op, value, k, b.edge)
         assert es.satisfied((b,), (k,)) == truth
         assert str(b) == f"k_{node} {op} {value}"
+        shared = es._bound(node, op, p, q)
+        assert shared.holds(k) == truth, (op, p, q, k, shared.edge)
+        assert shared is es._bound(node, op, p, q)
+        assert shared == b and shared.edge == b.edge and str(shared) == str(b)
         bounds.append(b)
         chi.append(k)
         direct.append(truth)
     assert es.satisfied(tuple(bounds), tuple(chi)) == all(direct)
+
+
+def test_bound_rejects_unknown_op_and_inexact_value():
+    with pytest.raises(UsageError):
+        es.Bound(1, "<=", Fraction(3, 2))
+    with pytest.raises(UsageError):
+        es.Bound(1, "<", 1.5)
+    assert es.Bound(1, "<", 2).edge == 1
+
+
+def test_strings_of_one_length_share_bound_objects():
+    dg = diagram("A", 5, {2, 4})  # A5:o*o*o, m = 2 strings at nodes 1 and 3
+    first, third = (es.criterion(dg, bd.string_at(dg, start), "left") for start in (1, 3))
+    assert [str(b) for b in first.pos] == ["k_2 < 2", "k_4 < 2"]
+    assert all(a is b for a, b in zip(first.pos, third.pos))
+    assert all(a is b for a, b in zip(first.neg, third.neg))
 
 
 @st.composite

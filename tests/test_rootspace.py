@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import rootspace as rs
 from flagke.errors import ConfigurationError, UsageError
 
-from conftest import FAMILY_MIN_RANK, trace_inner, zero_weight
+from conftest import FAMILY_MIN_RANK, trace_coordinates, trace_inner, zero_weight
 
 
 def w(alg, *coeffs):
@@ -183,6 +183,21 @@ def test_fundamental_coordinates_to_rank_16():
                 assert rs.fundamental_coordinates(alg, rs.fundamental_weight(alg, i)) == unit, (fam, rank, i)
             rows = [rs.fundamental_coordinates(alg, alpha) for alpha in rs.simple_roots(alg)]
             assert rows == [tuple(row) for row in cartan_matrix(fam, rank)], (fam, rank)
+
+
+@st.composite
+def weights_to_rank_16(draw):
+    """A weight of A-D at ranks 1-16 with small rational epsilon coordinates."""
+    fam = draw(st.sampled_from(rs.FAMILIES))
+    alg = rs.Algebra(fam, draw(st.integers(FAMILY_MIN_RANK[fam], 16)))
+    coord = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return rs.Weight(alg, draw(st.lists(coord, min_size=alg.ambient_dim, max_size=alg.ambient_dim)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(weights_to_rank_16())
+def test_fundamental_coordinates_match_trace_form(x):
+    assert rs.fundamental_coordinates(x.algebra, x) == trace_coordinates(x.algebra, x)
 
 
 def test_algebra_validation():
