@@ -18,20 +18,22 @@ Painting the end root beta black lowers the Koszul number of each black
 neighbour of the string by an integer d_j that depends only on how the
 neighbour attaches; `neighbour_drops` is the single table of these drops.
 
-Two dual computations of the sign-normalised form xi_0 of kappa*Z^0 are kept
-deliberately separate: `kappa_z0_form` assembles it from black fundamental
-weights with the coefficients d_j/m of `neighbour_drops`, `kappa_z0_oracle`
-from the virtual epsilon sequence alone; neither reads the other's tables.
-Both are one integer reduction of chi's numerators against a chi-free
-integer tuple cached per (diagram, string, end).  They must agree exactly.
+What does not depend on chi is kept once per (diagram, string, end) in an
+`End` record, built on first use by `end_of`; a datum holds its record and
+chi's integer numerators over the black fundamental weights, one integer
+product per datum.  Two dual computations of the sign-normalised form xi_0
+of kappa*Z^0 are kept deliberately separate: `kappa_z0_form` adds +-m chi to
+the base m pi_beta - sum d_j pi_j of `neighbour_drops`, `kappa_z0_oracle`
+adds m chi to the virtual epsilon vector and normalises the sign by <beta,
+xi>; they share only chi's numerators, and they must agree exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, sqrt
+from math import sqrt
 from operator import index, mul
 from typing import Optional
 
@@ -104,40 +106,103 @@ def eligible_strings(dg: pd.PaintedDiagram) -> tuple[StringInfo, ...]:
     return tuple(sorted(out, key=lambda s: s.start))
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class End:
+    """The chi-free half of every datum on one (diagram, string, end),
+    compared by identity: one record per key, built on first use by `end_of`.
+
+    `pi` holds the black fundamental weights as integer columns over `den`,
+    one row per epsilon coordinate, so chi's numerators are one integer
+    product `pi_sum(chi)`.  `form_base` is m pi_beta - sum d_j pi_j over
+    `den` (zero for rank one), `oracle_w` the virtual-epsilon vector
+    (m - 1) e_beta - sum of the other e_i, with denominator 1.
+    """
+
+    s0: pd.PaintedDiagram
+    string: Optional[StringInfo]
+    beta_end: Optional[str]
+    m: int
+    beta_node: Optional[int]
+    beta_root: tuple[int, ...]  # numerators of the simple root beta (empty for rank one)
+    flag: pd.PaintedDiagram     # s0 with beta painted black
+    drops: tuple[tuple[int, int], ...]  # `neighbour_drops`
+    den: int
+    pi: tuple[tuple[int, ...], ...]
+    form_base: tuple[int, ...]
+    oracle_w: tuple[int, ...]
+
+    def pi_sum(self, ks) -> tuple[int, ...]:
+        """Numerators over `den` of sum k_j pi_j, k aligned with the black nodes."""
+        return tuple([sum(map(mul, ks, row)) for row in self.pi])
+
+
+@lru_cache(maxsize=None)
+def end_of(s0: pd.PaintedDiagram, start: Optional[int], beta_end: Optional[str]) -> End:
+    """The `End` of the eligible string of `s0` whose least node is `start`
+    (rank one: ``None, None``)."""
+    if beta_end not in ((None,) if start is None else ("left", "right")):
+        raise UsageError(f"beta_end must be 'left' or 'right' with a string, None without, got {beta_end!r}")
+    alg, n = s0.algebra, s0.algebra.ambient_dim
+    den, cols = rs.fundamental_numerators(alg)
+    pi = _black_pi(s0)
+    if start is None:
+        return End(s0, None, None, 1, None, (), s0, (), den, pi, (0,) * n, (0,) * n)
+    info = next((s for s in eligible_strings(s0) if s.start == start), None)
+    if info is None:
+        raise UsageError(f"{s0.key()}: no eligible white string starting at node {start}")
+    m, drops = info.m, neighbour_drops(info, beta_end)
+    beta = info.nodes[0] if beta_end == "left" else info.nodes[-1]
+    base = [m * a - sum(d * cols[j - 1][i] for j, d in drops) for i, a in enumerate(cols[beta - 1])]
+    seq = info.eps_seq[::-1] if beta_end == "right" else info.eps_seq
+    w = [0] * n
+    for i, (sign, idx) in enumerate(seq):
+        w[idx - 1] += (m - 1) * sign if i == 0 else -sign
+    return End(s0, info, beta_end, m, beta, rs.simple_roots(alg)[beta - 1].num,
+               pd.PaintedDiagram(alg, s0.black | {beta}), drops, den, pi, tuple(base), tuple(w))
+
+
+@lru_cache(maxsize=None)
+def _black_pi(s0: pd.PaintedDiagram) -> tuple[tuple[int, ...], ...]:
+    """`End.pi` of s0, one object shared by the ends of one diagram."""
+    cols = rs.fundamental_numerators(s0.algebra)[1]
+    return tuple(zip(*(cols[j - 1] for j in s0.black_nodes))) or ((),) * s0.algebra.ambient_dim
+
+
 @dataclass(frozen=True)
 class AdmissibleData:
-    """(A_{m-1}, chi, beta) over a painted singular-orbit diagram; m = 1 drops the string."""
+    """(A_{m-1}, chi, beta) over a painted singular-orbit diagram; m = 1 drops the
+    string.  Derived, not compared: `end` and chi's numerators over `end.den`."""
 
     s0: pd.PaintedDiagram
     string: Optional[StringInfo]
     beta_end: Optional[str]  # 'left' | 'right'
     chi: tuple[int, ...]     # over black nodes of s0 in ascending order; integers only
+    end: End = field(init=False, repr=False, compare=False)
+    chi_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.string is None) != (self.beta_end is None):
-            raise UsageError("string and beta_end must be given together")
-        if self.beta_end not in (None, "left", "right"):
-            raise UsageError(f"beta_end must be 'left' or 'right', got {self.beta_end!r}")
+        end = end_of(self.s0, None if self.string is None else self.string.start, self.beta_end)
+        if end.string is not self.string and end.string != self.string:
+            raise UsageError(f"{self.string} is not an eligible string of {self.s0.key()}")
         try:  # the bounds are integer edges, exact only for integer chi
-            object.__setattr__(self, "chi", tuple(map(index, self.chi)))
+            chi = tuple(map(index, self.chi))
         except TypeError as exc:
             raise UsageError(f"chi entries must be integers, got {self.chi!r}") from exc
-        if len(self.chi) != len(self.s0.black):
-            raise UsageError(
-                f"chi has {len(self.chi)} entries, diagram has {len(self.s0.black)} black nodes"
-            )
-        if self.string is None and not any(self.chi):
+        if len(chi) != len(self.s0.black):
+            raise UsageError(f"chi has {len(chi)} entries, diagram has {len(self.s0.black)} black nodes")
+        if self.string is None and not any(chi):
             raise DomainError("rank-one bundle with chi = 0 is degenerate")
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "chi_num", end.pi_sum(chi))
 
     @property
     def m(self) -> int:
-        return 1 if self.string is None else self.string.m
+        return self.end.m
 
     @property
     def beta_node(self) -> Optional[int]:
-        if self.string is None:
-            return None
-        return self.string.nodes[0] if self.beta_end == "left" else self.string.nodes[-1]
+        return self.end.beta_node
 
     @property
     def black_nodes(self) -> tuple[int, ...]:
@@ -153,45 +218,12 @@ def admissible_data(
     """Build AdmissibleData, resolving the string by its least node index."""
     if string_start is None:
         return AdmissibleData(s0, None, None, chi)
-    return AdmissibleData(s0, string_at(s0, string_start), beta_end, chi)
-
-
-def string_at(s0: pd.PaintedDiagram, start: int) -> StringInfo:
-    """The eligible string of `s0` whose least node index is `start`."""
-    for info in eligible_strings(s0):
-        if info.start == start:
-            return info
-    raise UsageError(f"{s0.key()}: no eligible white string starting at node {start}")
+    return AdmissibleData(s0, end_of(s0, string_start, beta_end).string, beta_end, chi)
 
 
 def flag_f(data: AdmissibleData) -> pd.PaintedDiagram:
     """The flag of the regular orbits: s0 with the end root beta painted black."""
-    if data.string is None:
-        return data.s0
-    return pd.PaintedDiagram(data.s0.algebra, data.s0.black | {data.beta_node})
-
-
-def chi_weight(data: AdmissibleData) -> rs.Weight:
-    """chi as a weight: sum of k_j times the black fundamental weights."""
-    return _chi_weight_cached(data.s0.algebra, data.black_nodes, data.chi)
-
-
-@lru_cache(maxsize=65536)
-def _chi_weight_cached(alg: rs.Algebra, nodes: tuple[int, ...], chi: tuple[int, ...]) -> rs.Weight:
-    return rs.fundamental_combination(alg, nodes, chi)
-
-
-@lru_cache(maxsize=None)
-def _string_w(alg: rs.Algebra, eps_seq: tuple, beta_end: str) -> tuple[int, ...]:
-    """Numerators of w = (m-1) e_edge - sum of the other virtual epsilons,
-    edge by beta_end."""
-    seq = tuple(reversed(eps_seq)) if beta_end == "right" else eps_seq
-    num = [0] * alg.ambient_dim
-    sign0, idx0 = seq[0]
-    num[idx0 - 1] += (len(seq) - 1) * sign0
-    for sign, idx in seq[1:]:
-        num[idx - 1] -= sign
-    return tuple(num)
+    return data.end.flag
 
 
 def kappa_z0_oracle(data: AdmissibleData) -> rs.Weight:
@@ -199,13 +231,12 @@ def kappa_z0_oracle(data: AdmissibleData) -> rs.Weight:
     i.e. +-(m chi + den w) over m den for chi = num/den.  The integer dot
     product with beta's numerators has the sign of <beta, xi>: a root is
     trace-free, so the family-A projection drops out."""
-    chi = chi_weight(data)
-    if data.string is None:
-        return chi
-    alg, m, den = data.s0.algebra, data.m, chi.den
-    w = _string_w(alg, data.string.eps_seq, data.beta_end)
-    num = [m * a + den * b for a, b in zip(chi.num, w)]
-    val = sum(map(mul, rs.simple_roots(alg)[data.beta_node - 1].num, num))
+    end, alg = data.end, data.s0.algebra
+    if end.m == 1:
+        return rs.Weight.from_numerators(alg, data.chi_num, end.den)
+    m, den = end.m, end.den
+    num = [m * a + den * b for a, b in zip(data.chi_num, end.oracle_w)]
+    val = sum(map(mul, end.beta_root, num))
     if val == 0:
         raise AssertionError(f"degenerate sign normalisation for {data}")
     return rs.Weight.from_numerators(alg, tuple(num if val > 0 else [-a for a in num]), m * den)
@@ -218,29 +249,12 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
 
     with +chi at the left end and -chi at the right.  <beta, xi_0> > 0 holds
     without a sign flip: beta is white, so only pi_beta pairs with it.
+    Over m den it is +-m chi + `form_base`.
     """
-    chi = chi_weight(data)
-    if data.string is None:
-        return chi
-    alg = data.s0.algebra
-    base, den = _form_base(alg, data.string, data.beta_end, data.beta_node)
-    scale = den // chi.den if data.beta_end == "left" else -(den // chi.den)
-    return rs.Weight.from_numerators(alg, tuple([scale * a + b for a, b in zip(chi.num, base)]), den)
-
-
-@lru_cache(maxsize=None)
-def _form_base(alg: rs.Algebra, info: StringInfo, beta_end: str,
-               beta_node: int) -> tuple[tuple[int, ...], int]:
-    """The chi-independent part pi_beta - sum (d_j/m) pi_j of the dual-form
-    formula as (numerators, m * d), with d the lcm of the denominators of the
-    fundamental weights, which the denominator of every chi weight divides."""
-    m = info.m
-    drops = neighbour_drops(info, beta_end)
-    nodes = (beta_node,) + tuple(node for node, _ in drops)
-    ks = (m,) + tuple(-d for _, d in drops)
-    sum_pi = rs.fundamental_combination(alg, nodes, ks)
-    d = lcm(*(rs.fundamental_weight(alg, i).den for i in range(1, alg.rank + 1)))
-    return tuple(a * (d // sum_pi.den) for a in sum_pi.num), m * d
+    end = data.end
+    scale = -end.m if data.beta_end == "right" else end.m
+    num = tuple([scale * a + b for a, b in zip(data.chi_num, end.form_base)])
+    return rs.Weight.from_numerators(data.s0.algebra, num, end.m * end.den)
 
 
 def kappa_sq(xi0: rs.Weight) -> Fraction:
@@ -286,7 +300,7 @@ def predicted_koszul_update(data: AdmissibleData) -> dict[int, int]:
     if data.m == 1:
         raise UsageError("koszul update is defined for m > 1 only")
     predicted = dict(pd.koszul(data.s0).numbers) if data.s0.black else {}
-    for node, d in neighbour_drops(data.string, data.beta_end):
+    for node, d in data.end.drops:
         predicted[node] -= d
     predicted[data.beta_node] = data.m
     return predicted

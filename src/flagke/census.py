@@ -95,12 +95,12 @@ def _all_masks(rank: int) -> Iterator[frozenset[int]]:
 def _record_for(dg: pd.PaintedDiagram,
                 string_start: Optional[int],
                 beta_end: Optional[str]) -> CensusRecord:
-    string = None if string_start is None else bd.string_at(dg, string_start)
-    crit = es.criterion(dg, string, beta_end)
+    end = bd.end_of(dg, string_start, beta_end)
+    crit = es.criterion(end)
 
     def checked(chi: tuple[int, ...]) -> tuple[bd.AdmissibleData, Fraction]:
         """The datum of `chi` and its kappa^2, from the cross-checked xi_0."""
-        data = bd.AdmissibleData(dg, string, beta_end, chi)
+        data = bd.AdmissibleData(dg, end.string, beta_end, chi)
         xi0 = bd.kappa_z0_form(data)
         if data.m > 1 and xi0 != bd.kappa_z0_oracle(data):
             raise AssertionError(f"dual-form mismatch for {data}")
@@ -112,14 +112,14 @@ def _record_for(dg: pd.PaintedDiagram,
     out = {}
     for tag, bounds in (("pos", crit.pos), ("neg", crit.neg)):
         witness = smallest_witness(bounds)
-        if string is None and not any(witness):
+        if string_start is None and not any(witness):
             witness = _nonzero_witness(bounds, witness)
         data, ksq = checked(witness)
         if not es.satisfied(bounds, witness):
             raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
         out[tag] = (witness, ksq, es.satisfied(crit.ray, witness))
     # the update relations do not depend on chi: one datum of the record checks them
-    if string is not None and not bd.koszul_update_check(data):
+    if string_start is not None and not bd.koszul_update_check(data):
         raise AssertionError(f"Koszul update relations fail for {data}")
 
     return CensusRecord(

@@ -23,9 +23,9 @@ Koszul-number drops d_j of `bundle.neighbour_drops`: k_j > d_j/m at the
 left end, k_j < -d_j/m at the right end, k_j > 0 for rank one (d_j = 0 for
 a black node that is not a neighbour of the string).
 
-Bounds are built from integer numerators over m (no Fraction products), their
-integer edges by floor division, and one `Bound` object is shared per
-(node, op, numerator, m), since bounds are immutable.
+`criterion` builds the chi-free half once per `bundle.End` record: bounds
+from integer numerators over m, their integer edges by floor division, and
+one shared `Bound` object per (node, op, numerator, m), as bounds are immutable.
 """
 
 from __future__ import annotations
@@ -121,19 +121,17 @@ def _bound(node: int, op: str, p: int, q: int) -> Bound:
 
 
 @lru_cache(maxsize=None)
-def criterion(s0: pd.PaintedDiagram,
-              string: Optional[bd.StringInfo],
-              beta_end: Optional[str]) -> Criterion:
-    """Bounds and lambda = 0 character over s0; rank one passes ``None, None``."""
-    nodes = s0.black_nodes
-    numbers = pd.koszul(s0).numbers if nodes else {}
+def criterion(end: bd.End) -> Criterion:
+    """Bounds and lambda = 0 character of one `bundle.End`, shared by its data."""
+    nodes = end.s0.black_nodes
+    numbers = pd.koszul(end.s0).numbers if nodes else {}
     ns = tuple(numbers[j] for j in nodes)
-    m = 1 if string is None else string.m
+    m = end.m
     # the right end mirrors the left one through k_j -> -k_j
-    sign = -1 if beta_end == "right" else 1
+    sign = -1 if end.beta_end == "right" else 1
     below, above = ("<", ">") if sign > 0 else (">", "<")
     integral = all(n % m == 0 for n in ns)
-    drops = {} if string is None else dict(bd.neighbour_drops(string, beta_end))
+    drops = dict(end.drops)
     return Criterion(
         numbers=ns,
         required_chi=tuple(sign * n // m for n in ns) if integral else None,
@@ -145,7 +143,7 @@ def criterion(s0: pd.PaintedDiagram,
 
 def classify(data: bd.AdmissibleData) -> EinsteinVerdict:
     """Apply the rank-m and rank-1 existence criteria to `data`."""
-    crit = criterion(data.s0, data.string, data.beta_end)
+    crit = criterion(data.end)
     return EinsteinVerdict(
         lambda_zero=LambdaZeroVerdict(crit.required_chi == data.chi, crit.required_chi),
         lambda_pos=LambdaPosVerdict(satisfied(crit.pos, data.chi), crit.pos),
@@ -160,16 +158,17 @@ def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
     lam = Fraction(lam)
     if lam == 0:
         raise UsageError("z0_form needs lambda != 0; use z0_face_point for lambda = 0")
-    crit = criterion(data.s0, data.string, data.beta_end)
+    crit = criterion(data.end)
     if not satisfied(crit.pos if lam > 0 else crit.neg, data.chi):
         sign = "lambda > 0" if lam > 0 else "lambda < 0"
         raise DomainError(f"data does not admit an Einstein metric with {sign}")
-    sign = 1 if data.beta_end == "right" else -1
-    ks = [n + sign * data.m * k for n, k in zip(crit.numbers, data.chi)]
-    return (Fraction(1) / lam) * rs.fundamental_combination(data.s0.algebra, data.black_nodes, ks)
+    end = data.end
+    sign = end.m if data.beta_end == "right" else -end.m
+    ks = [n + sign * k for n, k in zip(crit.numbers, data.chi)]
+    return (1 / lam) * rs.Weight.from_numerators(data.s0.algebra, end.pi_sum(ks), end.den)
 
 
 def z0_face_point(data: bd.AdmissibleData) -> rs.Weight:
     """Canonical Ricci-flat witness: the sum of the black fundamental weights of s0."""
-    nodes = data.black_nodes
-    return rs.fundamental_combination(data.s0.algebra, nodes, [1] * len(nodes))
+    end = data.end
+    return rs.Weight.from_numerators(data.s0.algebra, end.pi_sum([1] * len(data.chi)), end.den)

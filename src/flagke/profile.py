@@ -22,7 +22,7 @@ and at an exit where J vanishes too.  There the table holds
 tau(s) = t_sup - t, so t_sup is an exact panel sum and a query near the end
 is resolved relative to the end.  An unbounded domain has only the left
 part: [0, 1] in u, then [2^k, 2^(k+1)] for k = 0, 1, ..., added as queries
-reach them.
+reach them, up to the end of the float range (NumericsError past it).
 
 The pairs are grouped into their distinct values, each with its multiplicity
 mu (every root of one T-root has the same pair), so Q = prod (a + u r)^mu
@@ -309,7 +309,7 @@ class _Part:
         e, lam = float(orientation * (profile.m - profile.lam * anchor)), float(profile.lam)
         self.w0 = w * (e - lam * self.j_d * (1.0 - x))
         self.w1 = lam * w * x
-        self.j_at = float(j_at)
+        self.lam, self.j_at = lam, float(j_at)
         self.extent = math.sqrt(float(length))  # in y; `grow` extends it
 
     @cached_property
@@ -367,11 +367,14 @@ class _Part:
 
     def grow(self) -> None:
         """Append the panels of [2^k, 2^(k+1)] in u after the last edge
-        y = 2^(k/2) (unbounded domains)."""
+        y = 2^(k/2) (unbounded domains).  Every r >= 0 there, so for lambda < 0
+        J/Q(s u) <= s^2 J/Q(u) for s >= 1, and h takes 2 J/Q: the new panels
+        stay finite while 8 J/Q at the last edge does."""
         edges, cum, series = self.panels
-        hi = edges[-1] * math.sqrt(2.0)
-        if not math.isfinite(hi * hi):
-            raise NumericsError("the parameter range outgrew the float range")
+        hi, d = edges[-1] * math.sqrt(2.0), edges[-1] ** 2
+        jq = float(self.jq(d, self.factors(d))) if self.lam < 0 else 0.0
+        if not math.isfinite(hi * hi + 8.0 * jq):
+            raise NumericsError(f"the table of t(u) reaches the end of the float range at u = {d:.6g}")
         self._add_panels(edges, cum, series, hi)
 
     def integral(self, y: float) -> float:
@@ -489,7 +492,7 @@ def metric_profile(
             raise UsageError("z0 is free only for lambda = 0")
         xi_z0 = es.z0_form(data, lam)
     else:
-        if es.criterion(data.s0, data.string, data.beta_end).required_chi != data.chi:
+        if es.criterion(data.end).required_chi != data.chi:
             raise DomainError("data does not admit a Ricci-flat metric")
         xi_z0 = z0 if z0 is not None else es.z0_face_point(data)
         if not pd.chamber_contains(data.s0, xi_z0):
@@ -515,6 +518,8 @@ def _check_f(profile: MetricProfile, f: float) -> float:
     if f < 0:
         raise DomainError(f"f = {f} is negative")
     u = f / profile.kappa
+    if u == math.inf:
+        raise DomainError(f"f = {f} is past the float range of u = f/kappa")
     if u >= profile.u_sup:
         raise DomainError(f"f = {f} is beyond the domain end {profile.f_sup}")
     return u

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, UsageError
 
@@ -86,21 +85,12 @@ class Weight:
     with gcd(den, *num) == 1 and, for family A, sum(num) == 0, so arithmetic
     is integer arithmetic and one weight has one stored form: equality and
     hashing compare (algebra, num, den).  `coeffs` is the rational view.
+    Build one with `from_numerators`.
     """
 
     algebra: Algebra
     num: tuple[int, ...]
     den: int
-
-    def __init__(self, algebra: Algebra, coeffs: Iterable):
-        fracs = tuple(Fraction(c) for c in coeffs)
-        if len(fracs) != algebra.ambient_dim:
-            raise UsageError(f"{algebra} weights need {algebra.ambient_dim} coordinates, got {len(fracs)}")
-        den = lcm(*(f.denominator for f in fracs))
-        w = Weight.from_numerators(algebra, tuple(f.numerator * (den // f.denominator) for f in fracs), den)
-        _set(self, "algebra", algebra)
-        _set(self, "num", w.num)
-        _set(self, "den", w.den)
 
     @classmethod
     def from_numerators(cls, algebra: Algebra, num: tuple[int, ...], den: int) -> "Weight":
@@ -228,37 +218,29 @@ def inner(x: Weight, y: Weight) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def fundamental_numerators(algebra: Algebra) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, columns): the closed-form fundamental weights pi_1, ..., pi_l as
+    integer numerators over one denominator, n = ambient_dim for family A
+    (trace-free: n - k on the first k coordinates of pi_k, -k on the rest),
+    else 2 (half-integers at the B short node and the D fork tips)."""
+    ell, n = algebra.rank, algebra.ambient_dim
+    if algebra.family == "A":
+        return n, tuple(tuple([n - k] * k + [-k] * (n - k)) for k in range(1, ell + 1))
+    cols = [tuple([2] * k + [0] * (n - k)) for k in range(1, ell + 1)]
+    if algebra.family == "B":
+        cols[-1] = (1,) * n
+    elif algebra.family == "D":  # fork tips eps_{l-1} -+ eps_l
+        cols[-2:] = [(1,) * (n - 1) + (-1,), (1,) * n]
+    return 2, tuple(cols)
+
+
+@lru_cache(maxsize=None)
 def fundamental_weight(algebra: Algebra, node: int) -> Weight:
-    """Closed-form representative of the fundamental weight of a simple root."""
-    ell = algebra.rank
-    if not 1 <= node <= ell:
+    """The fundamental weight of a simple root, from `fundamental_numerators`."""
+    if not 1 <= node <= algebra.rank:
         raise UsageError(f"node {node} out of range for {algebra}")
-    n = algebra.ambient_dim
-    head = lambda k: [Fraction(1)] * k + [Fraction(0)] * (n - k)  # noqa: E731
-    fam = algebra.family
-    if fam in ("A", "C") or (fam == "B" and node < ell) or (fam == "D" and node <= ell - 2):
-        return Weight(algebra, tuple(head(node)))
-    if fam == "B":  # node == ell
-        return Weight(algebra, tuple(Fraction(1, 2) for _ in range(n)))
-    coeffs = [Fraction(1, 2)] * n
-    if node == ell - 1:  # D fork tip eps_{l-1} - eps_l
-        coeffs[-1] = Fraction(-1, 2)
-    return Weight(algebra, tuple(coeffs))
-
-
-def fundamental_combination(algebra: Algebra, nodes: Sequence[int], ks: Sequence[int]) -> Weight:
-    """sum k_j pi_j over `nodes`, accumulated as integers over a denominator
-    every pi_j divides: n = ambient_dim for family A (trace-free), else 2."""
-    den = algebra.ambient_dim if algebra.family == "A" else 2
-    acc = [0] * algebra.ambient_dim
-    for k, node in zip(ks, nodes):
-        if k:
-            pi = fundamental_weight(algebra, node)
-            scale = k * (den // pi.den)
-            for i, a in enumerate(pi.num):
-                if a:
-                    acc[i] += scale * a
-    return Weight.from_numerators(algebra, tuple(acc), den)
+    den, cols = fundamental_numerators(algebra)
+    return Weight.from_numerators(algebra, cols[node - 1], den)
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +267,7 @@ def positive_root_supports(algebra: Algebra) -> tuple[frozenset[int], ...]:
     nonzero coefficient in its simple-root expansion.  That coefficient is
     <root, pi_i> times 2/<alpha_i, alpha_i>, so it is nonzero iff the integer
     dot product of the numerators of the root and of pi_i is."""
-    pis = [fundamental_weight(algebra, i).num for i in range(1, algebra.rank + 1)]
+    pis = fundamental_numerators(algebra)[1]
     return tuple(
         frozenset(i for i, pi in enumerate(pis, start=1) if sum(map(mul, root.num, pi)))
         for root in positive_roots(algebra)

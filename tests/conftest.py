@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles used across the test suite."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,9 +15,26 @@ EXIT_ZERO = ("A1:*", "A2:*o", "A2:o*", "A3:*oo", "A3:oo*", "A4:*ooo", "A4:ooo*",
              "D3:o*o", "D3:oo*")
 
 
+def weight(alg: rs.Algebra, coeffs) -> rs.Weight:
+    """The weight of `alg` with the rational epsilon coordinates `coeffs`."""
+    fracs = [Fraction(c) for c in coeffs]
+    if len(fracs) != alg.ambient_dim:
+        raise ValueError(f"{alg} weights need {alg.ambient_dim} coordinates, got {len(fracs)}")
+    den = lcm(*(f.denominator for f in fracs))
+    return rs.Weight.from_numerators(alg, tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+
+
 def zero_weight(alg: rs.Algebra) -> rs.Weight:
     """The zero form of `alg`."""
-    return rs.Weight(alg, [0] * alg.ambient_dim)
+    return weight(alg, [0] * alg.ambient_dim)
+
+
+def pi_sum(alg: rs.Algebra, nodes, ks) -> rs.Weight:
+    """sum k_j pi_j over `nodes`, by Weight arithmetic on `fundamental_weight`."""
+    total = zero_weight(alg)
+    for node, k in zip(nodes, ks):
+        total = total + k * rs.fundamental_weight(alg, node)
+    return total
 
 
 def trace_free(w: rs.Weight) -> list[Fraction]:

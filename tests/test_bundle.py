@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams
+from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum, weight
 
 
 def test_string_eligibility_excludes_tails():
@@ -95,7 +95,7 @@ def test_admissible_data_validation():
 def test_admissible_data_rejects_non_integer_chi():
     # the Einstein bounds are integer edges, exact only for integer chi
     dg = diagram("A", 3, {2})
-    info = bd.string_at(dg, 1)
+    info = bd.end_of(dg, 1, "left").string
     for bad in (0.5, 2.0, Fraction(1, 2), Fraction(2)):
         with pytest.raises(UsageError):
             bd.AdmissibleData(dg, info, "left", (bad,))
@@ -104,6 +104,26 @@ def test_admissible_data_rejects_non_integer_chi():
     data = bd.AdmissibleData(dg, info, "left", (np.int64(2),))
     assert data.chi == (2,) and type(data.chi[0]) is int
     assert data == bd.admissible_data(dg, 1, "left", [2])
+
+
+def test_admissible_data_rejects_a_string_of_another_diagram():
+    other = bd.end_of(diagram("A", 5, {2, 4}), 1, "left").string  # nodes (1,)
+    dg = diagram("A", 5, {3})  # its string at node 1 is (1, 2)
+    with pytest.raises(UsageError):
+        bd.AdmissibleData(dg, other, "left", (0,))
+    with pytest.raises(UsageError):  # no string of A5:oo*oo starts at node 2
+        bd.AdmissibleData(dg, bd.end_of(diagram("A", 5, {1}), 2, "left").string, "left", (0,))
+    assert bd.AdmissibleData(dg, bd.end_of(dg, 1, "left").string, "left", (0,)).m == 3
+
+
+def test_end_records_are_shared_and_built_per_end():
+    dg = diagram("A", 13, {3, 7, 11})  # four strings
+    before = bd.end_of.cache_info().currsize
+    data = bd.admissible_data(dg, 4, "right", (1, 2, 3))
+    assert bd.end_of.cache_info().currsize - before <= 1
+    assert data.end is bd.end_of(dg, 4, "right") is bd.AdmissibleData(dg, data.string, "right", (0, 0, 0)).end
+    assert data.end is not bd.end_of(dg, 4, "left")
+    assert data.end.flag == diagram("A", 13, {3, 6, 7, 11}) and data.end.m == 4
 
 
 @st.composite
@@ -123,9 +143,9 @@ def test_dual_forms_match_weight_arithmetic(dg, draw):
             chi = draw.draw(st.tuples(*(st.integers(-5, 5) for _ in nodes)))
             data = bd.AdmissibleData(dg, info, end, chi)
             m, beta = info.m, rs.simple_roots(alg)[data.beta_node - 1]
-            chi_w = bd.chi_weight(data)
+            chi_w = pi_sum(alg, nodes, chi)
             drops = bd.neighbour_drops(info, end)
-            base = Fraction(1, m) * rs.fundamental_combination(
+            base = Fraction(1, m) * pi_sum(
                 alg, (data.beta_node,) + tuple(j for j, _ in drops), (m,) + tuple(-d for _, d in drops))
             form = (chi_w if end == "left" else -chi_w) + base
             assert bd.kappa_z0_form(data) == form, (dg.key(), info.nodes, end, chi)
@@ -145,7 +165,7 @@ def test_kappa_z0_form_a11_example():
     data = bd.admissible_data(dg, 1, "left", (2, 3))
     alg = dg.algebra
     chi = 2 * rs.fundamental_weight(alg, 3) + 3 * rs.fundamental_weight(alg, 6)
-    w = rs.Weight(alg, [2, -1, -1] + [0] * 9)
+    w = weight(alg, [2, -1, -1] + [0] * 9)
     assert bd.kappa_z0_form(data) == chi + Fraction(1, 3) * w
     assert bd.kappa(data)[0] == Fraction(41, 18)
 
@@ -161,7 +181,7 @@ def test_kappa_z0_form_m1_is_chi():
 def test_kappa_z0_form_b_exception_vector():
     dg = diagram("B", 4, {1, 4})
     data = bd.admissible_data(dg, 2, "left", (0, 0))
-    assert bd.kappa_z0_form(data) == rs.Weight(
+    assert bd.kappa_z0_form(data) == weight(
         dg.algebra, [0, Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)]
     )
 
@@ -171,8 +191,8 @@ def test_kappa_z0_form_d_fork_vectors():
     left = bd.admissible_data(dg, 1, "left", (0,))
     right = bd.admissible_data(dg, 1, "right", (0,))
     quarter = Fraction(1, 4)
-    assert bd.kappa_z0_form(left) == rs.Weight(dg.algebra, [3 * quarter, -quarter, -quarter, quarter])
-    assert bd.kappa_z0_form(right) == rs.Weight(dg.algebra, [quarter, quarter, quarter, 3 * quarter])
+    assert bd.kappa_z0_form(left) == weight(dg.algebra, [3 * quarter, -quarter, -quarter, quarter])
+    assert bd.kappa_z0_form(right) == weight(dg.algebra, [quarter, quarter, quarter, 3 * quarter])
 
 
 def test_right_end_sign_normalisation():
@@ -262,12 +282,14 @@ def test_kappa_against_trace_norm_formula():
         data = bd.admissible_data(dg, start, end, chi)
         c = dg.algebra.killing_constant
         m = data.m
-        expected = trace_inner(dg.algebra, bd.chi_weight(data), bd.chi_weight(data))
+        chi_w = pi_sum(dg.algebra, dg.black_nodes, chi)
+        expected = trace_inner(dg.algebra, chi_w, chi_w)
         expected += Fraction(m - 1, 2 * c * m)
         assert bd.kappa(data)[0] == expected, (fam, rank, black, start, end)
     # rank one: kappa^2 = <chi, chi> alone
     dm1 = bd.admissible_data(diagram("B", 3, {1}), None, None, (4,))
-    assert bd.kappa(dm1)[0] == trace_inner(dm1.s0.algebra, bd.chi_weight(dm1), bd.chi_weight(dm1))
+    chi_w = pi_sum(dm1.s0.algebra, (1,), (4,))
+    assert bd.kappa(dm1)[0] == trace_inner(dm1.s0.algebra, chi_w, chi_w)
 
 
 def test_koszul_update_published_example():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, diagram, einstein as es, painted as pd, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams
+from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum
 
 
 def test_published_verdicts():
@@ -237,7 +237,7 @@ def test_bound_rejects_unknown_op_and_inexact_value():
 
 def test_strings_of_one_length_share_bound_objects():
     dg = diagram("A", 5, {2, 4})  # A5:o*o*o, m = 2 strings at nodes 1 and 3
-    first, third = (es.criterion(dg, bd.string_at(dg, start), "left") for start in (1, 3))
+    first, third = (es.criterion(bd.end_of(dg, start, "left")) for start in (1, 3))
     assert [str(b) for b in first.pos] == ["k_2 < 2", "k_4 < 2"]
     assert all(a is b for a, b in zip(first.pos, third.pos))
     assert all(a is b for a, b in zip(first.neg, third.neg))
@@ -276,8 +276,8 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         if info is None and not any(chi):
             continue  # a rank-one bundle needs chi != 0
         data = bd.AdmissibleData(dg, info, end, chi)
-        xi = rs.fundamental_combination(dg.algebra, nodes, [numbers[j] for j in nodes])
-        m_chi = m * bd.chi_weight(data)
+        xi = pi_sum(dg.algebra, nodes, [numbers[j] for j in nodes])
+        m_chi = m * pi_sum(dg.algebra, nodes, chi)
         xi = xi + m_chi if end == "right" else xi - m_chi
         v = es.classify(data)
         assert v.lambda_pos.exists == pd.chamber_contains(data.s0, xi), (dg.key(), m, end, chi)
@@ -291,8 +291,14 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         if m > 1:
             assert xi0 == bd.kappa_z0_oracle(data), (dg.key(), m, end, chi)
             assert bd.koszul_update_check(data), (dg.key(), m, end)
+        # the flag's Koszul form, an exact root sum, is lambda xi_{Z_0} + m xi_0;
         # building the profile checks the vanishing order d = m - 1
+        beta = None if info is None else info.nodes[0 if end == "left" else -1]
+        flag = pd.PaintedDiagram(dg.algebra, dg.black | ({beta} - {None}))
+        assert bd.flag_f(data) == flag, (dg.key(), m, end)
         for lam, verdict in ((1, v.lambda_pos), (-1, v.lambda_neg)):
             if verdict.exists:
                 assert es.z0_form(data, lam) == lam * xi, (dg.key(), m, end, chi, lam)
+                sigma_f = pd.koszul(flag).sigma
+                assert sigma_f == lam * es.z0_form(data, lam) + m * xi0, (dg.key(), m, end, chi, lam)
                 pf.metric_profile(data, lam)

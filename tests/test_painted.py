@@ -12,7 +12,7 @@ from flagke import diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
 from conftest import FAMILY_MIN_RANK, all_diagrams, trace_coordinates, trace_free, trace_inner, \
-    zero_weight
+    weight, zero_weight
 
 
 def in_span(alg, vectors, target) -> bool:
@@ -54,11 +54,11 @@ def test_r_m_plus_examples():
     got = set(pd.r_m_plus(b3))
     alg = b3.algebra
     expect = {
-        rs.Weight(alg, [1, -1, 0]),
-        rs.Weight(alg, [1, 0, -1]),
-        rs.Weight(alg, [1, 1, 0]),
-        rs.Weight(alg, [1, 0, 1]),
-        rs.Weight(alg, [1, 0, 0]),
+        weight(alg, [1, -1, 0]),
+        weight(alg, [1, 0, -1]),
+        weight(alg, [1, 1, 0]),
+        weight(alg, [1, 0, 1]),
+        weight(alg, [1, 0, 0]),
     }
     assert got == expect
 
@@ -100,9 +100,9 @@ def test_koszul_tail_examples():
 
 def test_koszul_sigma_is_exact_root_sum():
     dg = diagram("B", 3, {1})
-    assert pd.koszul(dg).sigma == rs.Weight(dg.algebra, [5, 0, 0])
+    assert pd.koszul(dg).sigma == weight(dg.algebra, [5, 0, 0])
     dg = diagram("D", 4, {4})
-    assert pd.koszul(dg).sigma == rs.Weight(dg.algebra, [3, 3, 3, 3])
+    assert pd.koszul(dg).sigma == weight(dg.algebra, [3, 3, 3, 3])
 
 
 def test_koszul_rejects_all_white():

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from flagke import bundle as bd, cli, diagram, profile as pf, rootspace as rs
-from flagke.errors import DomainError, UsageError
+from flagke.errors import DomainError, NumericsError, UsageError
 
 from conftest import EXIT_ZERO
 
@@ -197,6 +198,35 @@ def test_queries_reject_non_finite_arguments(label, query, arg, value):
     prof = NON_FINITE_PROFILES[label]()
     with pytest.raises(DomainError, match=rf"^{arg} = {value} is not finite$"):
         query(prof, value)
+
+
+def test_unbounded_tail_is_exact_up_to_the_float_range():
+    # A1:o at lambda = -1 has the one pair (0, 1/4): Q = u/4, J = u^2/4 + u^3/12,
+    # so t(u) = int_0^u du / sqrt(a u^2 + b u), a = 2/3, b = 2, in closed form
+    prof = pf.metric_profile(point_orbit(2), -1)
+    assert prof.pairs == ((0, Fraction(1, 4)),)
+    a, b = mpmath.mpf(2) / 3, mpmath.mpf(2)
+
+    def exact(u):
+        u = mpmath.mpf(u)
+        return mpmath.log((2 * a * u + b + 2 * mpmath.sqrt(a * (a * u * u + b * u))) / b) / mpmath.sqrt(a)
+
+    for u in (1e100, 1e154):
+        assert abs(pf.t_of_f(prof, prof.kappa * u) - float(exact(u))) < 1e-10, u
+    # J/Q grows like u^2: past 2^512 it would overflow, and the query says so
+    for u in (1e160, 1e300):
+        with pytest.raises(NumericsError, match="float range"):
+            pf.t_of_f(prof, prof.kappa * u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="float range"):
+            pf.f_of_t(pf.metric_profile(point_orbit(2), -1), 500.0)
+
+
+def test_f_past_the_float_range_of_u_is_named():
+    prof = pf.metric_profile(point_orbit(2), -1)
+    with pytest.raises(DomainError, match=r"^f = 1\.7e\+308 is past the float range of u = f/kappa$"):
+        pf.t_of_f(prof, 1.7e308)
 
 
 def test_ode_residual_small_everywhere():

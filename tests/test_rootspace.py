@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from flagke import rootspace as rs
 from flagke.errors import ConfigurationError, UsageError
 
-from conftest import FAMILY_MIN_RANK, trace_coordinates, trace_inner, zero_weight
+from conftest import FAMILY_MIN_RANK, trace_coordinates, trace_inner, weight, zero_weight
 
 
 def w(alg, *coeffs):
-    return rs.Weight(alg, coeffs)
+    return weight(alg, coeffs)
 
 
 def test_simple_roots_examples():
@@ -81,7 +81,7 @@ def test_inner_matches_trace_oracle():
             vecs = list(rs.simple_roots(alg))
             vecs += [rs.fundamental_weight(alg, i) for i in range(1, rank + 1)]
             vecs += [
-                rs.Weight(alg, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.ambient_dim)])
+                weight(alg, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.ambient_dim)])
                 for _ in range(4)
             ]
             for x in vecs:
@@ -191,7 +191,7 @@ def weights_to_rank_16(draw):
     fam = draw(st.sampled_from(rs.FAMILIES))
     alg = rs.Algebra(fam, draw(st.integers(FAMILY_MIN_RANK[fam], 16)))
     coord = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-    return rs.Weight(alg, draw(st.lists(coord, min_size=alg.ambient_dim, max_size=alg.ambient_dim)))
+    return weight(alg, draw(st.lists(coord, min_size=alg.ambient_dim, max_size=alg.ambient_dim)))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -255,12 +255,12 @@ def _reference_key(alg, coeffs):
 @given(weight_cases(), RATIONALS, st.integers(-5, 5), RATIONALS)
 def test_weight_matches_fraction_tuples(case, s, k, shift):
     alg, x, y = case
-    wx, wy = rs.Weight(alg, x), rs.Weight(alg, y)
+    wx, wy = weight(alg, x), weight(alg, y)
     ref = lambda coeffs: _reference_key(alg, tuple(coeffs))  # noqa: E731
     assert wx.coeffs == ref(x) and wy.coeffs == ref(y)
     if alg.family == "A":
         assert sum(wx.num) == 0 and sum(wy.num) == 0
-    assert rs.Weight(alg, wx.coeffs) == wx
+    assert weight(alg, wx.coeffs) == wx
     assert (wx + wy).coeffs == ref(a + b for a, b in zip(x, y))
     assert (wx - wy).coeffs == ref(a - b for a, b in zip(x, y))
     assert (-wx).coeffs == ref(-a for a in x)
@@ -272,14 +272,14 @@ def test_weight_matches_fraction_tuples(case, s, k, shift):
     zero = tuple(Fraction(0) for _ in x)
     assert wx.is_zero() == (_reference_key(alg, x) == _reference_key(alg, zero))
     assert (wx - wx).is_zero() and (0 * wx).is_zero()
-    flat = rs.Weight(alg, [shift] * alg.ambient_dim)
+    flat = weight(alg, [shift] * alg.ambient_dim)
     assert flat.is_zero() == (alg.family == "A" or shift == 0)
 
     same = _reference_key(alg, x) == _reference_key(alg, y)
     assert (wx == wy) == same and (wx != wy) == (not same)
     if same:
         assert hash(wx) == hash(wy)
-    shifted = rs.Weight(alg, [a + shift for a in x])
+    shifted = weight(alg, [a + shift for a in x])
     assert (shifted == wx) == (alg.family == "A" or shift == 0)
     if alg.family == "A":
         assert hash(shifted) == hash(wx)

@@ -45,3 +45,22 @@ def test_import_loads_every_module():
                          env={**os.environ, "PYTHONPATH": str(root.parent)})
     loaded = set(out.stdout.split())
     assert expected <= loaded, sorted(expected - loaded)
+
+
+def test_no_lru_cache_has_a_fixed_size():
+    # a bounded cache thrashes once its keys outnumber it (a bare @lru_cache
+    # holds 128); every cache of the package is keyed per algebra, diagram or end
+    root = Path(flagke.__file__).resolve().parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", ()):
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "attr", getattr(target, "id", None)) != "lru_cache":
+                    continue
+                sizes = [kw.value for kw in getattr(dec, "keywords", ()) if kw.arg == "maxsize"]
+                sizes += getattr(dec, "args", [])[:1]
+                if not (sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                    found.append(f"{path.name}:{dec.lineno}")
+    assert not found, found
