@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,11 +88,6 @@ class CensusRecord:
         return json.dumps(payload, separators=(",", ":"), sort_keys=False)
 
 
-def _all_masks(rank: int) -> Iterator[frozenset[int]]:
-    for bits in range(1 << rank):
-        yield frozenset(i + 1 for i in range(rank) if bits >> i & 1)
-
-
 def _record_for(dg: pd.PaintedDiagram,
                 string_start: Optional[int],
                 beta_end: Optional[str]) -> CensusRecord:
@@ -161,9 +157,8 @@ def enumerate_records(family: str, max_rank: int) -> Iterator[CensusRecord]:
         raise ConfigurationError(f"max_rank must be in 1..{MAX_RANK_BOUND}, got {max_rank}")
     for rank in range(rs.MIN_RANK[family], max_rank + 1):
         alg = rs.Algebra(family, rank)
-        masks = sorted(_all_masks(rank), key=lambda b: pd.PaintedDiagram(alg, b).mask())
-        for black in masks:
-            dg = pd.PaintedDiagram(alg, black)
+        for mask in itertools.product("*o", repeat=rank):  # '*' < 'o': masks in sorted order
+            dg = pd.PaintedDiagram(alg, frozenset(i for i, c in enumerate(mask, start=1) if c == "*"))
             if dg.black:
                 yield _record_for(dg, None, None)  # m = 1
             for info in bd.eligible_strings(dg):

@@ -12,17 +12,18 @@ J(u) = int_0^u (m - lambda w) Q(w) dw have exact rational coefficients and
 
     t(f) = int_0^{f/kappa} sqrt(Q(u) / (2 J(u))) du .
 
-Each profile builds one table of t(u), once, in two parts that meet at the
-peak m/lambda of J for lambda > 0 and at u_end/2 otherwise.  The left part
-is in v = sqrt(u): Q vanishes to order m - 1 and J to order m at 0, so the
-integrand 2 v sqrt(Q/2J) is analytic in v.  The right part is in
-s = sqrt(u_end - u), where the integrand is analytic at a turning point (J
-has a simple zero), at a chamber wall of order k (Q has a zero of order k)
-and at an exit where J vanishes too.  There the table holds
-tau(s) = t_sup - t, so t_sup is an exact panel sum and a query near the end
-is resolved relative to the end.  An unbounded domain has only the left
-part: [0, 1] in u, then [2^k, 2^(k+1)] for k = 0, 1, ..., added as queries
-reach them, up to the end of the float range (NumericsError past it).
+Each profile builds one table of t(u), once.  Only lambda > 0 bounds the
+domain (`MetricProfile._end`), and its table has two parts that meet at the
+peak m/lambda of J.  The left part is in v = sqrt(u): Q vanishes to order
+m - 1 and J to order m at 0, so the integrand 2 v sqrt(Q/2J) is analytic in
+v.  The right part is in s = sqrt(u_end - u), where the integrand is
+analytic at a turning point (J has a simple zero), at a chamber wall of
+order k (Q has a zero of order k) and at an exit where J vanishes too.
+There the table holds tau(s) = t_sup - t, so t_sup is an exact panel sum
+and a query near the end is resolved relative to the end.  For lambda <= 0
+the domain is unbounded and has only the left part: [0, 1] in u, then
+[2^k, 2^(k+1)] for k = 0, 1, ..., added as queries reach them, up to the
+end of the float range (NumericsError past it).
 
 The pairs are grouped into their distinct values, each with its multiplicity
 mu (every root of one T-root has the same pair), so Q = prod (a + u r)^mu
@@ -33,11 +34,11 @@ that Q neither underflows nor cancels.
 
 On the right part every factor a + u r is evaluated as (a + u_end r) -
 s^2 r with a + u_end r exact, so a factor that vanishes at a wall is exactly
--s^2 r.  For lambda > 0, J there is J(u_end) plus the integral of
-(lambda w - m) Q over [u, u_end], with J(u_end) exact at a wall and 0 at a
-turning point; on the left part, and for lambda <= 0, J is integrated from
-0.  Either way every term of the Gauss sum has one sign, so neither end
-cancels.
+-s^2 r.  Each part integrates J from its own end: on the left part from 0,
+on the right part from u_end, where J is exact at a wall and 0 at a turning
+point, adding the integral of (lambda w - m) Q over [u, u_end].  The peak
+m/lambda lies between them, so every term of either Gauss sum has one sign
+and neither end cancels.
 
 Each part is a run of 16-point Gauss-Legendre panels.  A panel is bisected
 until an 8-point rule agrees with it to 1e-14 max(1, |integral|), and keeps
@@ -129,6 +130,9 @@ class MetricProfile:
                 raise DomainError(f"alpha(Z_0) = {a} < 0: Z_0 leaves the chamber face")
             if a == 0 and r <= 0:
                 raise DomainError("vanishing alpha(Z_0) requires alpha(Z^0) > 0")
+            if r < 0 and self.lam <= 0:
+                raise DomainError(f"alpha(Z^0) = {r} < 0 with lambda = {self.lam} <= 0: "
+                                  "the segment meets a chamber wall")
 
     @property
     def d(self) -> int:
@@ -199,18 +203,21 @@ class MetricProfile:
 
     @cached_property
     def _end(self) -> tuple[Optional[Fraction], Optional[Fraction]]:
-        """(u_end, J(u_end)): the domain end, exact (None when unbounded), and
-        for lambda > 0 the inner integral there, exact at a chamber wall and 0
-        at a turning point (None for lambda <= 0, where it is not needed).
+        """(u_end, J(u_end)) for lambda > 0: the domain end, exact, and the
+        inner integral there, exact at a chamber wall and 0 at a turning point.
+        (None, None) for lambda <= 0, where the domain is unbounded.
 
         For lambda > 0 the inner integral J rises on (0, m/lambda) and falls
         strictly afterwards while the chamber holds, so its first positive
         zero is bracketed by exact sign evaluations and bisected to a few
         ulps; no general root isolation is needed.  u_end is then that float.
         """
-        u_exit = self.u_exit
+        # lambda xi_Z0 = sigma_F - m xi0, and m xi0 = sigma_F at lambda = 0, so
+        # for lambda <= 0 every r_alpha > 0 by <alpha, sigma_F> > 0 on R_M^+(F)
+        # (`__post_init__` rejects a negative slope): no wall, J rises for ever.
         if self.lam <= 0:
-            return u_exit, None
+            return None, None
+        u_exit = self.u_exit
         # J > 0 on (0, m/lambda] while Q > 0, so a wall before the peak would
         # pass the test J(u_exit) >= 0 too; none exists, since lambda xi_Z0 =
         # sigma_F - m xi0 and <alpha, sigma_F> > 0 on R_M^+(F) put every wall
@@ -251,20 +258,17 @@ class MetricProfile:
         """The table of t(u): its left part, its right part (None when the
         domain is unbounded) and the u where they meet (inf when unbounded).
 
-        They meet at the peak m/lambda of J for lambda > 0, and at u_end/2
-        for lambda <= 0, where J rises all the way.  Each part integrates J
-        from the end on its side of the peak, so every term of its Gauss sum
-        has one sign.
+        A bounded domain (lambda > 0) splits at the peak m/lambda of J.  Each
+        part integrates J from its own end, 0 or u_end, so every term of its
+        Gauss sum has one sign.
         """
         u_end, j_end = self._end
         zero = Fraction(0)
         if u_end is None:
-            return _Part(self, zero, 1, zero, zero, Fraction(1)), None, math.inf
-        split = self.m / self.lam if self.lam > 0 else u_end / 2
-        j_point, j_at = (u_end, j_end) if self.lam > 0 else (zero, zero)
-        left = _Part(self, zero, 1, zero, zero, split)
-        right = _Part(self, u_end, -1, j_point, j_at, u_end - split)
-        return left, right, float(split)
+            return _Part(self, zero, 1, zero, Fraction(1)), None, math.inf
+        peak = self.m / self.lam
+        right = _Part(self, u_end, -1, j_end, u_end - peak)
+        return _Part(self, zero, 1, zero, peak), right, float(peak)
 
     @cached_property
     def t_sup(self) -> float:
@@ -284,30 +288,27 @@ class _Part:
 
     The arrays run over the distinct pairs, and Q is the product of their
     factors raised to the multiplicities mu.  Each factor a + u r is base +
-    d slope, with base = a + anchor r exact.  J is integrated from j_point
-    (u = 0, or u = anchor on the right part for lambda > 0), where it is
-    j_at, by the exact Gauss rule in d, along which dJ/dd = (e - lambda d) Q
-    with e = orientation (m - lambda anchor).  At the node w = j_d (1 - x) +
-    d x, a factor's ratio to its value at d is x + (1 - x) at_j/factor(d),
-    at_j its value at j_point: two terms of one sign.  Q(w)/Q(d) is exp of
-    the sum of the ratios' logs weighted by mu, so that Q neither underflows
-    nor cancels.
+    d slope, with base = a + anchor r exact.  J is integrated from the
+    anchor, where it is j_at, by the exact Gauss rule in d, along which
+    dJ/dd = (e - lambda d) Q with e = orientation (m - lambda anchor).  At
+    the node w = d x, a factor's ratio to its value at d is x + (1 - x)
+    base/factor(d): two terms of one sign.  Q(w)/Q(d) is exp of the sum of
+    the ratios' logs weighted by mu, so that Q neither underflows nor
+    cancels.
     """
 
     def __init__(self, profile: MetricProfile, anchor: Fraction, orientation: int,
-                 j_point: Fraction, j_at: Fraction, length: Fraction):
+                 j_at: Fraction, length: Fraction):
         pairs, mult = profile._distinct_pairs
         self.mu = np.array(mult, dtype=float)
         self.base = np.array([float(a + anchor * r) for a, r in pairs])
-        self.at_j = np.array([float(a + j_point * r) for a, r in pairs])
         self.r = np.array([float(r) for _, r in pairs])
         self.slope = orientation * self.r
         x, w = profile._gauss_rule
         self.x, self.one_minus_x = x[:, None], (1.0 - x)[:, None]
-        self.j_d = float(abs(j_point - anchor))  # j_point's distance d
         # (e - lambda w) times the Gauss weight is w0 - d w1 at the node w
         e, lam = float(orientation * (profile.m - profile.lam * anchor)), float(profile.lam)
-        self.w0 = w * (e - lam * self.j_d * (1.0 - x))
+        self.w0 = w * e
         self.w1 = lam * w * x
         self.lam, self.j_at = lam, float(j_at)
         self.extent = math.sqrt(float(length))  # in y; `grow` extends it
@@ -330,9 +331,9 @@ class _Part:
 
     def jq(self, d, factors):
         """J/Q at d, given `factors(d)`."""
-        ratios = (self.at_j / factors)[..., None, :] * self.one_minus_x + self.x
+        ratios = (self.base / factors)[..., None, :] * self.one_minus_x + self.x
         q_ratio = np.exp(np.log(ratios) @ self.mu)  # Q(w)/Q(d) at the nodes
-        out = (d - self.j_d) * (q_ratio * (self.w0 - np.multiply.outer(d, self.w1))).sum(axis=-1)
+        out = d * (q_ratio * (self.w0 - np.multiply.outer(d, self.w1))).sum(axis=-1)
         if self.j_at:
             out = out + self.j_at / np.prod(factors ** self.mu, axis=-1)
         return out

@@ -291,14 +291,22 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         if m > 1:
             assert xi0 == bd.kappa_z0_oracle(data), (dg.key(), m, end, chi)
             assert bd.koszul_update_check(data), (dg.key(), m, end)
-        # the flag's Koszul form, an exact root sum, is lambda xi_{Z_0} + m xi_0;
-        # building the profile checks the vanishing order d = m - 1
+        # the flag's Koszul form, an exact root sum, is lambda xi_{Z_0} + m xi_0
+        # (m xi_0 at lambda = 0); for lambda <= 0 that makes every slope r
+        # positive, so the segment meets no chamber wall.  Building the
+        # profile checks the vanishing order d = m - 1
         beta = None if info is None else info.nodes[0 if end == "left" else -1]
         flag = pd.PaintedDiagram(dg.algebra, dg.black | ({beta} - {None}))
         assert bd.flag_f(data) == flag, (dg.key(), m, end)
-        for lam, verdict in ((1, v.lambda_pos), (-1, v.lambda_neg)):
-            if verdict.exists:
+        sigma_f = pd.koszul(flag).sigma
+        for lam, verdict in ((1, v.lambda_pos), (-1, v.lambda_neg), (0, v.lambda_zero)):
+            if not verdict.exists:
+                continue
+            if lam:
                 assert es.z0_form(data, lam) == lam * xi, (dg.key(), m, end, chi, lam)
-                sigma_f = pd.koszul(flag).sigma
                 assert sigma_f == lam * es.z0_form(data, lam) + m * xi0, (dg.key(), m, end, chi, lam)
-                pf.metric_profile(data, lam)
+            else:
+                assert sigma_f == m * xi0, (dg.key(), m, end, chi)
+            prof = pf.metric_profile(data, lam)
+            if lam <= 0:
+                assert all(r > 0 for _, r in prof.pairs) and prof.u_exit is None, (dg.key(), m, end, chi, lam)

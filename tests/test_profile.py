@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -405,8 +407,8 @@ def test_exact_j_matches_fraction_expansion():
 def test_inner_rule_matches_exact_j_over_q():
     # the inner Gauss rule integrates its degree-(n + 1) integrand exactly:
     # J/Q on both parts against the expansion of J over the pair product.
-    # For lambda > 0 the right part integrates from u_end, where J is taken
-    # to be j_end (0 at a turning point rounded to a float)
+    # The right part (lambda > 0 only) integrates from u_end, where J is
+    # taken to be j_end (0 at a turning point rounded to a float)
     for prof, label in grouping_profiles():
         jc = _exact_j(prof)
         left, right, _ = prof._parts
@@ -414,7 +416,7 @@ def test_inner_rule_matches_exact_j_over_q():
         for part, anchor, sign in ((left, Fraction(0), 1), (right, u_end, -1)):
             if part is None:
                 continue
-            offset = j_end - _horner(jc, u_end) if sign < 0 and prof.lam > 0 else 0
+            offset = j_end - _horner(jc, u_end) if sign < 0 else 0
             d = (part.extent * np.arange(1, 10) / 10) ** 2
             for di, got in zip(d.tolist(), part.jq(d, part.factors(d)).tolist()):
                 u = anchor + sign * Fraction(di)
@@ -580,6 +582,43 @@ def test_f_of_t_from_a_start_far_below_the_root(monkeypatch):
         assert math.isclose(pf.f_of_t(prof, t), f, rel_tol=1e-12), t
 
 
+def solve_bisections(run):
+    """How often `_Part.solve` falls back to bisecting its bracket in run()."""
+    code = pf._Part.solve.__code__
+    lines, first = inspect.getsourcelines(pf._Part.solve)
+    target = next(n for n, text in enumerate(lines, first) if "0.5 * (blo + bhi)" in text)
+    hits = [0]
+
+    def local(frame, event, arg):
+        hits[0] += event == "line" and frame.f_lineno == target
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return hits[0]
+
+
+@pytest.mark.parametrize("theta", [1 - 1e-16, 0.5, 1e-12])
+def test_f_of_t_from_a_poor_start_bisects_to_the_same_f(monkeypatch, theta):
+    # Newton from a start anywhere in the panel: where a step leaves the
+    # panel's bracket, solve bisects the bracket instead, and lands on the
+    # same f as from the interpolant's root
+    profiles = [(a9_wall_profile(), "a9 wall"), (a3_wall_profile(), "a3 wall")] + sample_profiles()[:3]
+    cases = [(prof, label, t, pf.f_of_t(prof, t)) for prof, label in profiles
+             for t in interior_times(prof, 36)[1]]
+    monkeypatch.setattr(pf, "_interpolant_root", lambda series, tau: theta)
+
+    def run():
+        for prof, label, t, f in cases:
+            assert math.isclose(pf.f_of_t(prof, t), f, rel_tol=1e-12), (label, t)
+
+    assert solve_bisections(run) > 0
+
+
 def test_verdiani_passes_on_admitted_data():
     for prof, label in sample_profiles():
         report = pf.verdiani_check(prof)
@@ -612,6 +651,17 @@ def test_profile_rejects_chamber_violation():
     pairs[idx] = (Fraction(0), Fraction(-1))
     with pytest.raises(DomainError):
         pf.MetricProfile(tuple(pairs), base.kappa_sq, base.m, base.lam)
+
+
+def test_lambda_nonpositive_segment_with_a_wall_is_rejected():
+    # admitted data with lambda <= 0 have every slope r > 0 (sigma_F = lambda
+    # xi_Z0 + m xi0), so the segment never meets a wall; a hand-built one
+    # that would is refused, while lambda > 0 ends at that wall
+    pairs = ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
+    for lam in (Fraction(-1), Fraction(0)):
+        with pytest.raises(DomainError, match="meets a chamber wall"):
+            pf.MetricProfile(pairs, Fraction(1), 2, lam)
+    assert pf.MetricProfile(pairs, Fraction(1), 2, Fraction(1)).u_sup == 1.0
 
 
 def test_domain_end_cases():

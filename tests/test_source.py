@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -64,3 +65,18 @@ def test_no_lru_cache_has_a_fixed_size():
                 if not (sizes and isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
                     found.append(f"{path.name}:{dec.lineno}")
     assert not found, found
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark worker calls the package through `from flagke import
+    # module [as alias]`; every `alias.name` it reads must still exist
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    tree = ast.parse(worker.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "flagke" for alias in node.names}
+    used = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {mod for mod, _ in used} == set(modules.values()), sorted(used)  # the scan sees every module
+    missing = [f"{mod}.{name}" for mod, name in sorted(used)
+               if not hasattr(importlib.import_module(f"flagke.{mod}"), name)]
+    assert not missing, missing
