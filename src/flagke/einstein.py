@@ -51,6 +51,7 @@ class Bound:
     op: str  # '<' | '>'
     value: Fraction
     edge: int = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)  # `str`, formatted once
 
     def __post_init__(self):
         op, v = self.op, self.value
@@ -58,12 +59,13 @@ class Bound:
             raise UsageError(f"a bound needs op '<' or '>' and an exact value, got {op!r} {v!r}")
         p, q = v.numerator, v.denominator
         object.__setattr__(self, "edge", -(-p // q) - 1 if op == "<" else p // q + 1)
+        object.__setattr__(self, "text", f"k_{self.node} {op} {rs.frac_str(v)}")
 
     def holds(self, k: int) -> bool:
         return k <= self.edge if self.op == "<" else k >= self.edge
 
     def __str__(self) -> str:
-        return f"k_{self.node} {self.op} {rs.frac_str(self.value)}"
+        return self.text
 
 
 def satisfied(bounds: tuple[Bound, ...], chi: tuple[int, ...]) -> bool:

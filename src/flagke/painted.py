@@ -43,9 +43,6 @@ class PaintedDiagram:
         """Canonical serialisation, e.g. ``A11:oo*oo*ooooo``."""
         return f"{self.algebra.family}{self.algebra.rank}:{self.mask()}"
 
-    def __lt__(self, other):
-        return (self.algebra, self.mask()) < (other.algebra, other.mask())
-
     def __repr__(self) -> str:
         return f"PaintedDiagram({self.key()!r})"
 

@@ -311,7 +311,7 @@ class _Part:
         self.w0 = w * e
         self.w1 = lam * w * x
         self.lam, self.j_at = lam, float(j_at)
-        self.extent = math.sqrt(float(length))  # in y; `grow` extends it
+        self.extent = math.sqrt(float(length))  # in y, of the first table
 
     @cached_property
     def panels(self) -> tuple[list[float], list[float], list[np.ndarray]]:
@@ -319,7 +319,7 @@ class _Part:
         [a, b] the Legendre coefficients (`_TO_SERIES`) of the interpolant p
         of theta -> h(a + theta (b - a)) at the 16 Gauss nodes and of G =
         int_0^theta p, so that H = cum + (b - a) G(theta) to the panel's
-        accuracy.  Built on first use over [0, extent]; `grow` extends them."""
+        accuracy.  Built on first use over [0, extent]; `reach` publishes longer ones."""
         edges, cum, series = [0.0], [0.0], []
         self._add_panels(edges, cum, series, self.extent)
         return edges, cum, series
@@ -366,21 +366,30 @@ class _Part:
                 mid = 0.5 * (a + b)
                 pending += [(mid, b), (a, mid)]
 
-    def grow(self) -> None:
-        """Append the panels of [2^k, 2^(k+1)] in u after the last edge
-        y = 2^(k/2) (unbounded domains).  Every r >= 0 there, so for lambda < 0
-        J/Q(s u) <= s^2 J/Q(u) for s >= 1, and h takes 2 J/Q: the new panels
-        stay finite while 8 J/Q at the last edge does."""
-        edges, cum, series = self.panels
-        hi, d = edges[-1] * math.sqrt(2.0), edges[-1] ** 2
-        jq = float(self.jq(d, self.factors(d))) if self.lam < 0 else 0.0
-        if not math.isfinite(hi * hi + 8.0 * jq):
-            raise NumericsError(f"the table of t(u) reaches the end of the float range at u = {d:.6g}")
-        self._add_panels(edges, cum, series, hi)
+    def reach(self, y: float = 0.0, target: float = 0.0) -> tuple[list[float], list[float], list[np.ndarray]]:
+        """The panel table, holding y and H = target.  On an unbounded domain
+        (lambda <= 0) a short table is copied, extended by the panels of
+        [2^k, 2^(k+1)] in u after its last edge y = 2^(k/2) and published
+        whole: no published table changes, and each is a prefix of one panel
+        sequence, so threads sharing the part get the serial floats.  Every
+        r >= 0 there, so for lambda < 0 J/Q(s u) <= s^2 J/Q(u) for s >= 1, and
+        h takes 2 J/Q: the new panels stay finite while 8 J/Q at the last
+        edge does."""
+        edges, cum, series = table = self.panels
+        if self.lam <= 0 and (edges[-1] < y or cum[-1] <= target):
+            edges, cum, series = edges[:], cum[:], series[:]
+            while edges[-1] < y or cum[-1] <= target:
+                hi, d = edges[-1] * math.sqrt(2.0), edges[-1] ** 2
+                jq = float(self.jq(d, self.factors(d))) if self.lam < 0 else 0.0
+                if not math.isfinite(hi * hi + 8.0 * jq):
+                    raise NumericsError(f"the table of t(u) reaches the end of the float range at u = {d:.6g}")
+                self._add_panels(edges, cum, series, hi)
+            self.panels = table = edges, cum, series
+        return table
 
     def integral(self, y: float) -> float:
-        """H(y), for y within the panels."""
-        edges, cum, _ = self.panels
+        """H(y) for y >= 0, within the panels on a bounded domain."""
+        edges, cum, _ = self.reach(y)
         i = _panel_index(edges, y)
         lo = edges[i]
         if y == lo:
@@ -388,14 +397,14 @@ class _Part:
         return cum[i] + (y - lo) * float(self.h(lo + (y - lo) * _X16) @ _W16)
 
     def solve(self, target: float) -> float:
-        """y with H(y) = target, for 0 < target within the panels.
+        """y with H(y) = target > 0, within the panels on a bounded domain.
 
         The start is the root of the panel's interpolant (`_interpolant_root`),
         which costs no evaluation of h.  From there Newton runs in (log y,
         log H), so that a power law H = c y^p takes one step, inside the
         panel's bracket, on the exact 16-point value of H.
         """
-        edges, cum, series = self.panels
+        edges, cum, series = self.reach(target=target)
         i = _panel_index(cum, target)
         lo, start = edges[i], cum[i]
         blo, bhi = lo, edges[i + 1]
@@ -532,10 +541,7 @@ def _t_of_u(profile: MetricProfile, u: float) -> float:
     left, right, split = profile._parts
     if u > split:
         return profile.t_sup - right.integral(math.sqrt(profile.u_sup - u))
-    y = math.sqrt(u)
-    while left.panels[0][-1] < y:
-        left.grow()
-    return left.integral(y)
+    return left.integral(math.sqrt(u))
 
 
 def t_of_f(profile: MetricProfile, f: float) -> float:
@@ -555,10 +561,7 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
     if t >= profile.t_sup:
         raise DomainError(f"t = {t} is beyond the parameter range {profile.t_sup}")
     left, right, _ = profile._parts
-    if right is None:
-        while left.panels[1][-1] <= t:
-            left.grow()
-    if t < left.panels[1][-1]:
+    if right is None or t < left.panels[1][-1]:
         y = left.solve(t)
         return profile.kappa * (y * y)
     s = right.solve(profile.t_sup - t)
@@ -665,10 +668,7 @@ def verdiani_check(profile: MetricProfile) -> VerdianiReport:
 
 
 def _reference_time(profile: MetricProfile) -> float:
-    u1 = 1.0
-    if math.isfinite(profile.u_sup):
-        u1 = min(1.0, profile.u_sup / 2)
-    return _t_of_u(profile, u1)
+    return _t_of_u(profile, min(1.0, profile.u_sup / 2))  # 1.0 when unbounded
 
 
 def domain_end(profile: MetricProfile) -> float:

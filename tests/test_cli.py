@@ -41,6 +41,12 @@ def test_parse_errors_carry_offsets():
     assert exc.value.offset == 4
     with pytest.raises(DiagramParseError):
         cli.parse_diagram("A3ooo")
+    with pytest.raises(DiagramParseError, match="empty diagram") as exc:
+        cli.parse_diagram("")
+    assert exc.value.offset == 0
+    with pytest.raises(DiagramParseError, match="rank must be a positive integer") as exc:
+        cli.parse_diagram("Ax:o")
+    assert exc.value.offset == 1
 
 
 def test_koszul_command(capsys):
@@ -134,6 +140,9 @@ def test_classify_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "A11:oo*oo*ooooo",
                        "--m1", "--string", "1", "--beta", "left", "--chi", "2,3")
     assert code == 2
+    code, _, err = run(capsys, "classify", "A11:oo*oo*ooooo",
+                       "--string", "1", "--beta", "left", "--chi", "1,x")
+    assert code == 2 and "comma-separated integer list" in err
 
 
 def test_profile_point_orbit_matches_hyperbolic_form(capsys):
@@ -163,6 +172,9 @@ def test_profile_rejects_floats_and_unadmitted(capsys):
     code, _, err = run(capsys, "profile", "A1:o", "--string", "1", "--beta", "left",
                        "--chi", "", "--lambda", "0.5")
     assert code == 2 and "rational" in err
+    code, _, err = run(capsys, "profile", "A1:o", "--string", "1", "--beta", "left",
+                       "--chi", "", "--lambda", "1/0")
+    assert code == 2 and "cannot parse rational" in err
     code, _, err = run(capsys, "profile", "A11:oo*oo*ooooo", "--string", "1",
                        "--beta", "left", "--chi", "1,1", "--lambda", "-1")
     assert code == 3

@@ -283,6 +283,16 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         assert v.lambda_pos.exists == pd.chamber_contains(data.s0, xi), (dg.key(), m, end, chi)
         assert v.lambda_neg.exists == pd.chamber_contains(data.s0, -xi), (dg.key(), m, end, chi)
         assert v.lambda_zero.exists == xi.is_zero(), (dg.key(), m, end, chi)
+        if end == "left":
+            # the right end at -chi mirrors the left end at chi: both have
+            # lambda xi_{Z_0} = sigma_F - m xi_0, here from exact root sums and
+            # the virtual-epsilon oracle, and so the same three verdicts
+            mirror = bd.AdmissibleData(dg, info, "right", tuple(-k for k in chi))
+            forms = [pd.koszul(bd.flag_f(d)).sigma - m * bd.kappa_z0_oracle(d) for d in (data, mirror)]
+            assert forms[0] == forms[1] == xi, (dg.key(), m, chi)
+            w = es.classify(mirror)
+            assert ((w.lambda_pos.exists, w.lambda_neg.exists, w.lambda_zero.exists)
+                    == (v.lambda_pos.exists, v.lambda_neg.exists, v.lambda_zero.exists)), (dg.key(), m, chi)
         # the ray condition by its geometric definition, and the two other
         # readers of the end-shape table against their independent references
         xi0 = bd.kappa_z0_form(data)

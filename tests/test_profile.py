@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -229,6 +230,43 @@ def test_f_past_the_float_range_of_u_is_named():
     prof = pf.metric_profile(point_orbit(2), -1)
     with pytest.raises(DomainError, match=r"^f = 1\.7e\+308 is past the float range of u = f/kappa$"):
         pf.t_of_f(prof, 1.7e308)
+
+
+@pytest.mark.parametrize("lam, chi", [(-1, (3, 4)), (0, (2, 3))])
+def test_threads_sharing_an_unbounded_profile_get_the_serial_floats(lam, chi):
+    # each query may grow the table of t(u); 20 threads that share one fresh
+    # profile, switching every microsecond, must see what one thread sees
+    serial = pf.metric_profile(a11_data(chi), lam)
+    fs = [serial.kappa * 1.3 * 2.0 ** k for k in range(0, 60, 3)]
+    ts = [pf.t_of_f(serial, f) for f in fs]
+    cases = ((pf.t_of_f, fs, ts), (pf.f_of_t, ts, [pf.f_of_t(serial, t) for t in ts]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for query, args, expected in cases:
+            shared = pf.metric_profile(a11_data(chi), lam)
+            barrier = threading.Barrier(20)
+            results, errors = {}, []
+
+            def run(i):
+                barrier.wait()
+                try:
+                    for j in range(len(args)):
+                        k = (i + j) % len(args)
+                        results[i, k] = query(shared, args[k])
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(20)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == [], (query.__name__, errors)
+            wrong = {key: v for key, v in results.items() if v != expected[key[1]]}
+            assert len(results) == 20 * len(args) and not wrong, (query.__name__, wrong)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_ode_residual_small_everywhere():
