@@ -19,13 +19,14 @@ neighbour of the string by an integer d_j that depends only on how the
 neighbour attaches; `neighbour_drops` is the single table of these drops.
 
 What does not depend on chi is kept once per (diagram, string, end) in an
-`End` record, built on first use by `end_of`; a datum holds its record and
-chi's integer numerators over the black fundamental weights, one integer
+`End` record, built on first use by `end_of`; a datum is its record and chi,
+whose integer numerators over the black fundamental weights are one integer
 product per datum.  Two dual computations of the sign-normalised form xi_0
 of kappa*Z^0 are kept deliberately separate: `kappa_z0_form` adds +-m chi to
 the base m pi_beta - sum d_j pi_j of `neighbour_drops`, `kappa_z0_oracle`
 adds m chi to the virtual epsilon vector and normalises the sign by <beta,
-xi>; they share only chi's numerators, and they must agree exactly.
+xi>; they share only chi's numerators.  `end_of` checks, once per record,
+that they agree for every chi.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from operator import index, mul
+from operator import attrgetter, index, mul
 from typing import Optional
 
 from . import painted as pd
@@ -109,27 +110,33 @@ def eligible_strings(dg: pd.PaintedDiagram) -> tuple[StringInfo, ...]:
 @dataclass(frozen=True, eq=False, slots=True)
 class End:
     """The chi-free half of every datum on one (diagram, string, end),
-    compared by identity: one record per key, built on first use by `end_of`.
+    compared by identity: one record per key, built and checked on first use
+    by `end_of`.
 
-    `pi` holds the black fundamental weights as integer columns over `den`,
-    one row per epsilon coordinate, so chi's numerators are one integer
-    product `pi_sum(chi)`.  `form_base` is m pi_beta - sum d_j pi_j over
-    `den` (zero for rank one), `oracle_w` the virtual-epsilon vector
-    (m - 1) e_beta - sum of the other e_i, with denominator 1.
+    `sign` is -1 at the right end, which mirrors the left one through
+    chi -> -chi, and +1 at the left end and for rank one.  `pi` holds the
+    black fundamental weights as integer columns over `den`, one row per
+    epsilon coordinate, so chi's numerators are one integer product
+    `pi_sum(chi)`.  `form_base` is m pi_beta - sum d_j pi_j over `den` (zero
+    for rank one), `oracle_w` the virtual-epsilon vector (m - 1) e_beta -
+    sum of the other e_i, with denominator 1.
     """
 
     s0: pd.PaintedDiagram
     string: Optional[StringInfo]
     beta_end: Optional[str]
+    sign: int
     m: int
     beta_node: Optional[int]
-    beta_root: tuple[int, ...]  # numerators of the simple root beta (empty for rank one)
-    flag: pd.PaintedDiagram     # s0 with beta painted black
-    drops: tuple[tuple[int, int], ...]  # `neighbour_drops`
-    den: int
-    pi: tuple[tuple[int, ...], ...]
-    form_base: tuple[int, ...]
-    oracle_w: tuple[int, ...]
+    # the derived rest, left out of the repr; beta_root holds the numerators
+    # of the simple root beta (empty for rank one)
+    beta_root: tuple[int, ...] = field(repr=False)
+    flag: pd.PaintedDiagram = field(repr=False)  # s0 with beta painted black
+    drops: tuple[tuple[int, int], ...] = field(repr=False)  # `neighbour_drops`
+    den: int = field(repr=False)
+    pi: tuple[tuple[int, ...], ...] = field(repr=False)
+    form_base: tuple[int, ...] = field(repr=False)
+    oracle_w: tuple[int, ...] = field(repr=False)
 
     def pi_sum(self, ks) -> tuple[int, ...]:
         """Numerators over `den` of sum k_j pi_j, k aligned with the black nodes."""
@@ -139,26 +146,37 @@ class End:
 @lru_cache(maxsize=None)
 def end_of(s0: pd.PaintedDiagram, start: Optional[int], beta_end: Optional[str]) -> End:
     """The `End` of the eligible string of `s0` whose least node is `start`
-    (rank one: ``None, None``)."""
+    (rank one: ``None, None``).
+
+    The two dual forms are checked here, once per record.  Over m den they
+    are sign m chi + `form_base` and +-(m chi + den `oracle_w`); beta is
+    white, so <beta, pi_j> = 0 for every black j and the oracle's sign is
+    that of <beta, `oracle_w`>.  They agree for every chi iff that sign is
+    `sign` and `form_base` = sign den `oracle_w`.
+    """
     if beta_end not in ((None,) if start is None else ("left", "right")):
         raise UsageError(f"beta_end must be 'left' or 'right' with a string, None without, got {beta_end!r}")
     alg, n = s0.algebra, s0.algebra.ambient_dim
     den, cols = rs.fundamental_numerators(alg)
     pi = _black_pi(s0)
     if start is None:
-        return End(s0, None, None, 1, None, (), s0, (), den, pi, (0,) * n, (0,) * n)
+        return End(s0, None, None, 1, 1, None, (), s0, (), den, pi, (0,) * n, (0,) * n)
     info = next((s for s in eligible_strings(s0) if s.start == start), None)
     if info is None:
         raise UsageError(f"{s0.key()}: no eligible white string starting at node {start}")
+    sign = -1 if beta_end == "right" else 1
     m, drops = info.m, neighbour_drops(info, beta_end)
-    beta = info.nodes[0] if beta_end == "left" else info.nodes[-1]
-    base = [m * a - sum(d * cols[j - 1][i] for j, d in drops) for i, a in enumerate(cols[beta - 1])]
-    seq = info.eps_seq[::-1] if beta_end == "right" else info.eps_seq
+    beta = info.nodes[0] if sign > 0 else info.nodes[-1]
+    base = tuple([m * a - sum(d * cols[j - 1][i] for j, d in drops) for i, a in enumerate(cols[beta - 1])])
     w = [0] * n
-    for i, (sign, idx) in enumerate(seq):
-        w[idx - 1] += (m - 1) * sign if i == 0 else -sign
-    return End(s0, info, beta_end, m, beta, rs.simple_roots(alg)[beta - 1].num,
-               pd.PaintedDiagram(alg, s0.black | {beta}), drops, den, pi, tuple(base), tuple(w))
+    for i, (e, idx) in enumerate(info.eps_seq[::sign]):
+        w[idx - 1] += (m - 1) * e if i == 0 else -e
+    root = rs.simple_roots(alg)[beta - 1].num
+    val = sum(map(mul, root, w))
+    if val * sign <= 0 or base != tuple([sign * den * a for a in w]):
+        raise AssertionError(f"dual forms differ on {s0.key()} string@{start} beta={beta_end}")
+    return End(s0, info, beta_end, sign, m, beta, root, pd.PaintedDiagram(alg, s0.black | {beta}),
+               drops, den, pi, base, tuple(w))
 
 
 @lru_cache(maxsize=None)
@@ -170,20 +188,15 @@ def _black_pi(s0: pd.PaintedDiagram) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class AdmissibleData:
-    """(A_{m-1}, chi, beta) over a painted singular-orbit diagram; m = 1 drops the
-    string.  Derived, not compared: `end` and chi's numerators over `end.den`."""
+    """(A_{m-1}, chi, beta) over a painted singular-orbit diagram: its `End`
+    record and an integer character chi over the black nodes of s0 in
+    ascending order.  Derived, not compared: chi's numerators over `end.den`."""
 
-    s0: pd.PaintedDiagram
-    string: Optional[StringInfo]
-    beta_end: Optional[str]  # 'left' | 'right'
-    chi: tuple[int, ...]     # over black nodes of s0 in ascending order; integers only
-    end: End = field(init=False, repr=False, compare=False)
+    end: End
+    chi: tuple[int, ...]
     chi_num: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        end = end_of(self.s0, None if self.string is None else self.string.start, self.beta_end)
-        if end.string is not self.string and end.string != self.string:
-            raise UsageError(f"{self.string} is not an eligible string of {self.s0.key()}")
         try:  # the bounds are integer edges, exact only for integer chi
             chi = tuple(map(index, self.chi))
         except TypeError as exc:
@@ -193,20 +206,13 @@ class AdmissibleData:
         if self.string is None and not any(chi):
             raise DomainError("rank-one bundle with chi = 0 is degenerate")
         object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "chi_num", end.pi_sum(chi))
+        object.__setattr__(self, "chi_num", self.end.pi_sum(chi))
 
-    @property
-    def m(self) -> int:
-        return self.end.m
-
-    @property
-    def beta_node(self) -> Optional[int]:
-        return self.end.beta_node
-
-    @property
-    def black_nodes(self) -> tuple[int, ...]:
-        return self.s0.black_nodes
+    s0 = property(attrgetter("end.s0"))
+    string = property(attrgetter("end.string"))
+    beta_end = property(attrgetter("end.beta_end"))  # 'left' | 'right'
+    m = property(attrgetter("end.m"))
+    beta_node = property(attrgetter("end.beta_node"))
 
 
 def admissible_data(
@@ -216,9 +222,7 @@ def admissible_data(
     chi: "tuple[int, ...] | list[int]",
 ) -> AdmissibleData:
     """Build AdmissibleData, resolving the string by its least node index."""
-    if string_start is None:
-        return AdmissibleData(s0, None, None, chi)
-    return AdmissibleData(s0, end_of(s0, string_start, beta_end).string, beta_end, chi)
+    return AdmissibleData(end_of(s0, string_start, beta_end), chi)
 
 
 def flag_f(data: AdmissibleData) -> pd.PaintedDiagram:
@@ -252,22 +256,17 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
     Over m den it is +-m chi + `form_base`.
     """
     end = data.end
-    scale = -end.m if data.beta_end == "right" else end.m
+    scale = end.sign * end.m
     num = tuple([scale * a + b for a, b in zip(data.chi_num, end.form_base)])
     return rs.Weight.from_numerators(data.s0.algebra, num, end.m * end.den)
 
 
-def kappa_sq(xi0: rs.Weight) -> Fraction:
-    """kappa^2: the squared Killing norm of a form xi_0 already built."""
+def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
+    """(kappa^2 exact, kappa float) of `data`: the squared Killing norm of xi_0."""
+    xi0 = kappa_z0_form(data)
     ksq = rs.inner(xi0, xi0)
     if ksq <= 0:
         raise AssertionError(f"kappa^2 = {ksq} must be positive")
-    return ksq
-
-
-def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
-    """(kappa^2 exact, kappa float) of `data`."""
-    ksq = kappa_sq(kappa_z0_form(data))
     return ksq, sqrt(ksq)
 
 

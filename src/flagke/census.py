@@ -3,9 +3,10 @@
 One record per (diagram, bundle datum): rank-one bundles contribute a single
 record per diagram with at least one black node; every eligible string
 contributes one record per end choice.  Character-dependent verdicts are
-reported as symbolic bounds plus the smallest-magnitude integer witness, and
-every record is re-validated against the dual-computation cross-checks before
-it is emitted.
+reported as symbolic bounds plus the smallest-magnitude integer witness.
+Before a record is emitted its witnesses are checked against their bounds
+and its datum against the Koszul update relations; the dual forms of xi_0
+were checked when `bundle.end_of` built the record's `End`.
 
 Records serialise to JSON lines (schema version 1, documented in the README)
 with canonical rational encoding ``"p/q"``, so two runs are byte-identical.
@@ -93,37 +94,28 @@ def _record_for(dg: pd.PaintedDiagram,
                 beta_end: Optional[str]) -> CensusRecord:
     end = bd.end_of(dg, string_start, beta_end)
     crit = es.criterion(end)
-
-    def checked(chi: tuple[int, ...]) -> tuple[bd.AdmissibleData, Fraction]:
-        """The datum of `chi` and its kappa^2, from the cross-checked xi_0."""
-        data = bd.AdmissibleData(dg, end.string, beta_end, chi)
-        xi0 = bd.kappa_z0_form(data)
-        if data.m > 1 and xi0 != bd.kappa_z0_oracle(data):
-            raise AssertionError(f"dual-form mismatch for {data}")
-        return data, bd.kappa_sq(xi0)
-
     zero_chi = crit.required_chi
-    zero_kappa = None if zero_chi is None else checked(zero_chi)[1]
+    zero_kappa = None if zero_chi is None else bd.kappa(bd.AdmissibleData(end, zero_chi))[0]
 
     out = {}
     for tag, bounds in (("pos", crit.pos), ("neg", crit.neg)):
         witness = smallest_witness(bounds)
         if string_start is None and not any(witness):
             witness = _nonzero_witness(bounds, witness)
-        data, ksq = checked(witness)
+        data = bd.AdmissibleData(end, witness)
         if not es.satisfied(bounds, witness):
             raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
-        out[tag] = (witness, ksq, es.satisfied(crit.ray, witness))
+        out[tag] = (witness, bd.kappa(data)[0], es.satisfied(crit.ray, witness))
     # the update relations do not depend on chi: one datum of the record checks them
     if string_start is not None and not bd.koszul_update_check(data):
         raise AssertionError(f"Koszul update relations fail for {data}")
 
     return CensusRecord(
         key=dg.key(),
-        m=data.m,
+        m=end.m,
         string_start=string_start,
         beta_end=beta_end,
-        black_nodes=data.black_nodes,
+        black_nodes=dg.black_nodes,
         koszul_numbers=crit.numbers,
         zero_exists=zero_chi is not None,
         zero_chi=zero_chi,

@@ -116,7 +116,7 @@ def _verdict_payload(data: bd.AdmissibleData, verdict: es.EinsteinVerdict) -> di
         "string_start": None if data.string is None else data.string.start,
         "beta_end": data.beta_end,
         "chi": list(data.chi),
-        "black_nodes": list(data.black_nodes),
+        "black_nodes": list(data.s0.black_nodes),
         "lambda_zero": {
             "exists": verdict.lambda_zero.exists,
             "required_chi": None if verdict.lambda_zero.required_chi is None

@@ -128,9 +128,7 @@ def criterion(end: bd.End) -> Criterion:
     nodes = end.s0.black_nodes
     numbers = pd.koszul(end.s0).numbers if nodes else {}
     ns = tuple(numbers[j] for j in nodes)
-    m = end.m
-    # the right end mirrors the left one through k_j -> -k_j
-    sign = -1 if end.beta_end == "right" else 1
+    m, sign = end.m, end.sign  # the right end mirrors the left one through k_j -> -k_j
     below, above = ("<", ">") if sign > 0 else (">", "<")
     integral = all(n % m == 0 for n in ns)
     drops = dict(end.drops)
@@ -165,8 +163,8 @@ def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
         sign = "lambda > 0" if lam > 0 else "lambda < 0"
         raise DomainError(f"data does not admit an Einstein metric with {sign}")
     end = data.end
-    sign = end.m if data.beta_end == "right" else -end.m
-    ks = [n + sign * k for n, k in zip(crit.numbers, data.chi)]
+    scale = -end.sign * end.m
+    ks = [n + scale * k for n, k in zip(crit.numbers, data.chi)]
     return (1 / lam) * rs.Weight.from_numerators(data.s0.algebra, end.pi_sum(ks), end.den)
 
 

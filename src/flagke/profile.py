@@ -125,6 +125,14 @@ class MetricProfile:
     lam: Fraction
 
     def __post_init__(self):
+        exact = (int, Fraction)
+        if not (all(isinstance(x, exact) for pair in self.pairs for x in pair)
+                and isinstance(self.lam, exact) and isinstance(self.kappa_sq, exact)
+                and isinstance(self.m, int)):
+            raise UsageError("a profile needs exact pairs, lambda and kappa^2 and an integer m, got "
+                             f"{self.pairs!r}, {self.lam!r}, {self.kappa_sq!r}, {self.m!r}")
+        if self.kappa_sq <= 0 or self.m < 1:
+            raise DomainError(f"a profile needs kappa^2 > 0 and m >= 1, got {self.kappa_sq}, {self.m}")
         for a, r in self.pairs:
             if a < 0:
                 raise DomainError(f"alpha(Z_0) = {a} < 0: Z_0 leaves the chamber face")
@@ -508,12 +516,11 @@ def metric_profile(
         if not pd.chamber_contains(data.s0, xi_z0):
             raise DomainError("supplied z0 is not an interior face point")
     xi0 = bd.kappa_z0_form(data)
-    ksq = bd.kappa_sq(xi0)
     flag = bd.flag_f(data)
     pairs = tuple(
         (rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(flag)
     )
-    profile = MetricProfile(pairs=pairs, kappa_sq=ksq, m=data.m, lam=lam)
+    profile = MetricProfile(pairs=pairs, kappa_sq=rs.inner(xi0, xi0), m=data.m, lam=lam)
     if profile.d != data.m - 1:
         raise AssertionError(
             f"vanishing order {profile.d} differs from m - 1 = {data.m - 1}"

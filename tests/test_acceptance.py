@@ -85,7 +85,7 @@ def test_criterion_03_dual_form_cross_validation_to_rank_7():
                             shape_counts[shape] += 1
                     for chi in itertools.product((-2, -1, 0, 1, 2), repeat=len(nodes)):
                         for end in ("left", "right"):
-                            data = bd.AdmissibleData(dg, info, end, chi)
+                            data = bd.admissible_data(dg, info.start, end, chi)
                             checked += 1
                             if bd.kappa_z0_form(data) != bd.kappa_z0_oracle(data):
                                 mismatches += 1
@@ -105,7 +105,7 @@ def test_criterion_04_koszul_update_relations_to_rank_7():
             for dg in all_diagrams(fam, rank):
                 for info in bd.eligible_strings(dg):
                     for end in ("left", "right"):
-                        data = bd.AdmissibleData(dg, info, end, tuple(0 for _ in sorted(dg.black)))
+                        data = bd.admissible_data(dg, info.start, end, tuple(0 for _ in sorted(dg.black)))
                         checked += 1
                         failures += not bd.koszul_update_check(data)
     elapsed = time.monotonic() - t0
@@ -152,8 +152,7 @@ def test_criterion_06_algebraic_condition_identity_to_rank_6():
                 if dg.black:
                     data_shapes.append((None, None))
                 for info, end in data_shapes:
-                    mk = lambda chi: (bd.AdmissibleData(dg, info, end, chi) if info  # noqa: E731
-                                      else bd.admissible_data(dg, None, None, chi))
+                    mk = lambda chi: bd.admissible_data(dg, info and info.start, end, chi)  # noqa: E731
                     probe = mk(tuple(1 for _ in sorted(dg.black)))
                     sigma_target = pd.koszul(bd.flag_f(probe)).sigma
                     verdict = es.classify(probe)
@@ -231,8 +230,7 @@ def _sampled_profiles():
         order = rng.sample(range(len(pool)), len(pool))
         for idx in order:
             dg, info, end = pool[idx]
-            mk = lambda chi: (bd.AdmissibleData(dg, info, end, chi) if info  # noqa: E731
-                              else bd.admissible_data(dg, None, None, chi))
+            mk = lambda chi: bd.admissible_data(dg, info and info.start, end, chi)  # noqa: E731
             probe_chi = tuple(1 for _ in sorted(dg.black))
             try:
                 verdict = es.classify(mk(probe_chi))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagke import bundle as bd, diagram, painted as pd, rootspace as rs
+from flagke import bundle as bd, cli, diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
 from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum, weight
@@ -89,31 +89,21 @@ def test_admissible_data_validation():
     with pytest.raises(UsageError):
         bd.admissible_data(dg, 2, None, (0, 0))  # beta required with string
     with pytest.raises(UsageError):
-        bd.AdmissibleData(dg, None, "left", (0, 0))
+        bd.admissible_data(dg, None, "left", (1, 0))  # beta without a string
 
 
 def test_admissible_data_rejects_non_integer_chi():
     # the Einstein bounds are integer edges, exact only for integer chi
     dg = diagram("A", 3, {2})
-    info = bd.end_of(dg, 1, "left").string
+    end = bd.end_of(dg, 1, "left")
     for bad in (0.5, 2.0, Fraction(1, 2), Fraction(2)):
         with pytest.raises(UsageError):
-            bd.AdmissibleData(dg, info, "left", (bad,))
+            bd.AdmissibleData(end, (bad,))
         with pytest.raises(UsageError):
             bd.admissible_data(dg, 1, "left", [bad])
-    data = bd.AdmissibleData(dg, info, "left", (np.int64(2),))
+    data = bd.AdmissibleData(end, (np.int64(2),))
     assert data.chi == (2,) and type(data.chi[0]) is int
     assert data == bd.admissible_data(dg, 1, "left", [2])
-
-
-def test_admissible_data_rejects_a_string_of_another_diagram():
-    other = bd.end_of(diagram("A", 5, {2, 4}), 1, "left").string  # nodes (1,)
-    dg = diagram("A", 5, {3})  # its string at node 1 is (1, 2)
-    with pytest.raises(UsageError):
-        bd.AdmissibleData(dg, other, "left", (0,))
-    with pytest.raises(UsageError):  # no string of A5:oo*oo starts at node 2
-        bd.AdmissibleData(dg, bd.end_of(diagram("A", 5, {1}), 2, "left").string, "left", (0,))
-    assert bd.AdmissibleData(dg, bd.end_of(dg, 1, "left").string, "left", (0,)).m == 3
 
 
 def test_end_records_are_shared_and_built_per_end():
@@ -121,9 +111,34 @@ def test_end_records_are_shared_and_built_per_end():
     before = bd.end_of.cache_info().currsize
     data = bd.admissible_data(dg, 4, "right", (1, 2, 3))
     assert bd.end_of.cache_info().currsize - before <= 1
-    assert data.end is bd.end_of(dg, 4, "right") is bd.AdmissibleData(dg, data.string, "right", (0, 0, 0)).end
+    assert data.end is bd.end_of(dg, 4, "right") is bd.admissible_data(dg, 4, "right", (0, 0, 0)).end
     assert data.end is not bd.end_of(dg, 4, "left")
     assert data.end.flag == diagram("A", 13, {3, 6, 7, 11}) and data.end.m == 4
+
+
+def _bump_first_drop(drops, info, beta_end):
+    (node, d), *rest = drops(info, beta_end)
+    return ((node, d + 1), *rest)
+
+
+def _other_end_drops(drops, info, beta_end):
+    return drops(info, "right" if beta_end == "left" else "left")
+
+
+@pytest.mark.parametrize("mutant", [_bump_first_drop, _other_end_drops])
+def test_end_of_rejects_drops_that_break_the_dual_forms(monkeypatch, mutant):
+    # the drops enter only the form's base, so a wrong table breaks its
+    # agreement with the oracle, and every command builds its End through end_of
+    drops = bd.neighbour_drops
+    monkeypatch.setattr(bd, "neighbour_drops", lambda info, beta_end: mutant(drops, info, beta_end))
+    bd.end_of.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=r"dual forms differ on A5:\*oo\*o string@2"):
+            bd.end_of(diagram("A", 5, {1, 4}), 2, "left")
+        with pytest.raises(AssertionError, match="dual forms differ"):
+            cli.main(["classify", "A5:*oo*o", "--string", "2", "--beta", "left", "--chi", "1,1"])
+    finally:
+        bd.end_of.cache_clear()
 
 
 @st.composite
@@ -141,7 +156,7 @@ def test_dual_forms_match_weight_arithmetic(dg, draw):
     for info in bd.eligible_strings(dg):
         for end in ("left", "right"):
             chi = draw.draw(st.tuples(*(st.integers(-5, 5) for _ in nodes)))
-            data = bd.AdmissibleData(dg, info, end, chi)
+            data = bd.admissible_data(dg, info.start, end, chi)
             m, beta = info.m, rs.simple_roots(alg)[data.beta_node - 1]
             chi_w = pi_sum(alg, nodes, chi)
             drops = bd.neighbour_drops(info, end)
@@ -215,7 +230,7 @@ def test_form_equals_oracle_small_sweep():
                         chis = {tuple(0 for _ in range(p)),
                                 tuple(rng.randint(-2, 2) for _ in range(p))}
                         for chi in chis:
-                            data = bd.AdmissibleData(dg, info, end, chi)
+                            data = bd.admissible_data(dg, info.start, end, chi)
                             assert bd.kappa_z0_form(data) == bd.kappa_z0_oracle(data), (dg.key(), info.nodes, end, chi)
 
 
@@ -227,7 +242,7 @@ def test_xi0_lies_in_the_center_direction():
             for dg in all_diagrams(fam, rank):
                 for info in bd.eligible_strings(dg):
                     for end in ("left", "right"):
-                        data = bd.AdmissibleData(dg, info, end, tuple(1 for _ in sorted(dg.black)))
+                        data = bd.admissible_data(dg, info.start, end, tuple(1 for _ in sorted(dg.black)))
                         xi = bd.kappa_z0_form(data)
                         flag = bd.flag_f(data)
                         simples = rs.simple_roots(dg.algebra)
@@ -332,7 +347,7 @@ def test_koszul_update_sweep():
             for dg in all_diagrams(fam, rank):
                 for info in bd.eligible_strings(dg):
                     for end in ("left", "right"):
-                        data = bd.AdmissibleData(dg, info, end, tuple(0 for _ in sorted(dg.black)))
+                        data = bd.admissible_data(dg, info.start, end, tuple(0 for _ in sorted(dg.black)))
                         assert bd.koszul_update_check(data), (dg.key(), info.nodes, end)
 
 

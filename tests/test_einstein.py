@@ -46,8 +46,8 @@ def test_right_end_mirrors_left_with_negated_chi():
                 p = len(dg.black)
                 for info in bd.eligible_strings(dg):
                     for chi in itertools.product((-2, 0, 1), repeat=p):
-                        right = es.classify(bd.AdmissibleData(dg, info, "right", chi))
-                        left = es.classify(bd.AdmissibleData(dg, info, "left", tuple(-k for k in chi)))
+                        right = es.classify(bd.admissible_data(dg, info.start, "right", chi))
+                        left = es.classify(bd.admissible_data(dg, info.start, "left", tuple(-k for k in chi)))
                         assert right.lambda_zero.exists == left.lambda_zero.exists
                         assert right.lambda_pos.exists == left.lambda_pos.exists
                         assert right.lambda_neg.exists == left.lambda_neg.exists
@@ -91,7 +91,7 @@ def test_z0_form_scaling_and_face_conditions():
     z0 = es.z0_form(data, Fraction(1))
     simples = rs.simple_roots(dg.algebra)
     assert rs.inner(z0, simples[data.beta_node - 1]) == 0
-    assert all(rs.inner(z0, simples[j - 1]) > 0 for j in data.black_nodes)
+    assert all(rs.inner(z0, simples[j - 1]) > 0 for j in data.s0.black_nodes)
     with pytest.raises(UsageError):
         es.z0_form(data, Fraction(0))
 
@@ -133,7 +133,7 @@ def test_neg_admitted_implies_ray_sweep():
                     for end in ("left", "right"):
                         sign = 1 if end == "left" else -1
                         chi = tuple(sign * (numbers[j] // info.m + 1) for j in sorted(dg.black))
-                        data = bd.AdmissibleData(dg, info, end, chi)
+                        data = bd.admissible_data(dg, info.start, end, chi)
                         v = es.classify(data)
                         assert v.lambda_neg.exists
                         assert v.ray_extends, (dg.key(), info.nodes, end)
@@ -154,7 +154,7 @@ def test_alg_cond_identity_small_sweep():
                                 chi = tuple(-sign for _ in sorted(dg.black))
                             else:
                                 chi = tuple(sign * (numbers[j] // info.m + 1) for j in sorted(dg.black))
-                            data = bd.AdmissibleData(dg, info, end, chi)
+                            data = bd.admissible_data(dg, info.start, end, chi)
                             xi_z0 = es.z0_form(data, lam)
                             xi0 = bd.kappa_z0_form(data)
                             sigma_f = pd.koszul(bd.flag_f(data)).sigma
@@ -189,7 +189,7 @@ def test_z0_vanishing_set_is_exactly_the_string_block():
                     for end in ("left", "right"):
                         sign = 1 if end == "left" else -1
                         chi = tuple(-sign for _ in sorted(dg.black))  # admits lambda > 0
-                        data = bd.AdmissibleData(dg, info, end, chi)
+                        data = bd.admissible_data(dg, info.start, end, chi)
                         z0 = es.z0_form(data, Fraction(1))
                         flag = bd.flag_f(data)
                         zeros = sum(1 for a in pd.r_m_plus(flag) if rs.inner(a, z0) == 0)
@@ -275,7 +275,7 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         chi = draw.draw(near)
         if info is None and not any(chi):
             continue  # a rank-one bundle needs chi != 0
-        data = bd.AdmissibleData(dg, info, end, chi)
+        data = bd.admissible_data(dg, info and info.start, end, chi)
         xi = pi_sum(dg.algebra, nodes, [numbers[j] for j in nodes])
         m_chi = m * pi_sum(dg.algebra, nodes, chi)
         xi = xi + m_chi if end == "right" else xi - m_chi
@@ -287,7 +287,7 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
             # the right end at -chi mirrors the left end at chi: both have
             # lambda xi_{Z_0} = sigma_F - m xi_0, here from exact root sums and
             # the virtual-epsilon oracle, and so the same three verdicts
-            mirror = bd.AdmissibleData(dg, info, "right", tuple(-k for k in chi))
+            mirror = bd.admissible_data(dg, info.start, "right", tuple(-k for k in chi))
             forms = [pd.koszul(bd.flag_f(d)).sigma - m * bd.kappa_z0_oracle(d) for d in (data, mirror)]
             assert forms[0] == forms[1] == xi, (dg.key(), m, chi)
             w = es.classify(mirror)

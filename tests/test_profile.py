@@ -702,6 +702,23 @@ def test_lambda_nonpositive_segment_with_a_wall_is_rejected():
     assert pf.MetricProfile(pairs, Fraction(1), 2, Fraction(1)).u_sup == 1.0
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({"kappa_sq": 0}, DomainError),
+    ({"kappa_sq": -1}, DomainError),
+    ({"m": 0}, DomainError),
+    ({"m": -1}, DomainError),
+    ({"lam": 0.5}, UsageError),
+    ({"pairs": ((0.0, 1.0), (1.0, 1.0))}, UsageError),
+    ({"m": 2.0}, UsageError),
+], ids=["kappa_sq=0", "kappa_sq=-1", "m=0", "m=-1", "lam=0.5", "float pair", "m=2.0"])
+def test_hand_built_profile_rejects_bad_input(fields, error):
+    # refused when built, as `einstein.Bound` is, not later in a query
+    good = {"pairs": ((0, 1), (1, 1)), "kappa_sq": 1, "m": 2, "lam": -1}
+    assert pf.t_of_f(pf.MetricProfile(**good), 0.5) > 0
+    with pytest.raises(error):
+        pf.t_of_f(pf.MetricProfile(**{**good, **fields}), 0.5)
+
+
 def test_domain_end_cases():
     # turning point of the inner integral for positive lambda
     for m, lam in ((2, Fraction(1)), (3, Fraction(2))):

@@ -80,3 +80,22 @@ def test_benchmark_entry_points_resolve():
     missing = [f"{mod}.{name}" for mod, name in sorted(used)
                if not hasattr(importlib.import_module(f"flagke.{mod}"), name)]
     assert not missing, missing
+
+
+def test_end_orientation_is_decided_in_bundle():
+    # `bundle.End.sign` carries the mirror of the right end: no other module
+    # compares with an end's name
+    root = Path(flagke.__file__).resolve().parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "bundle.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            operands += [e for op in operands if isinstance(op, (ast.Tuple, ast.List, ast.Set)) for e in op.elts]
+            if any(isinstance(op, ast.Constant) and op.value in ("left", "right") for op in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
