@@ -170,7 +170,7 @@ def _cmd_profile(args) -> int:
     # land on t_sup in floating point, or stall where t(f) is flat near a wall
     points = [(t, pf.f_of_t(prof, t)) for t in (t_hi * i / (n - 1) for i in range(n - 1))]
     points.append((t_hi, f_hi))
-    rows = [(t, f, pf.residual_at(prof, f) if t > 0 else 0.0) for t, f in points]
+    rows = [(t, f, pf.residual_at(prof, f)) for t, f in points]
     if args.json:
         payload = {
             "diagram": data.s0.key(),

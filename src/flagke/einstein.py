@@ -155,6 +155,8 @@ def classify(data: bd.AdmissibleData) -> EinsteinVerdict:
 def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
     """The exact dual form of Z_0 for a nonzero admitted Einstein constant:
     lambda * xi_{Z_0} = sum n_j pi_j -+ m chi (sign by the end choice)."""
+    if not isinstance(lam, (int, Fraction)):
+        raise UsageError(f"lambda must be an int or a Fraction, got {lam!r}")
     lam = Fraction(lam)
     if lam == 0:
         raise UsageError("z0_form needs lambda != 0; use z0_face_point for lambda = 0")

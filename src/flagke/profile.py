@@ -23,14 +23,16 @@ There the table holds tau(s) = t_sup - t, so t_sup is an exact panel sum
 and a query near the end is resolved relative to the end.  For lambda <= 0
 the domain is unbounded and has only the left part: [0, 1] in u, then
 [2^k, 2^(k+1)] for k = 0, 1, ..., added as queries reach them, up to the
-end of the float range (NumericsError past it).
+top of the float range (NumericsError past it).
 
 The pairs are grouped into their distinct values, each with its multiplicity
 mu (every root of one T-root has the same pair), so Q = prod (a + u r)^mu
 over the distinct pairs and each factor is evaluated once however often it
-occurs.  The inner integral takes Q(w)/Q(u) at the nodes w of its Gauss
-rule as exp(sum mu log(factor(w)/factor(u))), one weighted sum of logs, so
-that Q neither underflows nor cancels.
+occurs.  Each part divides out the factors that vanish at its anchor (the
+a = 0 pairs at 0, the wall pairs at a wall) and integrates K = J/(Q d), d
+the distance from the anchor, which is finite and positive on the whole
+part.  K takes Q(w)/Q(u) at the nodes w of its Gauss rule as one weighted
+sum of logs, and never forms Q as a product, which could underflow.
 
 On the right part every factor a + u r is evaluated as (a + u_end r) -
 s^2 r with a + u_end r exact, so a factor that vanishes at a wall is exactly
@@ -292,33 +294,38 @@ class MetricProfile:
 class _Part:
     """One part of the domain: the points u = anchor + orientation d, d =
     y^2 in [0, length], and the panel table of H(y) = int_0^y h, h(y) =
-    2 y sqrt(Q/2J).
+    2 y sqrt(Q/2J) = 2/sqrt(2K) with K = J/(Q d).
 
-    The arrays run over the distinct pairs, and Q is the product of their
-    factors raised to the multiplicities mu.  Each factor a + u r is base +
-    d slope, with base = a + anchor r exact.  J is integrated from the
-    anchor, where it is j_at, by the exact Gauss rule in d, along which
+    Each factor a + u r is base + d slope, with base = a + anchor r exact.
+    The distinct pairs with base 0 (a = 0 on the left part, the wall pairs
+    at a wall) are split off, `order` being their total multiplicity; the
+    arrays run over the others, with multiplicities mu.  J is integrated from
+    the anchor, where it is j_at, by the exact Gauss rule in d, along which
     dJ/dd = (e - lambda d) Q with e = orientation (m - lambda anchor).  At
-    the node w = d x, a factor's ratio to its value at d is x + (1 - x)
-    base/factor(d): two terms of one sign.  Q(w)/Q(d) is exp of the sum of
-    the ratios' logs weighted by mu, so that Q neither underflows nor
-    cancels.
+    the node w = d x a factor's ratio to its value at d is x if split off,
+    else x + (1 - x) base/factor(d), two terms of one sign.  K sums their
+    logs weighted by mu, forms no product, and is finite and positive on
+    the whole part (+inf at a wall, where h = 0).
     """
 
     def __init__(self, profile: MetricProfile, anchor: Fraction, orientation: int,
                  j_at: Fraction, length: Fraction):
         pairs, mult = profile._distinct_pairs
-        self.mu = np.array(mult, dtype=float)
-        self.base = np.array([float(a + anchor * r) for a, r in pairs])
-        self.r = np.array([float(r) for _, r in pairs])
-        self.slope = orientation * self.r
+        exact = [a + anchor * r for a, r in pairs]
+        keep = np.array([b != 0 for b in exact], dtype=bool)
+        base, r, mu = (np.array(v, dtype=float) for v in (exact, [r for _, r in pairs], mult))
+        self.order = int(mu[~keep].sum())
+        self.base, self.r, self.mu = base[keep], r[keep], mu[keep]
+        self.slope, self.orientation = orientation * self.r, orientation
+        # log(J(anchor) / prod slope^mu over the vanishing pairs), at a wall
+        self.log_j = (math.log(j_at.numerator) - math.log(j_at.denominator)
+                      - float(mu[~keep] @ np.log(orientation * r[~keep]))) if j_at else None
         x, w = profile._gauss_rule
         self.x, self.one_minus_x = x[:, None], (1.0 - x)[:, None]
-        # (e - lambda w) times the Gauss weight is w0 - d w1 at the node w
-        e, lam = float(orientation * (profile.m - profile.lam * anchor)), float(profile.lam)
-        self.w0 = w * e
-        self.w1 = lam * w * x
-        self.lam, self.j_at = lam, float(j_at)
+        # (e - lambda w) (w/d)^order times the Gauss weight is w0 - d w1 at the node w = d x
+        e, self.lam = float(orientation * (profile.m - profile.lam * anchor)), float(profile.lam)
+        w = w * x ** self.order
+        self.w0, self.w1 = w * e, self.lam * w * x
         self.extent = math.sqrt(float(length))  # in y, of the first table
 
     @cached_property
@@ -334,25 +341,27 @@ class _Part:
 
     def factors(self, d):
         """a + u r at the distance d (or each entry of an array d), one per
-        distinct pair, pairs last."""
+        kept pair, pairs last."""
         return self.base + np.multiply.outer(d, self.slope)
 
-    def jq(self, d, factors):
-        """J/Q at d, given `factors(d)`."""
+    def k(self, d, factors):
+        """K = J/(Q d) at d (or each entry of an array d), given `factors(d)`;
+        NumericsError unless it is positive."""
         ratios = (self.base / factors)[..., None, :] * self.one_minus_x + self.x
-        q_ratio = np.exp(np.log(ratios) @ self.mu)  # Q(w)/Q(d) at the nodes
-        out = d * (q_ratio * (self.w0 - np.multiply.outer(d, self.w1))).sum(axis=-1)
-        if self.j_at:
-            out = out + self.j_at / np.prod(factors ** self.mu, axis=-1)
+        q_ratio = np.exp(np.log(ratios) @ self.mu)  # at the nodes, over the kept pairs
+        out = (q_ratio * (self.w0 - np.multiply.outer(d, self.w1))).sum(axis=-1)
+        if self.log_j is not None:
+            # J(u_end)/(d Q) from logs: +inf at the wall d = 0, where h = 0
+            with np.errstate(divide="ignore", over="ignore"):
+                out = out + np.exp(self.log_j - (self.order + 1) * np.log(d) - np.log(factors) @ self.mu)
+        if not np.all(out > 0):
+            raise NumericsError(f"inner integral not positive inside the domain (d in [{np.min(d)}, {np.max(d)}])")
         return out
 
     def h(self, y: np.ndarray) -> np.ndarray:
-        """The integrand 2 y sqrt(Q/2J) at the points y > 0."""
+        """The integrand 2 y sqrt(Q/2J) = 2/sqrt(2K) at the points y >= 0."""
         d = y * y
-        jq = self.jq(d, self.factors(d))
-        if not np.all(jq > 0):
-            raise NumericsError(f"inner integral not positive inside the domain (y in [{y.min()}, {y.max()}])")
-        return 2.0 * y / np.sqrt(2.0 * jq)
+        return 2.0 / np.sqrt(2.0 * self.k(d, self.factors(d)))
 
     def _add_panels(self, edges: list[float], cum: list[float], series: list[np.ndarray],
                     hi: float) -> None:
@@ -380,16 +389,16 @@ class _Part:
         [2^k, 2^(k+1)] in u after its last edge y = 2^(k/2) and published
         whole: no published table changes, and each is a prefix of one panel
         sequence, so threads sharing the part get the serial floats.  Every
-        r >= 0 there, so for lambda < 0 J/Q(s u) <= s^2 J/Q(u) for s >= 1, and
-        h takes 2 J/Q: the new panels stay finite while 8 J/Q at the last
-        edge does."""
+        r >= 0 there, so for lambda < 0 J/Q(s u) <= s^2 J/Q(u), that is
+        K(s d) <= s K(d), for s >= 1, and h takes 2 K: the new panels stay
+        finite while 8 K at the last edge does."""
         edges, cum, series = table = self.panels
         if self.lam <= 0 and (edges[-1] < y or cum[-1] <= target):
             edges, cum, series = edges[:], cum[:], series[:]
             while edges[-1] < y or cum[-1] <= target:
                 hi, d = edges[-1] * math.sqrt(2.0), edges[-1] ** 2
-                jq = float(self.jq(d, self.factors(d))) if self.lam < 0 else 0.0
-                if not math.isfinite(hi * hi + 8.0 * jq):
+                k = float(self.k(d, self.factors(d))) if self.lam < 0 else 0.0
+                if not math.isfinite(hi * hi + 8.0 * k):
                     raise NumericsError(f"the table of t(u) reaches the end of the float range at u = {d:.6g}")
                 self._add_panels(edges, cum, series, hi)
             self.panels = table = edges, cum, series
@@ -498,12 +507,14 @@ def metric_profile(
 ) -> MetricProfile:
     """Build the profile of an admitted datum.
 
-    For lambda != 0 the initial vertex is forced.  For lambda = 0 it may be
-    any interior point of the chamber face of the singular orbit, and each
-    choice gives another Ricci-flat metric of the same datum: `z0` selects
-    it (default: the sum of the black fundamental weights).  A point off
-    the face or on its boundary raises DomainError.
+    lam is an int or a Fraction.  For lambda != 0 the initial vertex is
+    forced.  For lambda = 0 it may be any interior point of the chamber face
+    of the singular orbit, and each choice gives another Ricci-flat metric
+    of the same datum: `z0` selects it (default: the sum of the black
+    fundamental weights; DomainError off the face or on its boundary).
     """
+    if not isinstance(lam, (int, Fraction)):
+        raise UsageError(f"lambda must be an int or a Fraction, got {lam!r}")
     lam = Fraction(lam)
     if lam != 0:
         if z0 is not None:
@@ -543,8 +554,6 @@ def _check_f(profile: MetricProfile, f: float) -> float:
 
 
 def _t_of_u(profile: MetricProfile, u: float) -> float:
-    if u == 0:
-        return 0.0
     left, right, split = profile._parts
     if u > split:
         return profile.t_sup - right.integral(math.sqrt(profile.u_sup - u))
@@ -576,50 +585,39 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
 
 
 def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
-    """Validate f once and return (u, J(u)/Q(u), S(u)), where S = Q'/Q is the
-    sum over the pairs of r_alpha/(a_alpha + u r_alpha), each distinct pair
-    weighted by its multiplicity; Q must not vanish."""
+    """Validate f once and return (u, sqrt(2 J/Q), J S/Q) at u = f/kappa,
+    where S = Q'/Q is the sum of r/(a + u r) over the pairs.  On its part
+    J/Q = d K, and a split-off factor d slope adds orientation/d to S, so
+    J S/Q = K (d S_kept + orientation order): no product of d and K, which
+    could overflow on an unbounded domain, and no 0/0 at the anchor."""
     u = _check_f(profile, f)
     left, right, split = profile._parts
     part, d = (right, profile.u_sup - u) if u > split else (left, u)
     factors = part.factors(d)
-    if not np.all(factors > 0):
-        raise DomainError(f"chamber polynomial vanishes at f = {f}")
-    return u, float(part.jq(d, factors)), float(part.r @ (part.mu / factors))
-
-
-def _speed(profile: MetricProfile, jq: float) -> float:
-    return profile.kappa * math.sqrt(max(2.0 * jq, 0.0))
-
-
-def _acceleration(profile: MetricProfile, u: float, jq: float, s: float) -> float:
-    # J Q'/Q^2 = (J/Q) S
-    return profile.kappa * ((profile.m - float(profile.lam) * u) - jq * s)
+    k, s_kept = float(part.k(d, factors)), float(part.r @ (part.mu / factors))
+    return u, math.sqrt(2.0 * d) * math.sqrt(k), k * (d * s_kept + part.orientation * part.order)
 
 
 def f_dot(profile: MetricProfile, f: float) -> float:
-    """df/dt along the profile, from the first integral."""
-    _, jq, _ = _point(profile, f)
-    return _speed(profile, jq)
+    """df/dt = kappa sqrt(2 J/Q) along the profile, from the first integral."""
+    return profile.kappa * _point(profile, f)[1]
 
 
 def f_ddot(profile: MetricProfile, f: float) -> float:
     """d^2f/dt^2 = kappa ((m - lambda u) - J S / Q), S the log-derivative of Q."""
-    u, jq, s = _point(profile, f)
-    return _acceleration(profile, u, jq, s)
+    u, _, jsq = _point(profile, f)
+    return profile.kappa * ((profile.m - float(profile.lam) * u) - jsq)
 
 
 def residual_at(profile: MetricProfile, f: float) -> float:
     """Residual of  f'' + A(f)/2 f'^2 + lambda f - kappa m  at the point f.
 
-    f' and f'' come from the first integral, so the residual vanishes
-    identically and measures only floating-point cancellation.
+    f' and f'' come from the first integral, so A(f)/2 f'^2 = kappa J S/Q:
+    the residual vanishes identically and measures only cancellation.
     """
-    u, jq, s = _point(profile, f)
-    fd = _speed(profile, jq)
-    fdd = _acceleration(profile, u, jq, s)
-    lam = float(profile.lam)
-    return fdd + 0.5 * (s / profile.kappa) * fd * fd + lam * f - profile.kappa * profile.m
+    u, _, jsq = _point(profile, f)
+    fdd = profile.kappa * ((profile.m - float(profile.lam) * u) - jsq)
+    return fdd + profile.kappa * jsq + float(profile.lam) * f - profile.kappa * profile.m
 
 
 def ode_residual(profile: MetricProfile, t: float) -> float:

@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
@@ -217,6 +220,39 @@ def test_profile_wall_of_order_21_reaches_its_last_row(capsys):
     assert code == 0, err
     payload = json.loads(out)
     assert payload["samples"][-1]["f"] == 0.97 * payload["f_sup"]
+
+
+# 99 of the 119 pairs of this datum vanish at the wall that ends its domain
+A20_WALL = ("A20:ooooooooo*oooooooooo", "--string", "1", "--beta", "left", "--chi", "-1", "--lambda", "1")
+
+
+def test_profile_wall_of_order_99_raises_no_warning(capsys):
+    # tier-1 turns a RuntimeWarning into an error: the wall term J(u_end)/(d Q)
+    # is summed in logs, and is +inf only at the wall itself
+    code, out, err = run(capsys, "profile", *A20_WALL, "--samples", "5")
+    assert (code, err) == (0, "")
+    assert len(out.strip().splitlines()) == 3 + 5
+
+
+@pytest.mark.parametrize("argv", [
+    A20_WALL,
+    ("B6:o**oo*", "--string", "1", "--beta", "left", "--chi", "0,-1,-1", "--lambda", "1"),
+    ("A9:oo*oooooo", "--m1", "--chi", "-2", "--lambda", "1"),
+    ("A1:o", "--string", "1", "--beta", "left", "--lambda", "-1"),
+    ("D9:*oooooooo", "--m1", "--chi", "16", "--lambda", "0"),
+    ("A2:*o", "--m1", "--chi", "-1", "--lambda", "1"),
+], ids=lambda argv: argv[0])
+def test_profile_command_runs_under_python_w_error(argv):
+    # a fresh interpreter in which every warning is an error: exit 0, nothing
+    # on stderr, and every number of the table finite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "flagke.cli", "profile", *argv, "--json"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    values = [payload["kappa"]] + [row[k] for row in payload["samples"] for k in ("t", "f", "residual")]
+    assert len(payload["samples"]) == 64 and all(math.isfinite(v) for v in values)
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from flagke import bundle as bd, cli, diagram, profile as pf, rootspace as rs
+from flagke import bundle as bd, cli, diagram, einstein as es, profile as pf, rootspace as rs
 from flagke.errors import DomainError, NumericsError, UsageError
 
-from conftest import EXIT_ZERO
+from conftest import EXIT_ZERO, FAMILY_MIN_RANK
 
 
 def point_orbit(m):
@@ -115,12 +115,16 @@ def test_polynomial_p_structure():
 
 def test_polynomial_p_matches_pair_product():
     prof = pf.metric_profile(a11_data((1, 1)), Fraction(1))
-    _, mult = prof._distinct_pairs
+    pairs, mult = prof._distinct_pairs
+    left = prof._parts[0]
     for u in (0.1, 0.4, 0.9):
         via_q = float(_horner(_exact_q(prof), Fraction(u)))
-        # one factor per distinct pair, raised to its multiplicity
-        factors = prof._parts[0].factors(u)
-        assert math.isclose(math.prod(f ** k for f, k in zip(factors.tolist(), mult)), via_q, rel_tol=1e-9)
+        # one factor per distinct pair, raised to its multiplicity: the left
+        # part keeps those with a != 0, and splits off the factors u r
+        factors = left.factors(u)
+        kept = math.prod(f ** k for f, k in zip(factors.tolist(), left.mu.tolist()))
+        vanishing = math.prod((u * float(r)) ** k for (a, r), k in zip(pairs, mult) if a == 0)
+        assert math.isclose(kept * vanishing, via_q, rel_tol=1e-9)
 
 
 def test_t_of_f_basics():
@@ -216,14 +220,31 @@ def test_unbounded_tail_is_exact_up_to_the_float_range():
 
     for u in (1e100, 1e154):
         assert abs(pf.t_of_f(prof, prof.kappa * u) - float(exact(u))) < 1e-10, u
-    # J/Q grows like u^2: past 2^512 it would overflow, and the query says so
+    # J/Q grows like u^2, but the table holds K = J/(Q u), which grows like
+    # u: it reaches past 2^512, and f(t) inverts it there
     for u in (1e160, 1e300):
-        with pytest.raises(NumericsError, match="float range"):
-            pf.t_of_f(prof, prof.kappa * u)
+        ref = float(exact(u))
+        assert abs(pf.t_of_f(prof, prof.kappa * u) - ref) <= 1e-13 * ref, u
+    # past u = 2^1022 the next block would overflow, and the query says so
+    with pytest.raises(NumericsError, match="float range"):
+        pf.t_of_f(prof, prof.kappa * 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericsError, match="float range"):
-            pf.f_of_t(pf.metric_profile(point_orbit(2), -1), 500.0)
+        fresh = pf.metric_profile(point_orbit(2), -1)
+        f = pf.f_of_t(fresh, 500.0)
+    assert abs(float(exact(f / fresh.kappa)) - 500.0) <= 1e-13 * 500.0
+
+
+def test_derivatives_on_the_unbounded_tail_match_the_closed_form():
+    # A1:o at lambda = -1: J/Q = u + u^2/3 and S = 1/u, so f' = kappa
+    # sqrt(2 u + 2 u^2/3) and f'' = kappa (1 + 2 u/3); J/Q overflows past
+    # u = 1e154, while f' and f'' are floats up to the end of the table
+    prof = pf.metric_profile(point_orbit(2), -1)
+    for u in (1e100, 1e200, 1e300):
+        f = prof.kappa * u
+        assert math.isclose(pf.f_dot(prof, f), prof.kappa * math.sqrt(2 / 3) * u, rel_tol=1e-14), u
+        assert math.isclose(pf.f_ddot(prof, f), prof.kappa * 2 / 3 * u, rel_tol=1e-14), u
+        assert abs(pf.residual_at(prof, f)) <= 1e-14 * f, u
 
 
 def test_f_past_the_float_range_of_u_is_named():
@@ -267,6 +288,96 @@ def test_threads_sharing_an_unbounded_profile_get_the_serial_floats(lam, chi):
             assert len(results) == 20 * len(args) and not wrong, (query.__name__, wrong)
     finally:
         sys.setswitchinterval(interval)
+
+
+# m >= 2: Q vanishes to order m - 1 and J to order m at f = 0
+SINGULAR_ORBIT_DATA = {
+    "A11 lam+": ("A11:oo*oo*ooooo", 1, "left", (1, 1), 1),
+    "A5 lam0": ("A5:o*o*o", 3, "right", (-2, -2), 0),
+    "D4 lam+": ("D4:oo*o", 1, "left", (1,), 1),
+}
+
+
+@pytest.mark.parametrize("label", sorted(SINGULAR_ORBIT_DATA))
+def test_derivatives_and_residual_at_the_singular_orbit(label):
+    # f'(0) = 0 and f''(0) = kappa, the smoothness conditions, and the
+    # residual vanishes there, although J/Q = 0 and Q'/Q = inf at f = 0
+    key, string, beta, chi, lam = SINGULAR_ORBIT_DATA[label]
+    prof = pf.metric_profile(bd.admissible_data(cli.parse_diagram(key), string, beta, chi), lam)
+    assert prof.m >= 2
+    assert pf.f_dot(prof, 0.0) == 0.0
+    assert abs(pf.f_ddot(prof, 0.0) - prof.kappa) <= 1e-14 * prof.kappa
+    for residual in (pf.residual_at(prof, 0.0), pf.ode_residual(prof, 0.0)):
+        assert abs(residual) <= 1e-14 * prof.kappa * prof.m
+
+
+@pytest.mark.parametrize("key, string, beta, chi", [
+    ("D4:o*oo", 1, "right", (0,)),
+    ("A11:oo*oo*ooooo", 1, "left", (1, 1)),
+])
+def test_subnormal_queries_return_without_warning(key, string, beta, chi):
+    # y^2 underflows to 0 here; the integrand is finite at y = 0
+    prof = pf.metric_profile(bd.admissible_data(cli.parse_diagram(key), string, beta, chi), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [pf.t_of_f(prof, f) for f in (5e-324, 1e-320)] + [pf.f_of_t(prof, t) for t in (1e-160, 1e-300)]
+    assert all(isinstance(v, float) and v >= 0 for v in values), values
+
+
+SCAN_LAMBDAS = (Fraction(1), Fraction(0), Fraction(-1), Fraction(1, 1000), Fraction(-1000), Fraction(7, 2))
+
+
+def scan_profiles(seed, draws):
+    """The profiles, at each lambda of `SCAN_LAMBDAS` it admits, of the A20
+    wall of order 99 and of `draws` random A-D data of ranks up to 12, with
+    chi next to the edges of the lambda > 0 bounds or the lambda = 0 one."""
+    rng = random.Random(seed)
+    data = [bd.admissible_data(cli.parse_diagram("A20:ooooooooo*oooooooooo"), 1, "left", (-1,))]
+    for _ in range(draws):
+        fam = rng.choice("ABCD")
+        rank = rng.randint(FAMILY_MIN_RANK[fam], 12)
+        dg = diagram(fam, rank, {j for j in range(1, rank + 1) if rng.random() < 0.3})
+        ends = [(None, None)] if dg.black else []
+        ends += [(info.start, end) for info in bd.eligible_strings(dg) for end in ("left", "right")]
+        if not ends:
+            continue
+        start, end = rng.choice(ends)
+        crit = es.criterion(bd.end_of(dg, start, end))
+        if crit.required_chi is not None and rng.random() < 0.25:
+            chi = crit.required_chi
+        else:
+            chi = tuple(b.edge + rng.randint(-2, 2) for b in crit.pos)
+        if start is None and not any(chi):
+            continue
+        data.append(bd.admissible_data(dg, start, end, chi))
+    profiles = []
+    for datum in data:
+        v = es.classify(datum)
+        for lam in SCAN_LAMBDAS:
+            if (v.lambda_pos if lam > 0 else v.lambda_neg if lam < 0 else v.lambda_zero).exists:
+                profiles.append((pf.metric_profile(datum, lam), (datum.s0.key(), datum.string and datum.string.start,
+                                                                  datum.beta_end, datum.chi, lam)))
+    return profiles
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_profiles_past_the_rank_bound_invert_and_solve_the_equation(seed):
+    # from t = 1e-200 t_hi to t_hi = 0.999 t_sup, or t(1e6 kappa) when
+    # unbounded: no error or warning, f nondecreasing, t(f(t)) = t and a
+    # residual at rounding level
+    profiles = scan_profiles(seed, 400)
+    assert len(profiles) >= 450
+    for prof, label in profiles:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t_hi = 0.999 * prof.t_sup if math.isfinite(prof.t_sup) else pf.t_of_f(prof, 1e6 * prof.kappa)
+            ts = [x * t_hi for x in (1e-200, 1e-8, 0.2, 0.6, 0.95, 1.0)]
+            fs = [pf.f_of_t(prof, t) for t in ts]
+            assert fs == sorted(fs), label
+            for t, f in zip(ts, fs):
+                if f > 1e-290:
+                    assert abs(pf.t_of_f(prof, f) - t) <= 1e-9 * t, (label, t)
+                assert abs(pf.residual_at(prof, f)) < 1e-6 * max(1.0, prof.kappa * prof.m), (label, t)
 
 
 def test_ode_residual_small_everywhere():
@@ -444,7 +555,7 @@ def test_exact_j_matches_fraction_expansion():
 
 def test_inner_rule_matches_exact_j_over_q():
     # the inner Gauss rule integrates its degree-(n + 1) integrand exactly:
-    # J/Q on both parts against the expansion of J over the pair product.
+    # J/Q = d K on both parts against the expansion of J over the pair product.
     # The right part (lambda > 0 only) integrates from u_end, where J is
     # taken to be j_end (0 at a turning point rounded to a float)
     for prof, label in grouping_profiles():
@@ -456,7 +567,7 @@ def test_inner_rule_matches_exact_j_over_q():
                 continue
             offset = j_end - _horner(jc, u_end) if sign < 0 else 0
             d = (part.extent * np.arange(1, 10) / 10) ** 2
-            for di, got in zip(d.tolist(), part.jq(d, part.factors(d)).tolist()):
+            for di, got in zip(d.tolist(), (d * part.k(d, part.factors(d))).tolist()):
                 u = anchor + sign * Fraction(di)
                 exact = float((_horner(jc, u) + offset) / math.prod(a + u * r for a, r in prof.pairs))
                 assert abs(got - exact) <= 1e-12 * exact, (label, sign, di)
@@ -748,6 +859,18 @@ def test_lambda_zero_custom_face_point():
         pf.metric_profile(data, 0, z0=rs.fundamental_weight(alg, 3))
     with pytest.raises(UsageError):
         pf.metric_profile(data, 1, z0=z0)
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 0.0, math.nan, math.inf, "1/2"],
+                         ids=["0.1", "1.0", "0.0", "nan", "inf", "str"])
+def test_lambda_must_be_exact(lam):
+    # 0.1 would be the binary float, not 1/10; as the CLI's --lambda and
+    # MetricProfile's own fields, lambda is an int or a Fraction
+    data = a11_data((1, 1))
+    with pytest.raises(UsageError, match="int or a Fraction"):
+        pf.metric_profile(data, lam)
+    with pytest.raises(UsageError, match="int or a Fraction"):
+        es.z0_form(data, lam)
 
 
 def test_unadmitted_sign_rejected():
