@@ -9,7 +9,7 @@ from .bundle import AdmissibleData, StringInfo, admissible_data, eligible_string
 from .einstein import EinsteinVerdict, classify, z0_face_point, z0_form
 from .profile import MetricProfile, domain_end, f_of_t, metric_profile, ode_residual, \
     t_of_f, verdiani_check
-from .census import CensusRecord, enumerate_records, summarize
+from .census import enumerate_records, summarize
 
 __version__ = "0.1.0"
 
@@ -22,5 +22,5 @@ __all__ = [
     "EinsteinVerdict", "classify", "z0_face_point", "z0_form",
     "MetricProfile", "domain_end", "f_of_t", "metric_profile", "ode_residual",
     "t_of_f", "verdiani_check",
-    "CensusRecord", "enumerate_records", "summarize",
+    "enumerate_records", "summarize",
 ]

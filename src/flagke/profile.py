@@ -359,9 +359,10 @@ class _Part:
         return out
 
     def h(self, y: np.ndarray) -> np.ndarray:
-        """The integrand 2 y sqrt(Q/2J) = 2/sqrt(2K) at the points y >= 0."""
+        """The integrand 2 y sqrt(Q/2J) = 1/sqrt(K/2) at the points y >= 0:
+        K/2 cannot overflow where 2K would, and is exact unless K < 2^-1021."""
         d = y * y
-        return 2.0 / np.sqrt(2.0 * self.k(d, self.factors(d)))
+        return 1.0 / np.sqrt(0.5 * self.k(d, self.factors(d)))
 
     def _add_panels(self, edges: list[float], cum: list[float], series: list[np.ndarray],
                     hi: float) -> None:
@@ -390,7 +391,7 @@ class _Part:
         whole: no published table changes, and each is a prefix of one panel
         sequence, so threads sharing the part get the serial floats.  Every
         r >= 0 there, so for lambda < 0 J/Q(s u) <= s^2 J/Q(u), that is
-        K(s d) <= s K(d), for s >= 1, and h takes 2 K: the new panels stay
+        K(s d) <= s K(d), for s >= 1: the new panels, out to s = 2, stay
         finite while 8 K at the last edge does."""
         edges, cum, series = table = self.panels
         if self.lam <= 0 and (edges[-1] < y or cum[-1] <= target):
@@ -589,13 +590,18 @@ def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
     where S = Q'/Q is the sum of r/(a + u r) over the pairs.  On its part
     J/Q = d K, and a split-off factor d slope adds orientation/d to S, so
     J S/Q = K (d S_kept + orientation order): no product of d and K, which
-    could overflow on an unbounded domain, and no 0/0 at the anchor."""
+    could overflow on an unbounded domain, and no 0/0 at the anchor.
+    NumericsError where either value is not a finite float, as within about
+    1e-6 of a high-order wall, where K overflows."""
     u = _check_f(profile, f)
     left, right, split = profile._parts
     part, d = (right, profile.u_sup - u) if u > split else (left, u)
     factors = part.factors(d)
     k, s_kept = float(part.k(d, factors)), float(part.r @ (part.mu / factors))
-    return u, math.sqrt(2.0 * d) * math.sqrt(k), k * (d * s_kept + part.orientation * part.order)
+    speed, jsq = math.sqrt(2.0 * d) * math.sqrt(k), k * (d * s_kept + part.orientation * part.order)
+    if not (math.isfinite(speed) and math.isfinite(jsq)):
+        raise NumericsError(f"sqrt(2J/Q) = {speed} or J S/Q = {jsq} is not a finite float at f = {f}")
+    return u, speed, jsq
 
 
 def f_dot(profile: MetricProfile, f: float) -> float:

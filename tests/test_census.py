@@ -86,7 +86,7 @@ def test_record_count_matches_independent_combinatorics():
 
 
 def test_a3_summary_matches_hand_enumeration():
-    records = [r for r in cs.enumerate_records("A", 3) if r.key.startswith("A3:")]
+    records = [r for r in cs.enumerate_records("A", 3) if r["diagram"].startswith("A3:")]
     rows = [r for r in cs.summarize(records)]
     assert len(rows) == 1
     row = rows[0]
@@ -96,20 +96,32 @@ def test_a3_summary_matches_hand_enumeration():
     assert row.family == "A" and row.rank == 3
     assert row.diagrams == 8
     assert row.data == 23
-    assert row.zero_admitting == 13
+    assert row.lambda0_admitting == 13
     assert row.neg_complete == 23
+
+
+# the field order of the README's schema table: a record's keys, then each block's
+SCHEMA_KEYS = {
+    None: ["version", "diagram", "m", "string_start", "beta_end", "black_nodes", "koszul_numbers",
+           "lambda_zero", "lambda_pos", "lambda_neg"],
+    "lambda_zero": ["exists", "required_chi", "kappa_sq"],
+    "lambda_pos": ["constraint", "witness_chi", "kappa_sq", "ray_extends"],
+    "lambda_neg": ["constraint", "witness_chi", "kappa_sq", "ray_extends", "complete"],
+}
 
 
 def test_records_validate_and_fields():
     records = list(cs.enumerate_records("B", 3))
     assert records, "no records enumerated"
     for rec in records:
-        assert rec.neg_ray  # an admitted negative constant always extends
-        payload = json.loads(rec.to_json())
+        assert rec["lambda_neg"]["ray_extends"]  # an admitted negative constant always extends
+        for block, keys in SCHEMA_KEYS.items():
+            assert list(rec if block is None else rec[block]) == keys, block
+        payload = json.loads(json.dumps(rec))
         assert payload["version"] == cs.SCHEMA_VERSION
         assert payload["diagram"].startswith("B")
         assert len(payload["koszul_numbers"]) == len(payload["black_nodes"])
-        if rec.m == 1:
+        if rec["m"] == 1:
             assert payload["string_start"] is None
             assert payload["lambda_zero"]["exists"]
             assert any(payload["lambda_pos"]["witness_chi"])
@@ -119,9 +131,9 @@ def test_records_validate_and_fields():
 
 def test_zero_witness_reproduces_divisibility():
     for rec in cs.enumerate_records("A", 4):
-        if rec.m > 1:
-            divisible = all(n % rec.m == 0 for n in rec.koszul_numbers)
-            assert rec.zero_exists == divisible
+        if rec["m"] > 1:
+            divisible = all(n % rec["m"] == 0 for n in rec["koszul_numbers"])
+            assert rec["lambda_zero"]["exists"] == divisible
 
 
 def test_smallest_witness():
@@ -158,7 +170,7 @@ def test_enumerate_validation():
 
 
 # sha256 of the JSONL and the summary CSV that `flagke census --family F
-# --max-rank R` writes, for R = 6 and 7 (the rank-7 values are those of
+# --max-rank R` writes, for R = 6, 7 and 9 (the rank-7 values are those of
 # perfbench/reference.json).  Schema v1 output must stay byte-identical: a
 # deliberate change bumps SCHEMA_VERSION and records these again.
 CENSUS_SHA256 = {
@@ -178,12 +190,20 @@ CENSUS_SHA256 = {
                "9a4bc4e69388df1e2df5618dba2d85e081aa58a196d8ebe50a84af4ca60f2c02"),
     ("D", 7): ("2811d286d723b61cff0c92bd9f06c6bb1508b47018185152131dbf53a04f12b3",
                "04bb0c6d0e9dd36ce63b91b3e5bfd6637c5fab1fed3f9bb13a8a434e3c2cd3e3"),
+    ("A", 9): ("ad322dd2012654873716546b69877d68e1bbe62d3f6e221e522d6d409e926aed",
+               "04dfe4883ede6c5fe547e77ebe5c00c14f36324e68a9c9c78289ca8e40ea0e7f"),
+    ("B", 9): ("c9809177f404ae0276b18812afd023e08ae3194dc7a1c7941a6c09bae8645718",
+               "8ce0957d5bc748e2f3bb365b996d0251e27d3fa08d8c392cb3a93bea96b776ca"),
+    ("C", 9): ("36918620fc6ba55720a4a6bd8a557d32ddd59d2574666bd10a68576ae7689dcb",
+               "c232b481050a2a6e91ddb266bbe131d672982ca7e32ff1f7aa2d0f9d833a4bf9"),
+    ("D", 9): ("590b41d0dc4551f7efd427cfbd14c8fca6bb0afff01b730931d18c07a91dcf99",
+               "f8fc91f94c6bb124b798fab8a32cb99224118c373bddb26c4dfa68620643c239"),
 }
 
 
 @pytest.mark.parametrize("family", "ABCD")
 def test_census_bytes_are_pinned_to_rank_6(family, tmp_path, capsys):
-    for rank in (6, 7):
+    for rank in (6, 7, 9):
         out, summary = tmp_path / f"c{rank}.jsonl", tmp_path / f"c{rank}.csv"
         argv = ["census", "--family", family, "--max-rank", str(rank),
                 "--out", str(out), "--summary", str(summary)]

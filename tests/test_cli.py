@@ -241,6 +241,8 @@ def test_profile_wall_of_order_99_raises_no_warning(capsys):
     ("A1:o", "--string", "1", "--beta", "left", "--lambda", "-1"),
     ("D9:*oooooooo", "--m1", "--chi", "16", "--lambda", "0"),
     ("A2:*o", "--m1", "--chi", "-1", "--lambda", "1"),
+    # a wall of order 50, where 2K overflows at 0.97 f_sup
+    ("D9:oooo*oooo", "--m1", "--chi", "-1", "--lambda", "1"),
 ], ids=lambda argv: argv[0])
 def test_profile_command_runs_under_python_w_error(argv):
     # a fresh interpreter in which every warning is an error: exit 0, nothing

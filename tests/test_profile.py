@@ -644,6 +644,21 @@ def test_round_trip_past_float_resolution_of_t_raises(x):
         pf.f_of_t(prof, t)
 
 
+def test_derivatives_next_to_the_wall_of_order_99_fail_loudly():
+    # K ~ d^-100 overflows within about 1e-6 of this wall, while f' ~ 1e291
+    # is still a float: the queries raise there instead of returning inf or nan
+    data = bd.admissible_data(cli.parse_diagram("A20:ooooooooo*oooooooooo"), 1, "left", (-1,))
+    prof = pf.metric_profile(data, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = 0.999 * prof.f_sup
+        assert (pf.f_dot(prof, f), pf.f_ddot(prof, f), pf.residual_at(prof, f)) == (
+            1.9452781792579424e+142, 1.738492243489702e+288, 6.939941313577435)
+        for query in (pf.f_dot, pf.f_ddot, pf.residual_at):
+            with pytest.raises(NumericsError, match="not a finite float"):
+                query(prof, (1 - 1e-6) * prof.f_sup)
+
+
 def inversion_profiles():
     """`sample_profiles`, the order-21 wall and two exit-zero data."""
     return sample_profiles() + [(a9_wall_profile(), "a9 wall of order 21")] + [
