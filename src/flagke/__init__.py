@@ -1,7 +1,7 @@
 """Kaehler-Einstein existence tests and metric profiles for homogeneous
 vector bundles over flag manifolds of the classical groups."""
 
-from .rootspace import Algebra, Weight, fundamental_weight, inner, positive_roots, simple_roots
+from .rootspace import Algebra, Weight, inner, positive_roots, simple_roots
 from .painted import KoszulData, PaintedDiagram, chamber_contains, diagram, koszul, \
     koszul_rule, r_m_plus, white_components
 from .bundle import AdmissibleData, StringInfo, admissible_data, eligible_strings, flag_f, \
@@ -14,7 +14,7 @@ from .census import enumerate_records, summarize
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "Weight", "fundamental_weight", "inner", "positive_roots", "simple_roots",
+    "Algebra", "Weight", "inner", "positive_roots", "simple_roots",
     "KoszulData", "PaintedDiagram", "chamber_contains", "diagram", "koszul", "koszul_rule",
     "r_m_plus", "white_components",
     "AdmissibleData", "StringInfo", "admissible_data", "eligible_strings", "flag_f", "kappa",

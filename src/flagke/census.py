@@ -10,7 +10,7 @@ were checked when `bundle.end_of` built the record's `End`.
 
 Each record is the schema-1 JSON object itself (documented in the README): a
 dict in the schema's field order, its rationals canonical ``"p/q"`` text, so
-`write_jsonl` dumps it as it is and two runs are byte-identical.
+`write_jsonl` dumps it as it is made and two runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .errors import ConfigurationError
 
 SCHEMA_VERSION = 1
 MAX_RANK_BOUND = 9
+# one encoder for every record, where json.dumps builds one per call; a record holds no cycles
+_to_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def smallest_witness(bounds) -> tuple[int, ...]:
@@ -58,11 +60,12 @@ def _record_for(dg: pd.PaintedDiagram,
             "kappa_sq": None if zero_kappa is None else rs.frac_str(zero_kappa),
         },
     }
+    witness_data = {}
     for tag, bounds in (("pos", crit.pos), ("neg", crit.neg)):
         witness = smallest_witness(bounds)
         if string_start is None and not any(witness):
             witness = _nonzero_witness(bounds, witness)
-        data = bd.AdmissibleData(end, witness)
+        data = witness_data[tag] = bd.AdmissibleData(end, witness)
         if not es.satisfied(bounds, witness):
             raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
         rec["lambda_" + tag] = {
@@ -72,9 +75,9 @@ def _record_for(dg: pd.PaintedDiagram,
             "ray_extends": es.satisfied(crit.ray, witness),
         }
     rec["lambda_neg"]["complete"] = rec["lambda_neg"]["ray_extends"]
-    # the update relations do not depend on chi: one datum of the record checks them
-    if string_start is not None and not bd.koszul_update_check(data):
-        raise AssertionError(f"Koszul update relations fail for {data}")
+    # the update relations do not depend on chi: the datum of the lambda < 0 witness checks them
+    if string_start is not None and not bd.koszul_update_check(witness_data["neg"]):
+        raise AssertionError(f"Koszul update relations fail for {witness_data['neg']}")
     return rec
 
 
@@ -90,11 +93,15 @@ def _nonzero_witness(bounds, witness: tuple[int, ...]) -> tuple[int, ...]:
 
 def enumerate_records(family: str, max_rank: int) -> Iterator[dict]:
     """All census records of one family up to `max_rank`, in canonical order,
-    each the schema-1 object."""
+    each the schema-1 object; the arguments are checked at the call."""
     if family not in rs.FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}")
     if not 1 <= max_rank <= MAX_RANK_BOUND:
         raise ConfigurationError(f"max_rank must be in 1..{MAX_RANK_BOUND}, got {max_rank}")
+    return _records(family, max_rank)
+
+
+def _records(family: str, max_rank: int) -> Iterator[dict]:
     for rank in range(rs.MIN_RANK[family], max_rank + 1):
         alg = rs.Algebra(family, rank)
         for mask in itertools.product("*o", repeat=rank):  # '*' < 'o': masks in sorted order
@@ -106,13 +113,15 @@ def enumerate_records(family: str, max_rank: int) -> Iterator[dict]:
                     yield _record_for(dg, info.start, end)
 
 
-def write_jsonl(records: Iterable[dict], stream: io.TextIOBase) -> int:
-    n = 0
-    for rec in records:
-        stream.write(json.dumps(rec, separators=(",", ":")))
-        stream.write("\n")
-        n += 1
-    return n
+def write_jsonl(records: Iterable[dict], stream: io.TextIOBase) -> list[SummaryRow]:
+    """Write each record as one JSON line as soon as `records` yields it, and
+    return the `summarize` rows of the records written, counted in the same
+    pass: no record is held after its line is written."""
+    def written() -> Iterator[dict]:
+        for rec in records:
+            stream.write(_to_json(rec) + "\n")
+            yield rec
+    return summarize(written())
 
 
 class SummaryRow(NamedTuple):

@@ -193,26 +193,25 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _write_file(path: str, write, **open_args) -> None:
-    """Call write(stream) on a new file at path; an OSError is a usage error."""
+def _write_file(path: str, write, **open_args):
+    """Return write(stream) on a new file at path; an OSError is a usage error."""
     try:
         with open(path, "w", encoding="utf-8", **open_args) as fh:
-            write(fh)
+            return write(fh)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_census(args) -> int:
-    records = list(cs.enumerate_records(args.family, args.max_rank))
+    records = cs.enumerate_records(args.family, args.max_rank)
     if args.out == "-":
-        cs.write_jsonl(records, sys.stdout)
+        rows = cs.write_jsonl(records, sys.stdout)
     else:
-        _write_file(args.out, lambda fh: cs.write_jsonl(records, fh))
+        rows = _write_file(args.out, lambda fh: cs.write_jsonl(records, fh))
     if args.summary:
-        rows = cs.summarize(records)
         _write_file(args.summary, lambda fh: cs.write_summary_csv(rows, fh), newline="")
-    print(f"census: {len(records)} records for family {args.family} up to rank {args.max_rank}",
-          file=sys.stderr)
+    print(f"census: {sum(row.data for row in rows)} records for family {args.family} "
+          f"up to rank {args.max_rank}", file=sys.stderr)
     return 0
 
 

@@ -532,7 +532,7 @@ def metric_profile(
     pairs = tuple(
         (rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(flag)
     )
-    profile = MetricProfile(pairs=pairs, kappa_sq=rs.inner(xi0, xi0), m=data.m, lam=lam)
+    profile = MetricProfile(pairs=pairs, kappa_sq=bd.kappa(data)[0], m=data.m, lam=lam)
     if profile.d != data.m - 1:
         raise AssertionError(
             f"vanishing order {profile.d} differs from m - 1 = {data.m - 1}"

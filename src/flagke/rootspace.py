@@ -235,15 +235,6 @@ def fundamental_numerators(algebra: Algebra) -> tuple[int, tuple[tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def fundamental_weight(algebra: Algebra, node: int) -> Weight:
-    """The fundamental weight of a simple root, from `fundamental_numerators`."""
-    if not 1 <= node <= algebra.rank:
-        raise UsageError(f"node {node} out of range for {algebra}")
-    den, cols = fundamental_numerators(algebra)
-    return Weight.from_numerators(algebra, cols[node - 1], den)
-
-
-@lru_cache(maxsize=None)
 def _simple_root_norms(algebra: Algebra) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each simple root's integer numerators (its denominator is 1) with their
     square sum."""

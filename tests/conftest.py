@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles used across the test suite."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -29,11 +30,73 @@ def zero_weight(alg: rs.Algebra) -> rs.Weight:
     return weight(alg, [0] * alg.ambient_dim)
 
 
+def cartan_matrix(fam, n):
+    """Rows 2<alpha_i, alpha_j>/<alpha_j, alpha_j> (0-based) from the Dynkin
+    diagram: simple edges give -1 both ways; at the B double edge the long
+    root's row reads -2 under the short root, at the C double edge the
+    short root's row reads -2 under the long root."""
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    if fam == "D":
+        simple = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+    elif fam == "A" or n == 1:
+        simple = [(i, i + 1) for i in range(n - 1)]
+    else:
+        simple = [(i, i + 1) for i in range(n - 2)]
+        long_row, short_row = (n - 2, n - 1) if fam == "B" else (n - 1, n - 2)
+        cartan[long_row][short_row] = -2
+        cartan[short_row][long_row] = -1
+    for i, j in simple:
+        cartan[i][j] = cartan[j][i] = -1
+    return cartan
+
+
+def simple_root_coordinates(fam, n):
+    """The epsilon coordinates of the simple roots (Humphreys, Introduction to
+    Lie Algebras and Representation Theory, 12.1): eps_i - eps_{i+1}, then
+    eps_n (B), 2 eps_n (C) or eps_{n-1} + eps_n (D); A_n lives in n + 1
+    coordinates."""
+    dim = n + 1 if fam == "A" else n
+    roots = [[1 if k == i else -1 if k == i + 1 else 0 for k in range(dim)]
+             for i in range(n if fam == "A" else n - 1)]
+    last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}.get(fam)
+    if last:
+        roots.append([last.get(k, 0) for k in range(dim)])
+    return roots
+
+
+def inverse(matrix):
+    """The inverse of a nonsingular integer matrix, in Fractions, by Gauss-Jordan elimination."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _fundamental_weights(alg: rs.Algebra) -> tuple[rs.Weight, ...]:
+    roots = simple_root_coordinates(alg.family, alg.rank)
+    return tuple(weight(alg, [sum(c * root[k] for c, root in zip(row, roots)) for k in range(alg.ambient_dim)])
+                 for row in inverse(cartan_matrix(alg.family, alg.rank)))
+
+
+def pi_weight(alg: rs.Algebra, node: int) -> rs.Weight:
+    """The fundamental weight pi_node, row `node` of the inverse Cartan matrix
+    applied to the simple roots (Humphreys 13.2), independent of rootspace's
+    closed-form table and of its simple roots."""
+    return _fundamental_weights(alg)[node - 1]
+
+
 def pi_sum(alg: rs.Algebra, nodes, ks) -> rs.Weight:
-    """sum k_j pi_j over `nodes`, by Weight arithmetic on `fundamental_weight`."""
+    """sum k_j pi_j over `nodes`, by Weight arithmetic on `pi_weight`."""
     total = zero_weight(alg)
     for node, k in zip(nodes, ks):
-        total = total + k * rs.fundamental_weight(alg, node)
+        total = total + k * pi_weight(alg, node)
     return total
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, cli, diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum, weight
+from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum, pi_weight, weight
 
 
 def test_string_eligibility_excludes_tails():
@@ -179,7 +179,7 @@ def test_kappa_z0_form_a11_example():
     dg = diagram("A", 11, {3, 6})
     data = bd.admissible_data(dg, 1, "left", (2, 3))
     alg = dg.algebra
-    chi = 2 * rs.fundamental_weight(alg, 3) + 3 * rs.fundamental_weight(alg, 6)
+    chi = 2 * pi_weight(alg, 3) + 3 * pi_weight(alg, 6)
     w = weight(alg, [2, -1, -1] + [0] * 9)
     assert bd.kappa_z0_form(data) == chi + Fraction(1, 3) * w
     assert bd.kappa(data)[0] == Fraction(41, 18)
@@ -188,7 +188,7 @@ def test_kappa_z0_form_a11_example():
 def test_kappa_z0_form_m1_is_chi():
     dg = diagram("B", 3, {1})
     data = bd.admissible_data(dg, None, None, (4,))
-    assert bd.kappa_z0_form(data) == 4 * rs.fundamental_weight(dg.algebra, 1)
+    assert bd.kappa_z0_form(data) == 4 * pi_weight(dg.algebra, 1)
     with pytest.raises(DomainError):
         bd.kappa_z0_form(bd.admissible_data(dg, None, None, (0,)))
 
@@ -270,7 +270,7 @@ def test_kappa_b_exception_value():
 
 def test_kappa_m1_scaling():
     dg = diagram("C", 3, {2})
-    pi = rs.fundamental_weight(dg.algebra, 2)
+    pi = pi_weight(dg.algebra, 2)
     for n in (1, 3, 5):
         data = bd.admissible_data(dg, None, None, (n,))
         assert bd.kappa(data)[0] == n * n * rs.inner(pi, pi)

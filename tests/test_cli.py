@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from flagke import cli
+from flagke import census as cs, cli
 from flagke.errors import DiagramParseError
 
 from conftest import EXIT_ZERO, FAMILY_MIN_RANK, all_diagrams
@@ -345,3 +346,51 @@ def test_census_stdout_and_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "census", "--family", "A", "--max-rank", "99", "--out", "-")
     assert code == 2
+
+
+def test_census_rank_error_writes_no_file(tmp_path, capsys):
+    # the rank bound is checked before the output file is opened
+    out_path = tmp_path / "a.jsonl"
+    code, _, err = run(capsys, "census", "--family", "A", "--max-rank", "10", "--out", str(out_path))
+    assert (code, err) == (2, "error: max_rank must be in 1..9, got 10\n")
+    assert not out_path.exists()
+
+
+def test_census_writes_each_record_before_the_next_is_made(tmp_path, monkeypatch):
+    # the census worker of perfbench wraps `census.enumerate_records` the same way
+    enumerate_records = cs.enumerate_records
+    out, err, lines_before = io.StringIO(), io.StringIO(), []
+
+    def watched(*args):
+        for rec in enumerate_records(*args):
+            yield rec
+            lines_before.append(out.getvalue().count("\n"))
+
+    monkeypatch.setattr(cs, "enumerate_records", watched)
+    summary = tmp_path / "b.csv"
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["census", "--family", "B", "--max-rank", "4", "--out", "-", "--summary", str(summary)])
+    assert code == 0
+    # when record k + 1 is requested (k = 1 .. n), the stream already holds k lines
+    assert lines_before == list(range(1, len(lines_before) + 1))
+    assert len(out.getvalue().splitlines()) == len(lines_before)
+    total = sum(int(row["data"]) for row in csv.DictReader(summary.open(newline="")))
+    assert err.getvalue() == f"census: {total} records for family B up to rank 4\n"
+    assert total == len(lines_before)
+
+
+def test_census_command_runs_under_python_w_error(tmp_path, capsys):
+    # a fresh interpreter in development mode with every warning an error:
+    # stdout is the JSONL of an --out FILE run, stderr the count line alone
+    out_path, summary = tmp_path / "b.jsonl", tmp_path / "b.csv"
+    assert cli.main(["census", "--family", "B", "--max-rank", "5", "--out", str(out_path)]) == 0
+    count_line = capsys.readouterr().err
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "flagke", "census", "--family", "B",
+                           "--max-rank", "5", "--out", "-", "--summary", str(summary)],
+                          capture_output=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr.decode()) == (0, count_line)
+    assert count_line == "census: 155 records for family B up to rank 5\n"
+    assert proc.stdout == out_path.read_bytes()
+    assert summary.read_text().startswith("family,rank,")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, diagram, einstein as es, painted as pd, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum
+from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum, pi_weight
 
 
 def test_published_verdicts():
@@ -81,7 +81,7 @@ def test_z0_form_published_example():
     data = bd.admissible_data(dg, 1, "left", (1, 1))
     z0 = es.z0_form(data, Fraction(1))
     alg = dg.algebra
-    assert z0 == 3 * rs.fundamental_weight(alg, 3) + 6 * rs.fundamental_weight(alg, 6)
+    assert z0 == 3 * pi_weight(alg, 3) + 6 * pi_weight(alg, 6)
 
 
 def test_z0_form_scaling_and_face_conditions():
@@ -102,10 +102,10 @@ def test_z0_face_point_default_witness():
     xi = es.z0_face_point(data)
     assert pd.chamber_contains(data.s0, xi)
     # any interior face point is accepted, e.g. an asymmetric one
-    other = 2 * rs.fundamental_weight(dg.algebra, 3) + 5 * rs.fundamental_weight(dg.algebra, 6)
+    other = 2 * pi_weight(dg.algebra, 3) + 5 * pi_weight(dg.algebra, 6)
     assert pd.chamber_contains(data.s0, other)
     assert not pd.chamber_contains(data.s0, -xi)
-    assert not pd.chamber_contains(data.s0, rs.fundamental_weight(dg.algebra, 1))
+    assert not pd.chamber_contains(data.s0, pi_weight(dg.algebra, 1))
 
 
 def test_point_orbit_z0_is_origin():

@@ -11,7 +11,7 @@ import pytest
 from flagke import diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, trace_coordinates, trace_free, trace_inner, \
+from conftest import FAMILY_MIN_RANK, all_diagrams, pi_weight, trace_coordinates, trace_free, trace_inner, \
     weight, zero_weight
 
 
@@ -243,7 +243,7 @@ def test_kaehler_coefficient_signs_match_chamber_membership():
             for _ in range(4):
                 xi = zero_weight(dg.algebra)
                 for j in sorted(dg.black):
-                    xi = xi + Fraction(rng.randint(-3, 3)) * rs.fundamental_weight(dg.algebra, j)
+                    xi = xi + Fraction(rng.randint(-3, 3)) * pi_weight(dg.algebra, j)
                 coeffs = kaehler_coefficients(dg, xi)
                 assert (all(v > 0 for v in coeffs.values())) == pd.chamber_contains(dg, xi)
 
@@ -253,7 +253,7 @@ def test_is_hodge():
     sigma = pd.koszul(dg).sigma
     assert is_hodge(dg, sigma)
     assert not is_hodge(dg, Fraction(1, 2) * sigma)
-    assert is_hodge(dg, 3 * rs.fundamental_weight(dg.algebra, 1))
+    assert is_hodge(dg, 3 * pi_weight(dg.algebra, 1))
 
 
 def test_mask_and_key():

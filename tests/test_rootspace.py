@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from flagke import rootspace as rs
 from flagke.errors import ConfigurationError, UsageError
 
-from conftest import FAMILY_MIN_RANK, trace_coordinates, trace_inner, weight, zero_weight
+from conftest import FAMILY_MIN_RANK, cartan_matrix, pi_weight, trace_coordinates, trace_inner, weight, \
+    zero_weight
 
 
 def w(alg, *coeffs):
@@ -44,13 +45,19 @@ def test_positive_roots_examples():
     assert len(rs.positive_roots(rs.Algebra("D", 4))) == 12
 
 
+def table_pi(alg, node):
+    """pi_node as `fundamental_numerators` tabulates it."""
+    den, cols = rs.fundamental_numerators(alg)
+    return rs.Weight.from_numerators(alg, cols[node - 1], den)
+
+
 def test_fundamental_weight_defining_relations():
     for fam, minr in FAMILY_MIN_RANK.items():
         for rank in range(minr, 10):
             alg = rs.Algebra(fam, rank)
             simples = rs.simple_roots(alg)
             for i in range(1, rank + 1):
-                pi = rs.fundamental_weight(alg, i)
+                pi = table_pi(alg, i)
                 for j, alpha in enumerate(simples, start=1):
                     val = 2 * rs.inner(pi, alpha) / rs.inner(alpha, alpha)
                     assert val == (1 if i == j else 0), (fam, rank, i, j)
@@ -58,12 +65,20 @@ def test_fundamental_weight_defining_relations():
 
 def test_fundamental_weight_closed_forms():
     b4 = rs.Algebra("B", 4)
-    assert rs.fundamental_weight(b4, 4) == w(b4, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    assert table_pi(b4, 4) == w(b4, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     d4 = rs.Algebra("D", 4)
-    assert rs.fundamental_weight(d4, 3) == w(d4, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
-    assert rs.fundamental_weight(d4, 4) == w(d4, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    assert table_pi(d4, 3) == w(d4, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2))
+    assert table_pi(d4, 4) == w(d4, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     a3 = rs.Algebra("A", 3)
-    assert rs.fundamental_weight(a3, 2) == w(a3, 1, 1, 0, 0)
+    assert table_pi(a3, 2) == w(a3, 1, 1, 0, 0)
+
+
+def test_fundamental_numerators_match_the_inverse_cartan_matrix_to_rank_16():
+    for fam, minr in FAMILY_MIN_RANK.items():
+        for rank in range(minr, 17):
+            alg = rs.Algebra(fam, rank)
+            assert [table_pi(alg, i) for i in range(1, rank + 1)] == \
+                [pi_weight(alg, i) for i in range(1, rank + 1)], (fam, rank)
 
 
 def test_inner_killing_normalisation_a3():
@@ -79,7 +94,7 @@ def test_inner_matches_trace_oracle():
         for rank in range(max(minr, 2), 5):
             alg = rs.Algebra(fam, rank)
             vecs = list(rs.simple_roots(alg))
-            vecs += [rs.fundamental_weight(alg, i) for i in range(1, rank + 1)]
+            vecs += [pi_weight(alg, i) for i in range(1, rank + 1)]
             vecs += [
                 weight(alg, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.ambient_dim)])
                 for _ in range(4)
@@ -117,7 +132,7 @@ def simple_coordinates(alg, w):
     """Coordinates of `w` in the simple-root basis, as Fractions: its pairings
     with the fundamental coweights 2 pi_i / <alpha_i, alpha_i>, since
     <alpha_j, pi_i> = delta_ij <alpha_i, alpha_i> / 2."""
-    return tuple(2 * rs.inner(w, rs.fundamental_weight(alg, i)) / rs.inner(alpha, alpha)
+    return tuple(2 * rs.inner(w, pi_weight(alg, i)) / rs.inner(alpha, alpha)
                  for i, alpha in enumerate(rs.simple_roots(alg), start=1))
 
 
@@ -154,33 +169,13 @@ def test_positive_root_supports_are_nonzero_simple_coordinates_to_rank_16():
             assert rs.positive_root_supports(alg) == expected, (fam, rank)
 
 
-def cartan_matrix(fam, n):
-    """Rows 2<alpha_i, alpha_j>/<alpha_j, alpha_j> (0-based) from the Dynkin
-    diagram: simple edges give -1 both ways; at the B double edge the long
-    root's row reads -2 under the short root, at the C double edge the
-    short root's row reads -2 under the long root."""
-    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    if fam == "D":
-        simple = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
-    elif fam == "A" or n == 1:
-        simple = [(i, i + 1) for i in range(n - 1)]
-    else:
-        simple = [(i, i + 1) for i in range(n - 2)]
-        long_row, short_row = (n - 2, n - 1) if fam == "B" else (n - 1, n - 2)
-        cartan[long_row][short_row] = -2
-        cartan[short_row][long_row] = -1
-    for i, j in simple:
-        cartan[i][j] = cartan[j][i] = -1
-    return cartan
-
-
 def test_fundamental_coordinates_to_rank_16():
     for fam, minr in FAMILY_MIN_RANK.items():
         for rank in range(minr, 17):
             alg = rs.Algebra(fam, rank)
             for i in range(1, rank + 1):
                 unit = tuple(int(j == i) for j in range(1, rank + 1))
-                assert rs.fundamental_coordinates(alg, rs.fundamental_weight(alg, i)) == unit, (fam, rank, i)
+                assert rs.fundamental_coordinates(alg, pi_weight(alg, i)) == unit, (fam, rank, i)
             rows = [rs.fundamental_coordinates(alg, alpha) for alpha in rs.simple_roots(alg)]
             assert rows == [tuple(row) for row in cartan_matrix(fam, rank)], (fam, rank)
 
