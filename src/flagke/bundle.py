@@ -19,14 +19,17 @@ neighbour of the string by an integer d_j that depends only on how the
 neighbour attaches; `neighbour_drops` is the single table of these drops.
 
 What does not depend on chi is kept once per (diagram, string, end) in an
-`End` record, built on first use by `end_of`; a datum is its record and chi,
-whose integer numerators over the black fundamental weights are one integer
-product per datum.  Two dual computations of the sign-normalised form xi_0
-of kappa*Z^0 are kept deliberately separate: `kappa_z0_form` adds +-m chi to
-the base m pi_beta - sum d_j pi_j of `neighbour_drops`, `kappa_z0_oracle`
-adds m chi to the virtual epsilon vector and normalises the sign by <beta,
-xi>; they share only chi's numerators.  `end_of` checks, once per record,
-that they agree for every chi.
+`End` record, built on first use by `end_of`, and read from it: s0, the
+string, the end, m, beta and the flag F.  The Koszul update relations of F
+(`predicted_koszul_update`, `koszul_update_check`) take the `End`.  A datum
+is its record and chi, whose integer numerators over the black fundamental
+weights are one integer product per datum.  Two dual computations of the
+sign-normalised form xi_0 of kappa*Z^0 are kept deliberately separate:
+`kappa_z0_form` adds +-m chi to the base m pi_beta - sum d_j pi_j of
+`neighbour_drops`, `kappa_z0_oracle` adds m chi to the virtual epsilon
+vector and normalises the sign by <beta, xi>; they share only chi's
+numerators.  `end_of` checks, once per record, that they agree for every
+chi.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from operator import attrgetter, index, mul
+from operator import index, mul
 from typing import Optional
 
 from . import painted as pd
@@ -201,18 +204,12 @@ class AdmissibleData:
             chi = tuple(map(index, self.chi))
         except TypeError as exc:
             raise UsageError(f"chi entries must be integers, got {self.chi!r}") from exc
-        if len(chi) != len(self.s0.black):
-            raise UsageError(f"chi has {len(chi)} entries, diagram has {len(self.s0.black)} black nodes")
-        if self.string is None and not any(chi):
+        if len(chi) != len(self.end.s0.black):
+            raise UsageError(f"chi has {len(chi)} entries, diagram has {len(self.end.s0.black)} black nodes")
+        if self.end.string is None and not any(chi):
             raise DomainError("rank-one bundle with chi = 0 is degenerate")
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "chi_num", self.end.pi_sum(chi))
-
-    s0 = property(attrgetter("end.s0"))
-    string = property(attrgetter("end.string"))
-    beta_end = property(attrgetter("end.beta_end"))  # 'left' | 'right'
-    m = property(attrgetter("end.m"))
-    beta_node = property(attrgetter("end.beta_node"))
 
 
 def admissible_data(
@@ -225,17 +222,12 @@ def admissible_data(
     return AdmissibleData(end_of(s0, string_start, beta_end), chi)
 
 
-def flag_f(data: AdmissibleData) -> pd.PaintedDiagram:
-    """The flag of the regular orbits: s0 with the end root beta painted black."""
-    return data.end.flag
-
-
 def kappa_z0_oracle(data: AdmissibleData) -> rs.Weight:
     """xi_0 from the virtual epsilon sequence: +-(chi + w/m), sign-normalised,
     i.e. +-(m chi + den w) over m den for chi = num/den.  The integer dot
     product with beta's numerators has the sign of <beta, xi>: a root is
     trace-free, so the family-A projection drops out."""
-    end, alg = data.end, data.s0.algebra
+    end, alg = data.end, data.end.s0.algebra
     if end.m == 1:
         return rs.Weight.from_numerators(alg, data.chi_num, end.den)
     m, den = end.m, end.den
@@ -258,7 +250,7 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
     end = data.end
     scale = end.sign * end.m
     num = tuple([scale * a + b for a, b in zip(data.chi_num, end.form_base)])
-    return rs.Weight.from_numerators(data.s0.algebra, num, end.m * end.den)
+    return rs.Weight.from_numerators(end.s0.algebra, num, end.m * end.den)
 
 
 def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
@@ -293,19 +285,18 @@ def neighbour_drops(info: StringInfo, beta_end: str) -> tuple[tuple[int, int], .
     return tuple(drops)
 
 
-def predicted_koszul_update(data: AdmissibleData) -> dict[int, int]:
-    """Koszul numbers of flag_f(data) predicted from those of s0: the new
-    node gets m, each black neighbour j loses d_j of `neighbour_drops`."""
-    if data.m == 1:
+def predicted_koszul_update(end: End) -> dict[int, int]:
+    """Koszul numbers of the flag `end.flag` predicted from those of s0: the
+    new node gets m, each black neighbour j loses d_j of `neighbour_drops`."""
+    if end.m == 1:
         raise UsageError("koszul update is defined for m > 1 only")
-    predicted = dict(pd.koszul(data.s0).numbers) if data.s0.black else {}
-    for node, d in data.end.drops:
+    predicted = dict(pd.koszul(end.s0).numbers) if end.s0.black else {}
+    for node, d in end.drops:
         predicted[node] -= d
-    predicted[data.beta_node] = data.m
+    predicted[end.beta_node] = end.m
     return predicted
 
 
-def koszul_update_check(data: AdmissibleData) -> bool:
-    """True iff the Koszul numbers of flag_f(data) satisfy the update relations."""
-    actual = pd.koszul(flag_f(data)).numbers
-    return actual == predicted_koszul_update(data)
+def koszul_update_check(end: End) -> bool:
+    """True iff the Koszul numbers of `end.flag` satisfy the update relations."""
+    return pd.koszul(end.flag).numbers == predicted_koszul_update(end)

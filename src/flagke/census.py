@@ -5,8 +5,9 @@ record per diagram with at least one black node; every eligible string
 contributes one record per end choice.  Character-dependent verdicts are
 reported as symbolic bounds plus the smallest-magnitude integer witness.
 Before a record is emitted its witnesses are checked against their bounds
-and its datum against the Koszul update relations; the dual forms of xi_0
-were checked when `bundle.end_of` built the record's `End`.
+and, for m > 1, its `bundle.End` against the Koszul update relations, which
+do not depend on chi; the dual forms of xi_0 were checked when
+`bundle.end_of` built that `End`.
 
 Each record is the schema-1 JSON object itself (documented in the README): a
 dict in the schema's field order, its rationals canonical ``"p/q"`` text, so
@@ -60,12 +61,11 @@ def _record_for(dg: pd.PaintedDiagram,
             "kappa_sq": None if zero_kappa is None else rs.frac_str(zero_kappa),
         },
     }
-    witness_data = {}
     for tag, bounds in (("pos", crit.pos), ("neg", crit.neg)):
         witness = smallest_witness(bounds)
         if string_start is None and not any(witness):
             witness = _nonzero_witness(bounds, witness)
-        data = witness_data[tag] = bd.AdmissibleData(end, witness)
+        data = bd.AdmissibleData(end, witness)
         if not es.satisfied(bounds, witness):
             raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
         rec["lambda_" + tag] = {
@@ -75,9 +75,9 @@ def _record_for(dg: pd.PaintedDiagram,
             "ray_extends": es.satisfied(crit.ray, witness),
         }
     rec["lambda_neg"]["complete"] = rec["lambda_neg"]["ray_extends"]
-    # the update relations do not depend on chi: the datum of the lambda < 0 witness checks them
-    if string_start is not None and not bd.koszul_update_check(witness_data["neg"]):
-        raise AssertionError(f"Koszul update relations fail for {witness_data['neg']}")
+    # the update relations do not depend on chi: the record's End checks them
+    if string_start is not None and not bd.koszul_update_check(end):
+        raise AssertionError(f"Koszul update relations fail for {end}")
     return rec
 
 

@@ -110,13 +110,14 @@ def _cmd_koszul(args) -> int:
 
 
 def _verdict_payload(data: bd.AdmissibleData, verdict: es.EinsteinVerdict) -> dict:
+    end = data.end
     return {
-        "diagram": data.s0.key(),
-        "m": data.m,
-        "string_start": None if data.string is None else data.string.start,
-        "beta_end": data.beta_end,
+        "diagram": end.s0.key(),
+        "m": end.m,
+        "string_start": None if end.string is None else end.string.start,
+        "beta_end": end.beta_end,
         "chi": list(data.chi),
-        "black_nodes": list(data.s0.black_nodes),
+        "black_nodes": list(end.s0.black_nodes),
         "lambda_zero": {
             "exists": verdict.lambda_zero.exists,
             "required_chi": None if verdict.lambda_zero.required_chi is None
@@ -142,8 +143,9 @@ def _cmd_classify(args) -> int:
     if args.json:
         print(json.dumps(_verdict_payload(data, verdict), separators=(",", ":")))
         return 0
-    print(f"diagram {data.s0.key()}  m={data.m}"
-          + ("" if data.string is None else f"  string@{data.string.start}  beta={data.beta_end}"))
+    end = data.end
+    print(f"diagram {end.s0.key()}  m={end.m}"
+          + ("" if end.string is None else f"  string@{end.string.start}  beta={end.beta_end}"))
     z = verdict.lambda_zero
     req = "" if z.required_chi is None else "  required_chi=" + ",".join(str(k) for k in z.required_chi)
     print(f"lambda=0  exists={'yes' if z.exists else 'no'}{req}")
@@ -173,8 +175,8 @@ def _cmd_profile(args) -> int:
     rows = [(t, f, pf.residual_at(prof, f)) for t, f in points]
     if args.json:
         payload = {
-            "diagram": data.s0.key(),
-            "m": data.m,
+            "diagram": data.end.s0.key(),
+            "m": data.end.m,
             "lambda": rs.frac_str(lam),
             "kappa": prof.kappa,
             "kappa_sq": rs.frac_str(prof.kappa_sq),
@@ -184,7 +186,7 @@ def _cmd_profile(args) -> int:
         }
         print(json.dumps(payload, separators=(",", ":")))
         return 0
-    print(f"diagram {data.s0.key()}  m={data.m}  lambda={rs.frac_str(lam)}")
+    print(f"diagram {data.end.s0.key()}  m={data.end.m}  lambda={rs.frac_str(lam)}")
     print(f"kappa={prof.kappa:.12g}  kappa_sq={rs.frac_str(prof.kappa_sq)}  "
           f"f_sup={'inf' if not math.isfinite(prof.f_sup) else format(prof.f_sup, '.12g')}  d={prof.d}")
     print(f"{'t':>18} {'f(t)':>18} {'residual':>12}")

@@ -167,10 +167,9 @@ def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
     end = data.end
     scale = -end.sign * end.m
     ks = [n + scale * k for n, k in zip(crit.numbers, data.chi)]
-    return (1 / lam) * rs.Weight.from_numerators(data.s0.algebra, end.pi_sum(ks), end.den)
+    return (1 / lam) * rs.Weight.from_numerators(end.s0.algebra, end.pi_sum(ks), end.den)
 
 
-def z0_face_point(data: bd.AdmissibleData) -> rs.Weight:
+def z0_face_point(end: bd.End) -> rs.Weight:
     """Canonical Ricci-flat witness: the sum of the black fundamental weights of s0."""
-    end = data.end
-    return rs.Weight.from_numerators(data.s0.algebra, end.pi_sum([1] * len(data.chi)), end.den)
+    return rs.Weight.from_numerators(end.s0.algebra, end.pi_sum([1] * len(end.s0.black)), end.den)

@@ -406,12 +406,11 @@ class _Part:
         return table
 
     def integral(self, y: float) -> float:
-        """H(y) for y >= 0, within the panels on a bounded domain."""
+        """H(y) for y >= 0, within the panels on a bounded domain.  h is
+        finite at every edge (0 at a wall), so at an edge this is cum there."""
         edges, cum, _ = self.reach(y)
         i = _panel_index(edges, y)
         lo = edges[i]
-        if y == lo:
-            return cum[i]
         return cum[i] + (y - lo) * float(self.h(lo + (y - lo) * _X16) @ _W16)
 
     def solve(self, target: float) -> float:
@@ -524,19 +523,16 @@ def metric_profile(
     else:
         if es.criterion(data.end).required_chi != data.chi:
             raise DomainError("data does not admit a Ricci-flat metric")
-        xi_z0 = z0 if z0 is not None else es.z0_face_point(data)
-        if not pd.chamber_contains(data.s0, xi_z0):
+        xi_z0 = z0 if z0 is not None else es.z0_face_point(data.end)
+        if not pd.chamber_contains(data.end.s0, xi_z0):
             raise DomainError("supplied z0 is not an interior face point")
-    xi0 = bd.kappa_z0_form(data)
-    flag = bd.flag_f(data)
+    xi0, m = bd.kappa_z0_form(data), data.end.m
     pairs = tuple(
-        (rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(flag)
+        (rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(data.end.flag)
     )
-    profile = MetricProfile(pairs=pairs, kappa_sq=bd.kappa(data)[0], m=data.m, lam=lam)
-    if profile.d != data.m - 1:
-        raise AssertionError(
-            f"vanishing order {profile.d} differs from m - 1 = {data.m - 1}"
-        )
+    profile = MetricProfile(pairs=pairs, kappa_sq=bd.kappa(data)[0], m=m, lam=lam)
+    if profile.d != m - 1:
+        raise AssertionError(f"vanishing order {profile.d} differs from m - 1 = {m - 1}")
     return profile
 
 
@@ -586,13 +582,14 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
 
 
 def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
-    """Validate f once and return (u, sqrt(2 J/Q), J S/Q) at u = f/kappa,
-    where S = Q'/Q is the sum of r/(a + u r) over the pairs.  On its part
-    J/Q = d K, and a split-off factor d slope adds orientation/d to S, so
-    J S/Q = K (d S_kept + orientation order): no product of d and K, which
-    could overflow on an unbounded domain, and no 0/0 at the anchor.
-    NumericsError where either value is not a finite float, as within about
-    1e-6 of a high-order wall, where K overflows."""
+    """Validate f once and return (sqrt(2 J/Q), J S/Q, f'') at u = f/kappa,
+    where S = Q'/Q is the sum of r/(a + u r) over the pairs and f'' = kappa
+    ((m - lambda u) - J S/Q).  On its part J/Q = d K, and a split-off factor
+    d slope adds orientation/d to S, so J S/Q = K (d S_kept + orientation
+    order): no product of d and K, which could overflow on an unbounded
+    domain, and no 0/0 at the anchor.  NumericsError where either of the
+    first two is not a finite float, as within about 1e-6 of a high-order
+    wall, where K overflows."""
     u = _check_f(profile, f)
     left, right, split = profile._parts
     part, d = (right, profile.u_sup - u) if u > split else (left, u)
@@ -601,18 +598,17 @@ def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
     speed, jsq = math.sqrt(2.0 * d) * math.sqrt(k), k * (d * s_kept + part.orientation * part.order)
     if not (math.isfinite(speed) and math.isfinite(jsq)):
         raise NumericsError(f"sqrt(2J/Q) = {speed} or J S/Q = {jsq} is not a finite float at f = {f}")
-    return u, speed, jsq
+    return speed, jsq, profile.kappa * ((profile.m - float(profile.lam) * u) - jsq)
 
 
 def f_dot(profile: MetricProfile, f: float) -> float:
     """df/dt = kappa sqrt(2 J/Q) along the profile, from the first integral."""
-    return profile.kappa * _point(profile, f)[1]
+    return profile.kappa * _point(profile, f)[0]
 
 
 def f_ddot(profile: MetricProfile, f: float) -> float:
     """d^2f/dt^2 = kappa ((m - lambda u) - J S / Q), S the log-derivative of Q."""
-    u, _, jsq = _point(profile, f)
-    return profile.kappa * ((profile.m - float(profile.lam) * u) - jsq)
+    return _point(profile, f)[2]
 
 
 def residual_at(profile: MetricProfile, f: float) -> float:
@@ -621,8 +617,7 @@ def residual_at(profile: MetricProfile, f: float) -> float:
     f' and f'' come from the first integral, so A(f)/2 f'^2 = kappa J S/Q:
     the residual vanishes identically and measures only cancellation.
     """
-    u, _, jsq = _point(profile, f)
-    fdd = profile.kappa * ((profile.m - float(profile.lam) * u) - jsq)
+    _, jsq, fdd = _point(profile, f)
     return fdd + profile.kappa * jsq + float(profile.lam) * f - profile.kappa * profile.m
 
 
@@ -648,7 +643,7 @@ class VerdianiReport:
 
 def verdiani_check(profile: MetricProfile) -> VerdianiReport:
     """Check f(0) = 0, f'(0+) -> 0 and f''(0+) -> kappa on a small-t probe set."""
-    t_ref = _reference_time(profile)
+    t_ref = _t_of_u(profile, min(1.0, profile.u_sup / 2))  # 1.0 when unbounded
     probes = tuple(t_ref * s for s in (1e-3, 1e-4, 1e-5))
     f0 = f_of_t(profile, 0.0)
     fs = [f_of_t(profile, t) for t in probes]
@@ -676,10 +671,6 @@ def verdiani_check(profile: MetricProfile) -> VerdianiReport:
         t_probes=probes,
         passed=passed,
     )
-
-
-def _reference_time(profile: MetricProfile) -> float:
-    return _t_of_u(profile, min(1.0, profile.u_sup / 2))  # 1.0 when unbounded
 
 
 def domain_end(profile: MetricProfile) -> float:

@@ -107,7 +107,7 @@ def test_criterion_04_koszul_update_relations_to_rank_7():
                     for end in ("left", "right"):
                         data = bd.admissible_data(dg, info.start, end, tuple(0 for _ in sorted(dg.black)))
                         checked += 1
-                        failures += not bd.koszul_update_check(data)
+                        failures += not bd.koszul_update_check(data.end)
     elapsed = time.monotonic() - t0
     _report("criterion 4 (Koszul update relations, rank <= 7)",
             failures == 0 and checked > 0, elapsed, 120.0, f"{checked} data exact")
@@ -154,7 +154,7 @@ def test_criterion_06_algebraic_condition_identity_to_rank_6():
                 for info, end in data_shapes:
                     mk = lambda chi: bd.admissible_data(dg, info and info.start, end, chi)  # noqa: E731
                     probe = mk(tuple(1 for _ in sorted(dg.black)))
-                    sigma_target = pd.koszul(bd.flag_f(probe)).sigma
+                    sigma_target = pd.koszul(probe.end.flag).sigma
                     verdict = es.classify(probe)
                     for lam in lams:
                         bounds = (verdict.lambda_pos if lam > 0 else verdict.lambda_neg).constraint
@@ -166,12 +166,12 @@ def test_criterion_06_algebraic_condition_identity_to_rank_6():
                         xi_z0 = es.z0_form(data, lam)
                         xi0 = bd.kappa_z0_form(data)
                         checked += 1
-                        failures += sigma_target != lam * xi_z0 + data.m * xi0
+                        failures += sigma_target != lam * xi_z0 + data.end.m * xi0
                     req = verdict.lambda_zero.required_chi
                     if req is not None and (info is not None or any(req)):
                         data0 = mk(req)
                         checked += 1
-                        failures += sigma_target != data0.m * bd.kappa_z0_form(data0)
+                        failures += sigma_target != data0.end.m * bd.kappa_z0_form(data0)
     elapsed = time.monotonic() - t0
     _report("criterion 6 (algebraic condition identity, rank <= 6)",
             failures == 0 and checked > 0, elapsed, 60.0, f"{checked} identities exact")
@@ -278,7 +278,7 @@ def test_criterion_09_verdiani_suite_on_sampled_data():
     worst_rel = 0.0
     ok = True
     for data, lam, prof in _sampled_profiles():
-        if prof.d != data.m - 1:
+        if prof.d != data.end.m - 1:
             ok = False
         report = pf.verdiani_check(prof)
         worst_rel = max(worst_rel, report.relative_error)

@@ -73,11 +73,11 @@ def test_string_structure_d_both_tips_black():
 def test_flag_f():
     dg = diagram("A", 11, {3, 6})
     data = bd.admissible_data(dg, 1, "left", (0, 0))
-    assert bd.flag_f(data).black == frozenset({1, 3, 6})
+    assert data.end.flag.black == frozenset({1, 3, 6})
     data_r = bd.admissible_data(diagram("A", 5, {1, 5}), 2, "right", (0, 0))
-    assert bd.flag_f(data_r).black == frozenset({1, 4, 5})
+    assert data_r.end.flag.black == frozenset({1, 4, 5})
     m1 = bd.admissible_data(dg, None, None, (1, 0))
-    assert bd.flag_f(m1) == dg
+    assert m1.end.flag == dg
 
 
 def test_admissible_data_validation():
@@ -157,11 +157,11 @@ def test_dual_forms_match_weight_arithmetic(dg, draw):
         for end in ("left", "right"):
             chi = draw.draw(st.tuples(*(st.integers(-5, 5) for _ in nodes)))
             data = bd.admissible_data(dg, info.start, end, chi)
-            m, beta = info.m, rs.simple_roots(alg)[data.beta_node - 1]
+            m, beta = info.m, rs.simple_roots(alg)[data.end.beta_node - 1]
             chi_w = pi_sum(alg, nodes, chi)
             drops = bd.neighbour_drops(info, end)
             base = Fraction(1, m) * pi_sum(
-                alg, (data.beta_node,) + tuple(j for j, _ in drops), (m,) + tuple(-d for _, d in drops))
+                alg, (data.end.beta_node,) + tuple(j for j, _ in drops), (m,) + tuple(-d for _, d in drops))
             form = (chi_w if end == "left" else -chi_w) + base
             assert bd.kappa_z0_form(data) == form, (dg.key(), info.nodes, end, chi)
 
@@ -244,10 +244,10 @@ def test_xi0_lies_in_the_center_direction():
                     for end in ("left", "right"):
                         data = bd.admissible_data(dg, info.start, end, tuple(1 for _ in sorted(dg.black)))
                         xi = bd.kappa_z0_form(data)
-                        flag = bd.flag_f(data)
+                        flag = data.end.flag
                         simples = rs.simple_roots(dg.algebra)
                         assert all(rs.inner(xi, simples[w - 1]) == 0 for w in sorted(flag.white))
-                        assert rs.inner(xi, simples[data.beta_node - 1]) > 0
+                        assert rs.inner(xi, simples[data.end.beta_node - 1]) > 0
 
 
 def test_kappa_su2_point_orbit():
@@ -296,31 +296,31 @@ def test_kappa_against_trace_norm_formula():
         dg = diagram(fam, rank, black)
         data = bd.admissible_data(dg, start, end, chi)
         c = dg.algebra.killing_constant
-        m = data.m
+        m = data.end.m
         chi_w = pi_sum(dg.algebra, dg.black_nodes, chi)
         expected = trace_inner(dg.algebra, chi_w, chi_w)
         expected += Fraction(m - 1, 2 * c * m)
         assert bd.kappa(data)[0] == expected, (fam, rank, black, start, end)
     # rank one: kappa^2 = <chi, chi> alone
     dm1 = bd.admissible_data(diagram("B", 3, {1}), None, None, (4,))
-    chi_w = pi_sum(dm1.s0.algebra, (1,), (4,))
-    assert bd.kappa(dm1)[0] == trace_inner(dm1.s0.algebra, chi_w, chi_w)
+    chi_w = pi_sum(dm1.end.s0.algebra, (1,), (4,))
+    assert bd.kappa(dm1)[0] == trace_inner(dm1.end.s0.algebra, chi_w, chi_w)
 
 
 def test_koszul_update_published_example():
     dg = diagram("A", 11, {3, 6})
-    data = bd.admissible_data(dg, 1, "left", (0, 0))
-    assert bd.predicted_koszul_update(data) == {1: 3, 3: 5, 6: 9}
-    assert bd.koszul_update_check(data)
-    assert pd.koszul(bd.flag_f(data)).numbers == {1: 3, 3: 5, 6: 9}
+    end = bd.end_of(dg, 1, "left")
+    assert bd.predicted_koszul_update(end) == {1: 3, 3: 5, 6: 9}
+    assert bd.koszul_update_check(end)
+    assert pd.koszul(end.flag).numbers == {1: 3, 3: 5, 6: 9}
 
 
 def test_koszul_update_exceptional_shapes():
     # through the B double edge: the end-side neighbour drops 2 (left) or
     # 2(m-1) (right)
     dg = diagram("B", 3, {1, 3})
-    left = bd.admissible_data(dg, 2, "left", (0, 0))
-    right = bd.admissible_data(dg, 2, "right", (0, 0))
+    left = bd.end_of(dg, 2, "left")
+    right = bd.end_of(dg, 2, "right")
     assert pd.koszul(dg).numbers == {1: 3, 3: 4}
     assert bd.predicted_koszul_update(left) == {1: 2, 2: 2, 3: 2}
     assert bd.koszul_update_check(left) and bd.koszul_update_check(right)
@@ -328,17 +328,17 @@ def test_koszul_update_exceptional_shapes():
     # D fork: drop 2 (left) or m-2 (right)
     dgd = diagram("D", 4, {3})
     assert pd.koszul(dgd).numbers == {3: 6}
-    dleft = bd.admissible_data(dgd, 1, "left", (0,))
-    dright = bd.admissible_data(dgd, 1, "right", (0,))
+    dleft = bd.end_of(dgd, 1, "left")
+    dright = bd.end_of(dgd, 1, "right")
     assert bd.predicted_koszul_update(dleft) == {1: 4, 3: 4}
     assert bd.predicted_koszul_update(dright) == {4: 4, 3: 4}
     assert bd.koszul_update_check(dleft) and bd.koszul_update_check(dright)
 
     # Sp tail attached through the C double edge follows the generic drop
     dgc = diagram("C", 3, {1, 3})
-    cleft = bd.admissible_data(dgc, 2, "left", (0, 0))
+    cleft = bd.end_of(dgc, 2, "left")
     assert bd.koszul_update_check(cleft)
-    assert bd.koszul_update_check(bd.admissible_data(dgc, 2, "right", (0, 0)))
+    assert bd.koszul_update_check(bd.end_of(dgc, 2, "right"))
 
 
 def test_koszul_update_sweep():
@@ -347,11 +347,10 @@ def test_koszul_update_sweep():
             for dg in all_diagrams(fam, rank):
                 for info in bd.eligible_strings(dg):
                     for end in ("left", "right"):
-                        data = bd.admissible_data(dg, info.start, end, tuple(0 for _ in sorted(dg.black)))
-                        assert bd.koszul_update_check(data), (dg.key(), info.nodes, end)
+                        assert bd.koszul_update_check(bd.end_of(dg, info.start, end)), (dg.key(), info.nodes, end)
 
 
 def test_koszul_update_requires_higher_rank():
-    data = bd.admissible_data(diagram("B", 3, {1}), None, None, (1,))
+    end = bd.end_of(diagram("B", 3, {1}), None, None)
     with pytest.raises(UsageError):
-        bd.koszul_update_check(data)
+        bd.koszul_update_check(end)

@@ -90,28 +90,35 @@ def test_z0_form_scaling_and_face_conditions():
     assert es.z0_form(data, Fraction(2)) == Fraction(1, 2) * es.z0_form(data, Fraction(1))
     z0 = es.z0_form(data, Fraction(1))
     simples = rs.simple_roots(dg.algebra)
-    assert rs.inner(z0, simples[data.beta_node - 1]) == 0
-    assert all(rs.inner(z0, simples[j - 1]) > 0 for j in data.s0.black_nodes)
+    assert rs.inner(z0, simples[data.end.beta_node - 1]) == 0
+    assert all(rs.inner(z0, simples[j - 1]) > 0 for j in data.end.s0.black_nodes)
     with pytest.raises(UsageError):
         es.z0_form(data, Fraction(0))
 
 
 def test_z0_face_point_default_witness():
     dg = diagram("A", 11, {3, 6})
-    data = bd.admissible_data(dg, 1, "left", (2, 3))
-    xi = es.z0_face_point(data)
-    assert pd.chamber_contains(data.s0, xi)
+    xi = es.z0_face_point(bd.end_of(dg, 1, "left"))
+    assert pd.chamber_contains(dg, xi)
     # any interior face point is accepted, e.g. an asymmetric one
     other = 2 * pi_weight(dg.algebra, 3) + 5 * pi_weight(dg.algebra, 6)
-    assert pd.chamber_contains(data.s0, other)
-    assert not pd.chamber_contains(data.s0, -xi)
-    assert not pd.chamber_contains(data.s0, pi_weight(dg.algebra, 1))
+    assert pd.chamber_contains(dg, other)
+    assert not pd.chamber_contains(dg, -xi)
+    assert not pd.chamber_contains(dg, pi_weight(dg.algebra, 1))
+    # every end's witness is the sum of its black pi_j, against the inverse-Cartan oracle
+    for fam, minr in FAMILY_MIN_RANK.items():
+        for rank in range(minr, 7):
+            for s0 in all_diagrams(fam, rank):
+                ends = [(info.start, end) for info in bd.eligible_strings(s0) for end in ("left", "right")]
+                for start, end in [(None, None)] + ends:
+                    expected = pi_sum(s0.algebra, s0.black_nodes, (1,) * len(s0.black))
+                    assert es.z0_face_point(bd.end_of(s0, start, end)) == expected, (s0.key(), start, end)
 
 
 def test_point_orbit_z0_is_origin():
     data = bd.admissible_data(diagram("A", 2, set()), 1, "left", ())
     assert es.z0_form(data, Fraction(1)).is_zero()
-    assert es.z0_face_point(data).is_zero()
+    assert es.z0_face_point(data.end).is_zero()
 
 
 def test_ray_extension():
@@ -157,8 +164,8 @@ def test_alg_cond_identity_small_sweep():
                             data = bd.admissible_data(dg, info.start, end, chi)
                             xi_z0 = es.z0_form(data, lam)
                             xi0 = bd.kappa_z0_form(data)
-                            sigma_f = pd.koszul(bd.flag_f(data)).sigma
-                            assert sigma_f == lam * xi_z0 + data.m * xi0, (dg.key(), info.nodes, end, lam)
+                            sigma_f = pd.koszul(data.end.flag).sigma
+                            assert sigma_f == lam * xi_z0 + data.end.m * xi0, (dg.key(), info.nodes, end, lam)
 
 
 def test_alg_cond_identity_rank_one():
@@ -191,9 +198,9 @@ def test_z0_vanishing_set_is_exactly_the_string_block():
                         chi = tuple(-sign for _ in sorted(dg.black))  # admits lambda > 0
                         data = bd.admissible_data(dg, info.start, end, chi)
                         z0 = es.z0_form(data, Fraction(1))
-                        flag = bd.flag_f(data)
+                        flag = data.end.flag
                         zeros = sum(1 for a in pd.r_m_plus(flag) if rs.inner(a, z0) == 0)
-                        assert zeros == data.m - 1, (dg.key(), info.nodes, end)
+                        assert zeros == data.end.m - 1, (dg.key(), info.nodes, end)
 
 
 def test_verdict_constraint_strings():
@@ -280,15 +287,15 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         m_chi = m * pi_sum(dg.algebra, nodes, chi)
         xi = xi + m_chi if end == "right" else xi - m_chi
         v = es.classify(data)
-        assert v.lambda_pos.exists == pd.chamber_contains(data.s0, xi), (dg.key(), m, end, chi)
-        assert v.lambda_neg.exists == pd.chamber_contains(data.s0, -xi), (dg.key(), m, end, chi)
+        assert v.lambda_pos.exists == pd.chamber_contains(dg, xi), (dg.key(), m, end, chi)
+        assert v.lambda_neg.exists == pd.chamber_contains(dg, -xi), (dg.key(), m, end, chi)
         assert v.lambda_zero.exists == xi.is_zero(), (dg.key(), m, end, chi)
         if end == "left":
             # the right end at -chi mirrors the left end at chi: both have
             # lambda xi_{Z_0} = sigma_F - m xi_0, here from exact root sums and
             # the virtual-epsilon oracle, and so the same three verdicts
             mirror = bd.admissible_data(dg, info.start, "right", tuple(-k for k in chi))
-            forms = [pd.koszul(bd.flag_f(d)).sigma - m * bd.kappa_z0_oracle(d) for d in (data, mirror)]
+            forms = [pd.koszul(d.end.flag).sigma - m * bd.kappa_z0_oracle(d) for d in (data, mirror)]
             assert forms[0] == forms[1] == xi, (dg.key(), m, chi)
             w = es.classify(mirror)
             assert ((w.lambda_pos.exists, w.lambda_neg.exists, w.lambda_zero.exists)
@@ -300,14 +307,14 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         assert v.ray_extends == all(rs.inner(xi0, simples[j - 1]) > 0 for j in nodes), (dg.key(), m, end, chi)
         if m > 1:
             assert xi0 == bd.kappa_z0_oracle(data), (dg.key(), m, end, chi)
-            assert bd.koszul_update_check(data), (dg.key(), m, end)
+            assert bd.koszul_update_check(data.end), (dg.key(), m, end)
         # the flag's Koszul form, an exact root sum, is lambda xi_{Z_0} + m xi_0
         # (m xi_0 at lambda = 0); for lambda <= 0 that makes every slope r
         # positive, so the segment meets no chamber wall.  Building the
         # profile checks the vanishing order d = m - 1
         beta = None if info is None else info.nodes[0 if end == "left" else -1]
         flag = pd.PaintedDiagram(dg.algebra, dg.black | ({beta} - {None}))
-        assert bd.flag_f(data) == flag, (dg.key(), m, end)
+        assert data.end.flag == flag, (dg.key(), m, end)
         sigma_f = pd.koszul(flag).sigma
         for lam, verdict in ((1, v.lambda_pos), (-1, v.lambda_neg), (0, v.lambda_zero)):
             if not verdict.exists:

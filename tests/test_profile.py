@@ -106,7 +106,7 @@ def test_polynomial_p_structure():
     q = _exact_q(prof)
     n_roots = len(prof.pairs)
     import flagke.painted as pdm
-    assert n_roots == len(pdm.r_m_plus(bd.flag_f(a11_data((1, 1)))))
+    assert n_roots == len(pdm.r_m_plus(a11_data((1, 1)).end.flag))
     assert len(q) - 1 == n_roots
     d = prof.d
     assert all(c == 0 for c in q[:d]) and q[d] != 0
@@ -352,11 +352,11 @@ def scan_profiles(seed, draws):
         data.append(bd.admissible_data(dg, start, end, chi))
     profiles = []
     for datum in data:
-        v = es.classify(datum)
+        v, e = es.classify(datum), datum.end
         for lam in SCAN_LAMBDAS:
             if (v.lambda_pos if lam > 0 else v.lambda_neg if lam < 0 else v.lambda_zero).exists:
-                profiles.append((pf.metric_profile(datum, lam), (datum.s0.key(), datum.string and datum.string.start,
-                                                                  datum.beta_end, datum.chi, lam)))
+                profiles.append((pf.metric_profile(datum, lam), (e.s0.key(), e.string and e.string.start,
+                                                                  e.beta_end, datum.chi, lam)))
     return profiles
 
 
@@ -862,10 +862,10 @@ def test_domain_end_cases():
 
 def test_lambda_zero_custom_face_point():
     data = a11_data((2, 3))
-    alg = data.s0.algebra
+    alg = data.end.s0.algebra
     z0 = 2 * pi_weight(alg, 3) + 5 * pi_weight(alg, 6)
     prof = pf.metric_profile(data, 0, z0=z0)
-    assert prof.d == data.m - 1
+    assert prof.d == data.end.m - 1
     assert pf.verdiani_check(prof).passed
     with pytest.raises(DomainError):
         pf.metric_profile(data, 0, z0=-z0)

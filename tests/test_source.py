@@ -67,15 +67,26 @@ def test_no_lru_cache_has_a_fixed_size():
     assert not found, found
 
 
-def test_benchmark_entry_points_resolve():
-    # the benchmark worker calls the package through `from flagke import
-    # module [as alias]`; every `alias.name` it reads must still exist
-    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    tree = ast.parse(worker.read_text(encoding="utf-8"))
+def _module_reads(tree: ast.AST, package: str, level: int) -> tuple[dict, set]:
+    """The modules imported by `from <package> import module [as alias]` at
+    `level`, by alias, and the (module, name) of every `alias.name` read."""
     modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "flagke" for alias in node.names}
+               if isinstance(node, ast.ImportFrom) and (node.module, node.level) == (package, level)
+               for alias in node.names}
     used = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return modules, used
+
+
+def _worker_reads() -> tuple[dict, set]:
+    # the benchmark worker calls the package through `from flagke import module [as alias]`
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    return _module_reads(ast.parse(worker.read_text(encoding="utf-8")), "flagke", 0)
+
+
+def test_benchmark_entry_points_resolve():
+    # every `alias.name` the benchmark worker reads must still exist
+    modules, used = _worker_reads()
     assert {mod for mod, _ in used} == set(modules.values()), sorted(used)  # the scan sees every module
     missing = [f"{mod}.{name}" for mod, name in sorted(used)
                if not hasattr(importlib.import_module(f"flagke.{mod}"), name)]
@@ -99,3 +110,32 @@ def test_end_orientation_is_decided_in_bundle():
             if any(isinstance(op, ast.Constant) and op.value in ("left", "right") for op in operands):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# public names without a reader in the package or the benchmark, and why each stays
+UNREAD_PUBLIC_NAMES = {
+    "diagram": "the README library example builds its diagram with it",
+    "verdiani_check": "ROADMAP item 9 makes it part of `flagke profile --diagnostics`",
+}
+
+
+def test_every_public_name_has_a_reader():
+    # no public name survives only for tests: each is read as `module.name` in
+    # another module of the package, bare in its own module outside its own
+    # def or class, or as `alias.name` by the benchmark worker
+    root = Path(flagke.__file__).resolve().parent
+    readers = set(_worker_reads()[1])
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in root.glob("*.py")
+             if path.name != "__init__.py"}
+    for tree in trees.values():
+        readers |= _module_reads(tree, None, 1)[1]
+    unread = set()
+    for name in flagke.__all__:
+        module = getattr(flagke, name).__module__.rpartition(".")[2]
+        outside = [node for node in trees[module].body
+                   if getattr(node, "name", None) != name or not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        bare = any(isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                   for top in outside for node in ast.walk(top))
+        if not bare and (module, name) not in readers:
+            unread.add(name)
+    assert unread == set(UNREAD_PUBLIC_NAMES), sorted(unread)
