@@ -4,7 +4,7 @@ Subcommands: ``koszul``, ``classify``, ``profile``, ``census``.  Diagrams are
 written ``<family><rank>:<mask>`` with ``o`` for white and ``*`` for black,
 nodes left to right in index order (D fork tips last).  Diagnostics go to
 stderr; exit code 2 flags parse/usage problems and 3 mathematical domain
-errors.
+errors.  A closed stdout (`| head`) ends the command silently with exit code 1.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -272,7 +273,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader is gone (`| head`): point stdout at devnull, so the
+        # interpreter's final flush of what is still buffered does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -166,8 +166,10 @@ def z0_form(data: bd.AdmissibleData, lam: Fraction) -> rs.Weight:
         raise DomainError(f"data does not admit an Einstein metric with {sign}")
     end = data.end
     scale = -end.sign * end.m
-    ks = [n + scale * k for n, k in zip(crit.numbers, data.chi)]
-    return (1 / lam) * rs.Weight.from_numerators(end.s0.algebra, end.pi_sum(ks), end.den)
+    p, q = lam.numerator, lam.denominator  # 1/lambda = sign(p) q / |p|
+    sq = q if p > 0 else -q
+    ks = [sq * (n + scale * k) for n, k in zip(crit.numbers, data.chi)]
+    return rs.Weight.from_numerators(end.s0.algebra, end.pi_sum(ks), abs(p) * end.den)
 
 
 def z0_face_point(end: bd.End) -> rs.Weight:

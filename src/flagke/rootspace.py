@@ -3,8 +3,11 @@
 Weights of the families A, B, C, D are vectors of rationals over the
 standard epsilon basis of the Cartan dual (length rank+1 for family A, rank
 otherwise), stored as a tuple of integer numerators over one positive common
-denominator, reduced by their gcd.  Addition, scaling and the inner product
-are integer arithmetic; only the inner product's result is a Fraction.
+denominator, reduced by their gcd.  A weight is a value with no arithmetic:
+it is built only by `Weight.from_numerators`, and every sum is formed on
+integer numerators first (the root tables here, `fundamental_numerators`
+and the black pi sums of `bundle.End`).  The inner product is one integer
+dot product; only its result is a Fraction.
 The Cartan subalgebra of su(n) is the trace-free hyperplane, so a family-A
 weight is stored by its trace-free representative.
 
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
-from operator import add, mul, sub
+from math import gcd
+from operator import mul
 
 from .errors import ConfigurationError, UsageError
 
@@ -74,18 +77,16 @@ class Algebra:
         return f"{self.family}{self.rank}"
 
 
-_set = object.__setattr__
-
-
 @dataclass(frozen=True, init=False)
 class Weight:
     """An exact linear form on the Cartan, in epsilon coordinates.
 
-    Stored as integer numerators `num` over one positive denominator `den`,
-    with gcd(den, *num) == 1 and, for family A, sum(num) == 0, so arithmetic
-    is integer arithmetic and one weight has one stored form: equality and
-    hashing compare (algebra, num, den).  `coeffs` is the rational view.
-    Build one with `from_numerators`.
+    A value with no arithmetic: stored as integer numerators `num` over one
+    positive denominator `den`, with gcd(den, *num) == 1 and, for family A,
+    sum(num) == 0, so one weight has one stored form and equality and hashing
+    compare (algebra, num, den).  `coeffs` is the rational view.  Build one
+    only with `from_numerators`; sums and multiples are formed on integer
+    numerators before it is called.
     """
 
     algebra: Algebra
@@ -106,7 +107,12 @@ class Weight:
         if g != 1:
             num = tuple(a // g for a in num)
             den //= g
-        return _raw(algebra, num, den)
+        w = object.__new__(cls)
+        set_ = object.__setattr__  # the dataclass is frozen
+        set_(w, "algebra", algebra)
+        set_(w, "num", num)
+        set_(w, "den", den)
+        return w
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -114,98 +120,46 @@ class Weight:
         den = self.den
         return tuple(Fraction(a, den) for a in self.num)
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return self._combine(other, add)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return self._combine(other, sub)
-
-    def _combine(self, other: "Weight", op) -> "Weight":
-        """Coordinatewise `op` over the least common denominator."""
-        self._check(other)
-        dx, dy = self.den, other.den
-        if dx == dy:
-            return Weight.from_numerators(self.algebra, tuple(map(op, self.num, other.num)), dx)
-        den = lcm(dx, dy)
-        fx, fy = den // dx, den // dy
-        return Weight.from_numerators(self.algebra, tuple(op(a * fx, b * fy) for a, b in zip(self.num, other.num)), den)
-
-    def __neg__(self) -> "Weight":
-        return _raw(self.algebra, tuple(-a for a in self.num), self.den)
-
-    def __mul__(self, scalar) -> "Weight":
-        s = Fraction(scalar)
-        p = s.numerator
-        return Weight.from_numerators(self.algebra, tuple(p * a for a in self.num), s.denominator * self.den)
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "Weight") -> None:
-        if self.algebra != other.algebra:
-            raise UsageError(f"algebra mismatch: {self.algebra} vs {other.algebra}")
-
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coeffs)
         return f"Weight({self.algebra}, ({body}))"
 
 
-def _raw(algebra: Algebra, num: tuple[int, ...], den: int) -> Weight:
-    """A Weight from numerators already reduced against `den`."""
-    w = object.__new__(Weight)
-    _set(w, "algebra", algebra)
-    _set(w, "num", num)
-    _set(w, "den", den)
-    return w
-
-
-def epsilon(algebra: Algebra, i: int) -> Weight:
-    """The basis form eps_i (1-based)."""
-    if not 1 <= i <= algebra.ambient_dim:
-        raise UsageError(f"epsilon index {i} out of range for {algebra}")
+def _root(algebra: Algebra, terms) -> Weight:
+    """The root sum of c*eps_i over the (i, c) of `terms` (1-based i): integer
+    coordinates, so over denominator 1."""
     num = [0] * algebra.ambient_dim
-    num[i - 1] = 1
+    for i, c in terms:
+        num[i - 1] = c
     return Weight.from_numerators(algebra, tuple(num), 1)
 
 
 @lru_cache(maxsize=None)
 def simple_roots(algebra: Algebra) -> tuple[Weight, ...]:
-    """Simple roots in the standard ordering (chain first, family tail last)."""
+    """Simple roots in the standard ordering (chain first, family tail last):
+    eps_i - eps_{i+1}, then eps_l (B), 2 eps_l (C) or eps_{l-1} + eps_l (D)."""
     ell = algebra.rank
-    roots = []
     chain_len = ell if algebra.family == "A" else ell - 1
-    for i in range(1, chain_len + 1):
-        roots.append(epsilon(algebra, i) - epsilon(algebra, i + 1))
-    if algebra.family == "B":
-        roots.append(epsilon(algebra, ell))
-    elif algebra.family == "C":
-        roots.append(2 * epsilon(algebra, ell))
-    elif algebra.family == "D":
-        roots.append(epsilon(algebra, ell - 1) + epsilon(algebra, ell))
-    return tuple(roots)
+    terms = [((i, 1), (i + 1, -1)) for i in range(1, chain_len + 1)]
+    tail = {"B": ((ell, 1),), "C": ((ell, 2),), "D": ((ell - 1, 1), (ell, 1))}.get(algebra.family)
+    if tail:
+        terms.append(tail)
+    return tuple(_root(algebra, t) for t in terms)
 
 
 @lru_cache(maxsize=None)
 def positive_roots(algebra: Algebra) -> tuple[Weight, ...]:
-    """The positive system for `simple_roots`, in a fixed deterministic order."""
-    ell = algebra.rank
-    n = algebra.ambient_dim
-    eps = [epsilon(algebra, i) for i in range(1, n + 1)]
-    roots: list[Weight] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            roots.append(eps[i] - eps[j])
-    if algebra.family in ("B", "C", "D"):
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                roots.append(eps[i] + eps[j])
-    if algebra.family == "B":
-        roots.extend(eps[i] for i in range(ell))
-    elif algebra.family == "C":
-        roots.extend(2 * eps[i] for i in range(ell))
-    return tuple(roots)
+    """The positive system for `simple_roots`, in a fixed deterministic order:
+    eps_i - eps_j (i < j), then eps_i + eps_j (i < j; B, C, D), then eps_i (B)
+    or 2 eps_i (C)."""
+    ell, n = algebra.rank, algebra.ambient_dim
+    terms = [((i, 1), (j, -1)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if algebra.family != "A":
+        terms += [((i, 1), (j, 1)) for i in range(1, ell + 1) for j in range(i + 1, ell + 1)]
+    if algebra.family in ("B", "C"):
+        c = 1 if algebra.family == "B" else 2
+        terms += [((i, c),) for i in range(1, ell + 1)]
+    return tuple(_root(algebra, t) for t in terms)
 
 
 def inner(x: Weight, y: Weight) -> Fraction:

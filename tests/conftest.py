@@ -92,12 +92,23 @@ def pi_weight(alg: rs.Algebra, node: int) -> rs.Weight:
     return _fundamental_weights(alg)[node - 1]
 
 
+def combination(*terms) -> rs.Weight:
+    """sum c w over the (c, w) of `terms`, all of one algebra: a weight has no
+    arithmetic, so the sum is formed on its Fraction coordinates and rebuilt
+    by `weight`."""
+    alg = terms[0][1].algebra
+    if any(w.algebra != alg for _, w in terms):
+        raise ValueError(f"algebra mismatch in {terms!r}")
+    total = [Fraction(0)] * alg.ambient_dim
+    for c, w in terms:
+        if c:
+            total = [t + c * x for t, x in zip(total, w.coeffs)]
+    return weight(alg, total)
+
+
 def pi_sum(alg: rs.Algebra, nodes, ks) -> rs.Weight:
-    """sum k_j pi_j over `nodes`, by Weight arithmetic on `pi_weight`."""
-    total = zero_weight(alg)
-    for node, k in zip(nodes, ks):
-        total = total + k * pi_weight(alg, node)
-    return total
+    """sum k_j pi_j over `nodes`, on the Fraction coordinates of `pi_weight`."""
+    return combination((0, zero_weight(alg)), *((k, pi_weight(alg, node)) for node, k in zip(nodes, ks)))
 
 
 def trace_free(w: rs.Weight) -> list[Fraction]:

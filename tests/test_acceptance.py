@@ -15,7 +15,7 @@ from fractions import Fraction
 from flagke import bundle as bd, census as cs, cli, einstein as es, painted as pd, \
     profile as pf, rootspace as rs
 
-from conftest import FAMILY_MIN_RANK, all_diagrams
+from conftest import FAMILY_MIN_RANK, all_diagrams, combination
 from test_census import independent_count
 
 _SAMPLES = {}
@@ -166,12 +166,12 @@ def test_criterion_06_algebraic_condition_identity_to_rank_6():
                         xi_z0 = es.z0_form(data, lam)
                         xi0 = bd.kappa_z0_form(data)
                         checked += 1
-                        failures += sigma_target != lam * xi_z0 + data.end.m * xi0
+                        failures += sigma_target != combination((lam, xi_z0), (data.end.m, xi0))
                     req = verdict.lambda_zero.required_chi
                     if req is not None and (info is not None or any(req)):
                         data0 = mk(req)
                         checked += 1
-                        failures += sigma_target != data0.end.m * bd.kappa_z0_form(data0)
+                        failures += sigma_target != combination((data0.end.m, bd.kappa_z0_form(data0)))
     elapsed = time.monotonic() - t0
     _report("criterion 6 (algebraic condition identity, rank <= 6)",
             failures == 0 and checked > 0, elapsed, 60.0, f"{checked} identities exact")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, cli, diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, pi_sum, pi_weight, weight
+from conftest import FAMILY_MIN_RANK, all_diagrams, combination, pi_sum, pi_weight, weight
 
 
 def test_string_eligibility_excludes_tails():
@@ -151,7 +151,7 @@ def painted_to_rank_12(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(painted_to_rank_12(), st.data())
 def test_dual_forms_match_weight_arithmetic(dg, draw):
-    # both dual forms against their formulas rebuilt with Weight arithmetic
+    # both dual forms against their formulas rebuilt on Fraction coordinates
     alg, nodes = dg.algebra, tuple(sorted(dg.black))
     for info in bd.eligible_strings(dg):
         for end in ("left", "right"):
@@ -160,18 +160,18 @@ def test_dual_forms_match_weight_arithmetic(dg, draw):
             m, beta = info.m, rs.simple_roots(alg)[data.end.beta_node - 1]
             chi_w = pi_sum(alg, nodes, chi)
             drops = bd.neighbour_drops(info, end)
-            base = Fraction(1, m) * pi_sum(
-                alg, (data.end.beta_node,) + tuple(j for j, _ in drops), (m,) + tuple(-d for _, d in drops))
-            form = (chi_w if end == "left" else -chi_w) + base
+            base = pi_sum(alg, (data.end.beta_node,) + tuple(j for j, _ in drops), (m,) + tuple(-d for _, d in drops))
+            form = combination((1 if end == "left" else -1, chi_w), (Fraction(1, m), base))
             assert bd.kappa_z0_form(data) == form, (dg.key(), info.nodes, end, chi)
 
             seq = info.eps_seq[::-1] if end == "right" else info.eps_seq
             (sign0, idx0), rest = seq[0], seq[1:]
-            w = (m - 1) * sign0 * rs.epsilon(alg, idx0)
+            w = [Fraction(0)] * alg.ambient_dim
+            w[idx0 - 1] = (m - 1) * sign0
             for sign, idx in rest:
-                w = w - sign * rs.epsilon(alg, idx)
-            xi = chi_w + Fraction(1, m) * w
-            oracle = xi if rs.inner(xi, beta) > 0 else -xi
+                w[idx - 1] -= sign
+            xi = combination((1, chi_w), (Fraction(1, m), weight(alg, w)))
+            oracle = xi if rs.inner(xi, beta) > 0 else combination((-1, xi))
             assert bd.kappa_z0_oracle(data) == oracle, (dg.key(), info.nodes, end, chi)
 
 
@@ -179,16 +179,16 @@ def test_kappa_z0_form_a11_example():
     dg = diagram("A", 11, {3, 6})
     data = bd.admissible_data(dg, 1, "left", (2, 3))
     alg = dg.algebra
-    chi = 2 * pi_weight(alg, 3) + 3 * pi_weight(alg, 6)
+    chi = combination((2, pi_weight(alg, 3)), (3, pi_weight(alg, 6)))
     w = weight(alg, [2, -1, -1] + [0] * 9)
-    assert bd.kappa_z0_form(data) == chi + Fraction(1, 3) * w
+    assert bd.kappa_z0_form(data) == combination((1, chi), (Fraction(1, 3), w))
     assert bd.kappa(data)[0] == Fraction(41, 18)
 
 
 def test_kappa_z0_form_m1_is_chi():
     dg = diagram("B", 3, {1})
     data = bd.admissible_data(dg, None, None, (4,))
-    assert bd.kappa_z0_form(data) == 4 * pi_weight(dg.algebra, 1)
+    assert bd.kappa_z0_form(data) == combination((4, pi_weight(dg.algebra, 1)))
     with pytest.raises(DomainError):
         bd.kappa_z0_form(bd.admissible_data(dg, None, None, (0,)))
 

@@ -23,6 +23,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def fresh_env():
+    """The environment for a fresh interpreter that imports this flagke."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_parse_round_trip_everything():
     for fam, minr in FAMILY_MIN_RANK.items():
         for rank in range(minr, 10):
@@ -248,14 +254,30 @@ def test_profile_wall_of_order_99_raises_no_warning(capsys):
 def test_profile_command_runs_under_python_w_error(argv):
     # a fresh interpreter in which every warning is an error: exit 0, nothing
     # on stderr, and every number of the table finite
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "flagke.cli", "profile", *argv, "--json"],
                           capture_output=True, text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
     payload = json.loads(proc.stdout)
     values = [payload["kappa"]] + [row[k] for row in payload["samples"] for k in ("t", "f", "residual")]
     assert len(payload["samples"]) == 64 and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--family", "A", "--max-rank", "7", "--out", "-"),
+    ("profile", "A11:oo*oo*ooooo", "--string", "1", "--beta", "left", "--chi", "1,1", "--lambda", "1",
+     "--samples", "5000"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exits_1_in_silence(argv):
+    # the reader takes one line and closes the pipe (`| head -1`) while the
+    # command, with hundreds of kB still to write, is blocked on it: exit 1
+    # and nothing on stderr, no traceback
+    with subprocess.Popen([sys.executable, "-m", "flagke.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=fresh_env()) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=300), err) == (1, b"")
 
 
 @pytest.mark.parametrize("argv", [
@@ -385,8 +407,7 @@ def test_census_command_runs_under_python_w_error(tmp_path, capsys):
     out_path, summary = tmp_path / "b.jsonl", tmp_path / "b.csv"
     assert cli.main(["census", "--family", "B", "--max-rank", "5", "--out", str(out_path)]) == 0
     count_line = capsys.readouterr().err
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "flagke", "census", "--family", "B",
                            "--max-rank", "5", "--out", "-", "--summary", str(summary)],
                           capture_output=True, env=env, timeout=300)

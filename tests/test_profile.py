@@ -14,7 +14,7 @@ from scipy.integrate import solve_ivp
 from flagke import bundle as bd, cli, diagram, einstein as es, profile as pf, rootspace as rs
 from flagke.errors import DomainError, NumericsError, UsageError
 
-from conftest import EXIT_ZERO, FAMILY_MIN_RANK, pi_weight
+from conftest import EXIT_ZERO, FAMILY_MIN_RANK, combination, pi_weight
 
 
 def point_orbit(m):
@@ -863,12 +863,12 @@ def test_domain_end_cases():
 def test_lambda_zero_custom_face_point():
     data = a11_data((2, 3))
     alg = data.end.s0.algebra
-    z0 = 2 * pi_weight(alg, 3) + 5 * pi_weight(alg, 6)
+    z0 = combination((2, pi_weight(alg, 3)), (5, pi_weight(alg, 6)))
     prof = pf.metric_profile(data, 0, z0=z0)
     assert prof.d == data.end.m - 1
     assert pf.verdiani_check(prof).passed
     with pytest.raises(DomainError):
-        pf.metric_profile(data, 0, z0=-z0)
+        pf.metric_profile(data, 0, z0=combination((-1, z0)))
     # on the face's boundary: the coordinate at black node 6 is 0
     with pytest.raises(DomainError):
         pf.metric_profile(data, 0, z0=pi_weight(alg, 3))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from flagke import rootspace as rs
 from flagke.errors import ConfigurationError, UsageError
 
-from conftest import FAMILY_MIN_RANK, cartan_matrix, pi_weight, trace_coordinates, trace_inner, weight, \
-    zero_weight
+from conftest import FAMILY_MIN_RANK, cartan_matrix, combination, pi_weight, simple_root_coordinates, \
+    trace_coordinates, trace_inner, weight, zero_weight
 
 
 def w(alg, *coeffs):
@@ -43,6 +43,48 @@ def test_positive_roots_examples():
     b2 = rs.Algebra("B", 2)
     assert set(rs.positive_roots(b2)) == {w(b2, 1, -1), w(b2, 1, 1), w(b2, 1, 0), w(b2, 0, 1)}
     assert len(rs.positive_roots(rs.Algebra("D", 4))) == 12
+
+
+def reflection_closure(simples):
+    """(root, simple-root coordinates) for every root of the system that the
+    `simples` (plain coordinate tuples) generate: their closure under
+    s_i b = b - 2(b.a_i)/(a_i.a_i) a_i, in Fractions, independent of rootspace."""
+    simples = [tuple(Fraction(c) for c in a) for a in simples]
+    supports = [[(k, y) for k, y in enumerate(a) if y] for a in simples]  # a simple root has at most two
+    norms = [sum(y * y for _, y in support) for support in supports]
+    units = [tuple(Fraction(int(i == j)) for j in range(len(simples))) for i in range(len(simples))]
+    roots = dict(zip(simples, units))
+    frontier = list(roots)
+    while frontier:
+        b = frontier.pop()
+        for i, (support, norm) in enumerate(zip(supports, norms)):
+            c = 2 * sum(b[k] * y for k, y in support) / norm
+            if not c:
+                continue
+            image = list(b)
+            for k, y in support:
+                image[k] -= c * y
+            image = tuple(image)
+            if image not in roots:
+                coords = list(roots[b])
+                coords[i] -= c
+                roots[image] = tuple(coords)
+                frontier.append(image)
+    return roots
+
+
+def test_root_tables_match_the_reflection_closure_to_rank_16():
+    for fam, minr in FAMILY_MIN_RANK.items():
+        for rank in range(minr, 17):
+            alg = rs.Algebra(fam, rank)
+            simples = simple_root_coordinates(fam, rank)
+            assert list(rs.simple_roots(alg)) == [weight(alg, a) for a in simples], (fam, rank)
+            closure = reflection_closure(simples)
+            positive = {root for root, coords in closure.items() if all(c >= 0 for c in coords)}
+            assert len(positive) * 2 == len(closure), (fam, rank)  # every root is positive or negative
+            table = [root.coeffs for root in rs.positive_roots(alg)]
+            assert len(set(table)) == len(table), (fam, rank)
+            assert set(table) == positive, (fam, rank)
 
 
 def table_pi(alg, node):
@@ -123,9 +165,9 @@ def test_family_a_projection_semantics():
     assert rs.inner(x, alpha) == sum(a * b for a, b in zip(x.coeffs, alpha.coeffs)) / 8
     # representatives differing by a trace multiple compare equal
     ones = w(a3, 1, 1, 1, 1)
-    assert x == x + ones
-    assert hash(x) == hash(x + ones)
-    assert x != x + alpha
+    assert x == combination((1, x), (1, ones))
+    assert hash(x) == hash(combination((1, x), (1, ones)))
+    assert x != combination((1, x), (1, alpha))
 
 
 def simple_coordinates(alg, w):
@@ -152,9 +194,7 @@ def test_simple_coordinates_rebuild_every_positive_root_to_rank_16():
             alg = rs.Algebra(fam, rank)
             simples = rs.simple_roots(alg)
             for root in rs.positive_roots(alg):
-                rebuilt = zero_weight(alg)
-                for c, alpha in zip(simple_coordinates(alg, root), simples):
-                    rebuilt = rebuilt + c * alpha
+                rebuilt = combination(*zip(simple_coordinates(alg, root), simples))
                 assert rebuilt == root, (fam, rank, root)
 
 
@@ -211,18 +251,6 @@ def test_algebra_mismatch_rejected():
         rs.inner(zero_weight(a2), zero_weight(b2))
     with pytest.raises(UsageError):
         rs.fundamental_coordinates(a2, zero_weight(b2))
-    with pytest.raises(UsageError):
-        zero_weight(a2) + zero_weight(b2)
-
-
-def test_weight_arithmetic_exact():
-    b2 = rs.Algebra("B", 2)
-    x = w(b2, Fraction(1, 3), 2)
-    y = w(b2, 1, Fraction(-1, 7))
-    assert (x + y).coeffs == (Fraction(4, 3), Fraction(13, 7))
-    assert (x - y).coeffs == (Fraction(-2, 3), Fraction(15, 7))
-    assert (3 * x).coeffs == (1, 6)
-    assert (-x).coeffs == (Fraction(-1, 3), -2)
 
 
 RATIONALS = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12))
@@ -247,8 +275,8 @@ def _reference_key(alg, coeffs):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(weight_cases(), RATIONALS, st.integers(-5, 5), RATIONALS)
-def test_weight_matches_fraction_tuples(case, s, k, shift):
+@given(weight_cases(), RATIONALS)
+def test_weight_matches_fraction_tuples(case, shift):
     alg, x, y = case
     wx, wy = weight(alg, x), weight(alg, y)
     ref = lambda coeffs: _reference_key(alg, tuple(coeffs))  # noqa: E731
@@ -256,19 +284,11 @@ def test_weight_matches_fraction_tuples(case, s, k, shift):
     if alg.family == "A":
         assert sum(wx.num) == 0 and sum(wy.num) == 0
     assert weight(alg, wx.coeffs) == wx
-    assert (wx + wy).coeffs == ref(a + b for a, b in zip(x, y))
-    assert (wx - wy).coeffs == ref(a - b for a, b in zip(x, y))
-    assert (-wx).coeffs == ref(-a for a in x)
-    assert (s * wx).coeffs == (wx * s).coeffs == ref(s * a for a in x)
-    assert (k * wx).coeffs == ref(k * a for a in x)
-    back = (wx + wy) - wy
-    assert back == wx and hash(back) == hash(wx)
 
     zero = tuple(Fraction(0) for _ in x)
-    assert wx.is_zero() == (_reference_key(alg, x) == _reference_key(alg, zero))
-    assert (wx - wx).is_zero() and (0 * wx).is_zero()
+    assert (wx == zero_weight(alg)) == (_reference_key(alg, x) == _reference_key(alg, zero))
     flat = weight(alg, [shift] * alg.ambient_dim)
-    assert flat.is_zero() == (alg.family == "A" or shift == 0)
+    assert (flat == zero_weight(alg)) == (alg.family == "A" or shift == 0)
 
     same = _reference_key(alg, x) == _reference_key(alg, y)
     assert (wx == wy) == same and (wx != wy) == (not same)

@@ -78,10 +78,12 @@ def _module_reads(tree: ast.AST, package: str, level: int) -> tuple[dict, set]:
     return modules, used
 
 
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
 def _worker_reads() -> tuple[dict, set]:
     # the benchmark worker calls the package through `from flagke import module [as alias]`
-    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    return _module_reads(ast.parse(worker.read_text(encoding="utf-8")), "flagke", 0)
+    return _module_reads(ast.parse(WORKER.read_text(encoding="utf-8")), "flagke", 0)
 
 
 def test_benchmark_entry_points_resolve():
@@ -119,10 +121,26 @@ UNREAD_PUBLIC_NAMES = {
 }
 
 
+def _attribute_reads(tree: ast.AST, skip: ast.AST = None) -> set:
+    """Every name read as `<expr>.name` in `tree`, outside the subtree `skip`."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def test_every_public_name_has_a_reader():
     # no public name survives only for tests: each is read as `module.name` in
     # another module of the package, bare in its own module outside its own
-    # def or class, or as `alias.name` by the benchmark worker
+    # def or class, or as `alias.name` by the benchmark worker.  Each public
+    # method and property of a public class is read as `.name` in another
+    # module of the package, in its own module outside its own def, or by the
+    # benchmark worker
     root = Path(flagke.__file__).resolve().parent
     readers = set(_worker_reads()[1])
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in root.glob("*.py")
@@ -138,4 +156,13 @@ def test_every_public_name_has_a_reader():
                    for top in outside for node in ast.walk(top))
         if not bare and (module, name) not in readers:
             unread.add(name)
+        if not isinstance(getattr(flagke, name), type):
+            continue
+        elsewhere = _attribute_reads(ast.parse(WORKER.read_text(encoding="utf-8")))
+        elsewhere = elsewhere.union(*(_attribute_reads(tree) for stem, tree in trees.items() if stem != module))
+        (cls,) = [node for node in trees[module].body if isinstance(node, ast.ClassDef) and node.name == name]
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and not method.name.startswith("_") and \
+                    method.name not in elsewhere | _attribute_reads(trees[module], skip=method):
+                unread.add(f"{name}.{method.name}")
     assert unread == set(UNREAD_PUBLIC_NAMES), sorted(unread)
