@@ -15,8 +15,11 @@ containing both fork tips) cannot carry the tautological rank-m module in
 this formalism and are not strings.
 
 Painting the end root beta black lowers the Koszul number of each black
-neighbour of the string by an integer d_j that depends only on how the
-neighbour attaches; `neighbour_drops` is the single table of these drops.
+neighbour j of the string A_s (s = m - 1) by an integer d_j (`neighbour_drops`).
+j meets the string at one node i, of path position p, and n_j counts
+|<alpha_i, alpha_j^v>| times p(s + 1 - p), the coefficient of alpha_i in the
+string's 2 rho.  The left end leaves (p - 1)(s + 1 - p) and the right end
+p(s - p), so d_j = |<alpha_i, alpha_j^v>| (s + 1 - p) or |<alpha_i, alpha_j^v>| p.
 
 What does not depend on chi is kept once per (diagram, string, end) in an
 `End` record, built on first use by `end_of`, and read from it: s0, the
@@ -37,18 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
+from math import inf, sqrt
 from operator import index, mul
 from typing import Optional
 
 from . import painted as pd
 from . import rootspace as rs
 from .errors import DomainError, UsageError
-
-# How an end-side black neighbour attaches to the string.
-GENERIC = "generic"
-B_DOUBLE = "b_double"  # attached through the B double edge (short-root node)
-D_FORK = "d_fork"      # the sibling fork tip of a D-string that contains one tip
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,6 @@ class StringInfo:
 
     nodes: tuple[int, ...]
     eps_seq: tuple[tuple[int, int], ...]  # (sign, epsilon index), length m
-    left_neighbor: Optional[int]          # black node before the path start
-    right_neighbors: tuple[tuple[int, str], ...]  # (black node, attachment shape)
 
     @property
     def m(self) -> int:
@@ -72,42 +68,19 @@ class StringInfo:
 @lru_cache(maxsize=None)
 def eligible_strings(dg: pd.PaintedDiagram) -> tuple[StringInfo, ...]:
     """The white components of `dg` that are A-strings, by ascending start node."""
-    alg = dg.algebra
-    ell = alg.rank
-    fam = alg.family
+    ell, fam = dg.algebra.rank, dg.algebra.family
     out = []
-    for comp in pd.white_components(dg):
-        members = set(comp)
-        if fam in ("B", "C") and ell in members:
+    # each component is sorted, which is its path order (a D fork tip comes
+    # last), and they come by least node
+    for nodes in pd.white_components(dg):
+        if (fam in ("B", "C") and ell in nodes) or (fam == "D" and {ell - 1, ell} <= set(nodes)):
             continue
-        if fam == "D" and {ell - 1, ell} <= members:
-            continue
-        nodes = tuple(sorted(comp))  # path order: ascending, D fork tip last
-        size = len(nodes)
-        if fam == "D" and ell in members:
-            # tip node eps_{l-1}+eps_l ends the path; virtual sequence flips
-            # the final sign: (eps_{l-size}, ..., eps_{l-1}, -eps_l)
-            first = ell - size
-            eps = tuple((1, first + i) for i in range(size)) + ((-1, ell),)
-        else:
-            eps = tuple((1, nodes[0] + i) for i in range(size + 1))
-        left_node = eps[0][1] - 1
-        left = left_node if left_node in dg.black else None
-        right: list[tuple[int, str]] = []
-        if fam == "D" and ell - 2 in members:
-            # through the fork node: black tips attach on the end side, the
-            # sibling of an in-string tip with the fork coefficient
-            has_tip = bool(members & {ell - 1, ell})
-            for tip in (ell - 1, ell):
-                if tip in dg.black:
-                    right.append((tip, D_FORK if has_tip else GENERIC))
-        elif fam == "D" and nodes[-1] in (ell - 1, ell):
-            pass  # isolated fork tip: its only neighbour is the start side
-        elif nodes[-1] + 1 <= ell and nodes[-1] + 1 in dg.black:
-            shape = B_DOUBLE if (fam == "B" and nodes[-1] + 1 == ell) else GENERIC
-            right.append((nodes[-1] + 1, shape))
-        out.append(StringInfo(nodes, eps, left, tuple(right)))
-    return tuple(sorted(out, key=lambda s: s.start))
+        # where the D tip eps_{l-1}+eps_l ends the path: (eps_{l-s}, ..., eps_{l-1}, -eps_l)
+        tip = fam == "D" and ell in nodes
+        first, last = (ell - len(nodes), ell) if tip else (nodes[0], nodes[0] + len(nodes))
+        eps = tuple((1, i) for i in range(first, last)) + ((-1 if tip else 1, last),)
+        out.append(StringInfo(nodes, eps))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -168,7 +141,7 @@ def end_of(s0: pd.PaintedDiagram, start: Optional[int], beta_end: Optional[str])
     if info is None:
         raise UsageError(f"{s0.key()}: no eligible white string starting at node {start}")
     sign = -1 if beta_end == "right" else 1
-    m, drops = info.m, neighbour_drops(info, beta_end)
+    m, drops = info.m, neighbour_drops(s0, info, beta_end)
     beta = info.nodes[0] if sign > 0 else info.nodes[-1]
     base = tuple([m * a - sum(d * cols[j - 1][i] for j, d in drops) for i, a in enumerate(cols[beta - 1])])
     w = [0] * n
@@ -254,40 +227,47 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
 
 
 def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
-    """(kappa^2 exact, kappa float) of `data`: the squared Killing norm of xi_0."""
+    """(kappa^2, kappa) of `data`: the exact squared Killing norm of xi_0
+    and its root as a float, inf past the float range."""
     xi0 = kappa_z0_form(data)
     ksq = rs.inner(xi0, xi0)
     if ksq <= 0:
         raise AssertionError(f"kappa^2 = {ksq} must be positive")
-    return ksq, sqrt(ksq)
+    try:
+        return ksq, sqrt(ksq)
+    except OverflowError:
+        return ksq, inf
 
 
-def neighbour_drops(info: StringInfo, beta_end: str) -> tuple[tuple[int, int], ...]:
-    """(black neighbour j, d_j): painting the `beta_end` root of `info` black
-    lowers the Koszul number n_j by d_j.
-
-    The start-side neighbour loses m-1 (left) or 1 (right); each end-side
-    neighbour loses 1 / m-1 generically, 2 / 2(m-1) through the B double edge,
-    2 / m-2 at the D fork.  Black nodes not listed keep n_j.
+def neighbour_drops(s0: pd.PaintedDiagram, info: StringInfo, beta_end: str) -> tuple[tuple[int, int], ...]:
+    """(black neighbour j, d_j), in path order: painting the `beta_end` root
+    of the string `info` of `s0` black lowers the Koszul number n_j by d_j.
+    j meets the string at the node i of path position p, s = m - 1 nodes, and
+    d_j = |<alpha_i, alpha_j^v>| (s + 1 - p) at the left end, |<alpha_i,
+    alpha_j^v>| p at the right: the drop of the coefficient p(s + 1 - p) of
+    alpha_i in the string's 2 rho.  The Cartan integer is 2 (alpha_i .
+    alpha_j) / (alpha_j . alpha_j) on the integer root numerators.  Black
+    nodes not listed keep n_j.
     """
-    m = info.m
-    left = beta_end == "left"
+    adj, roots = pd.adjacency(s0.algebra), rs.simple_roots(s0.algebra)
+    s, left = len(info.nodes), beta_end == "left"
     drops = []
-    if info.left_neighbor is not None:
-        drops.append((info.left_neighbor, m - 1 if left else 1))
-    end_drop = {
-        GENERIC: 1 if left else m - 1,
-        B_DOUBLE: 2 if left else 2 * (m - 1),
-        D_FORK: 2 if left else m - 2,
-    }
-    for node, shape in info.right_neighbors:
-        drops.append((node, end_drop[shape]))
+    for p, i in enumerate(info.nodes, start=1):
+        a = roots[i - 1].num
+        for j in adj[i]:
+            if j in s0.black:
+                b = roots[j - 1].num
+                cartan = abs(2 * sum(map(mul, a, b))) // sum(map(mul, b, b))
+                drops.append((j, cartan * (s + 1 - p if left else p)))
     return tuple(drops)
 
 
 def predicted_koszul_update(end: End) -> dict[int, int]:
     """Koszul numbers of the flag `end.flag` predicted from those of s0: the
-    new node gets m, each black neighbour j loses d_j of `neighbour_drops`."""
+    new node gets m, and each black neighbour j of the string, met at path
+    position p, loses d_j = |<alpha_i, alpha_j^v>| (s + 1 - p) at the left end
+    or |<alpha_i, alpha_j^v>| p at the right (`neighbour_drops`), the drop of
+    the coefficient p(s + 1 - p) of the string's 2 rho at that node."""
     if end.m == 1:
         raise UsageError("koszul update is defined for m > 1 only")
     predicted = dict(pd.koszul(end.s0).numbers) if end.s0.black else {}

@@ -21,7 +21,10 @@ segment continues to a ray in the chamber for lambda != 0), which
 `classify` reports as `ray_extends`, is a bound of the same kind, on the
 Koszul-number drops d_j of `bundle.neighbour_drops`: k_j > d_j/m at the
 left end, k_j < -d_j/m at the right end, k_j > 0 for rank one (d_j = 0 for
-a black node that is not a neighbour of the string).
+a black node that is not a neighbour of the string).  A black j met at path
+position p of the string's s = m - 1 nodes, at node i, drops by
+|<alpha_i, alpha_j^v>| (s + 1 - p) at the left end and |<alpha_i, alpha_j^v>| p
+at the right: the change of the string's 2 rho coefficient p(s + 1 - p) there.
 
 `criterion` builds the chi-free half once per `bundle.End` record: bounds
 from integer numerators over m, their integer edges by floor division, and

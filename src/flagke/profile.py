@@ -81,6 +81,16 @@ _NEWTON_RTOL = 1e-9  # a Newton step this small leaves an error of about its squ
 # linear start, off by O(theta) relative, is as close and is taken as it is.
 _START_RTOL, _START_ATOL, _LINEAR_START = 1e-12, 1e-15, 1e-8
 _CURVATURE_RTOL = 1e-4  # fitted f''(0+) against kappa in `verdiani_check`
+_BISECTIONS = 200  # halvings of the turning point's bracket; [m/lambda, 2 m/lambda] takes about 53
+
+
+def _finite_float(x: Fraction, what: str) -> float:
+    """float(x); NumericsError naming `what` and its magnitude when x is past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        size = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+        raise NumericsError(f"{what} is about {'-' if x < 0 else ''}1e{size:.0f}, past the float range") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,6 +153,11 @@ class MetricProfile:
             if r < 0 and self.lam <= 0:
                 raise DomainError(f"alpha(Z^0) = {r} < 0 with lambda = {self.lam} <= 0: "
                                   "the segment meets a chamber wall")
+        _finite_float(self.lam, "lambda")
+        _finite_float(self.kappa_sq, "kappa^2")
+        for a, r in self._distinct_pairs[0]:
+            _finite_float(a, "a_alpha of a root pair")
+            _finite_float(r, "r_alpha of a root pair")
 
     @property
     def d(self) -> int:
@@ -219,8 +234,10 @@ class MetricProfile:
 
         For lambda > 0 the inner integral J rises on (0, m/lambda) and falls
         strictly afterwards while the chamber holds, so its first positive
-        zero is bracketed by exact sign evaluations and bisected to a few
-        ulps; no general root isolation is needed.  u_end is then that float.
+        zero is bracketed by exact sign evaluations and bisected to 2 ulps;
+        no general root isolation is needed.  u_end is then that float.
+        NumericsError when the bracket has no finite float or the bisection
+        does not converge.
         """
         # lambda xi_Z0 = sigma_F - m xi0, and m xi0 = sigma_F at lambda = 0, so
         # for lambda <= 0 every r_alpha > 0 by <alpha, sigma_F> > 0 on R_M^+(F)
@@ -237,16 +254,14 @@ class MetricProfile:
             if j_exit >= 0:
                 return u_exit, j_exit
         peak = Fraction(self.m) / self.lam
-        if u_exit is not None:
-            lo, hi = peak, u_exit
-        else:
-            # No wall: every r_alpha >= 0, so Q is nondecreasing and
-            # J(2m/lambda) = lambda int_0^{m/lambda} s (Q(m/lambda - s) - Q(m/lambda + s)) ds <= 0.
-            lo, hi = peak, max(2 * peak, Fraction(1))
+        # With no wall every r_alpha >= 0, so Q is nondecreasing and
+        # J(2m/lambda) = lambda int_0^{m/lambda} s (Q(m/lambda - s) - Q(m/lambda + s)) ds <= 0.
+        lo, hi = peak, 2 * peak if u_exit is None else u_exit
         # J(lo) > 0 >= J(hi): bisect the unique root of the decreasing branch
-        for _ in range(200):
+        _finite_float(hi, "the top of the bracket of u_end")
+        for _ in range(_BISECTIONS):
             if float(hi - lo) <= 2.0 * math.ulp(float(hi)):
-                break
+                return Fraction(float((lo + hi) / 2)), Fraction(0)
             mid = (lo + hi) / 2
             v = self._j_exact(mid)
             if v > 0:
@@ -255,7 +270,8 @@ class MetricProfile:
                 hi = mid
             else:
                 lo = hi = mid
-        return Fraction(float((lo + hi) / 2)), Fraction(0)
+        raise NumericsError(f"the domain end's bracket [{float(lo)!r}, {float(hi)!r}] is still "
+                            f"wider than 2 ulps after {_BISECTIONS} bisections")
 
     @cached_property
     def u_sup(self) -> float:

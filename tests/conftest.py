@@ -32,9 +32,9 @@ def zero_weight(alg: rs.Algebra) -> rs.Weight:
 
 def cartan_matrix(fam, n):
     """Rows 2<alpha_i, alpha_j>/<alpha_j, alpha_j> (0-based) from the Dynkin
-    diagram: simple edges give -1 both ways; at the B double edge the long
-    root's row reads -2 under the short root, at the C double edge the
-    short root's row reads -2 under the long root."""
+    diagram: simple edges give -1 both ways; at a double edge the long
+    root's row reads -2 under the short root (B: alpha_{n-1} over alpha_n,
+    C: alpha_n over alpha_{n-1})."""
     cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     if fam == "D":
         simple = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]

@@ -23,51 +23,65 @@ def test_string_eligibility_excludes_tails():
     assert bd.eligible_strings(diagram("A", 3, set()))[0].nodes == (1, 2, 3)
 
 
+def _drops(dg, start):
+    """The drops of the string of `dg` at `start`, at its left end, then its right."""
+    return tuple(dict(bd.end_of(dg, start, end).drops) for end in ("left", "right"))
+
+
 def test_string_structure_a5():
-    (info,) = bd.eligible_strings(diagram("A", 5, {1, 5}))
+    dg = diagram("A", 5, {1, 5})
+    (info,) = bd.eligible_strings(dg)
     assert info.nodes == (2, 3, 4)
     assert info.m == 4
     assert info.eps_seq == ((1, 2), (1, 3), (1, 4), (1, 5))
-    assert info.left_neighbor == 1
-    assert info.right_neighbors == ((5, bd.GENERIC),)
+    assert _drops(dg, 2) == ({1: 3, 5: 1}, {1: 1, 5: 3})
 
 
 def test_string_structure_b_double_edge():
-    (info,) = bd.eligible_strings(diagram("B", 4, {1, 4}))
+    dg = diagram("B", 4, {1, 4})
+    (info,) = bd.eligible_strings(dg)
     assert info.nodes == (2, 3)
-    assert info.right_neighbors == ((4, bd.B_DOUBLE),)
-    # same position in the symplectic family is generic
-    (info_c,) = bd.eligible_strings(diagram("C", 4, {1, 4}))
-    assert info_c.right_neighbors == ((4, bd.GENERIC),)
+    # node 4 meets the long root alpha_3 across the double edge: <alpha_3, alpha_4^v> = -2
+    assert _drops(dg, 2) == ({1: 2, 4: 2}, {1: 1, 4: 4})
+    # in the symplectic family the same position is a -1 entry
+    assert _drops(diagram("C", 4, {1, 4}), 2) == ({1: 2, 4: 1}, {1: 1, 4: 2})
 
 
 def test_string_structure_d_fork():
-    (info,) = bd.eligible_strings(diagram("D", 4, {3}))
+    dg = diagram("D", 4, {3})
+    (info,) = bd.eligible_strings(dg)
     assert info.nodes == (1, 2, 4)
     assert info.eps_seq == ((1, 1), (1, 2), (1, 3), (-1, 4))
-    assert info.left_neighbor is None
-    assert info.right_neighbors == ((3, bd.D_FORK),)
+    assert _drops(dg, 1) == ({3: 2}, {3: 2})
 
     (info2,) = bd.eligible_strings(diagram("D", 4, {4}))
     assert info2.nodes == (1, 2, 3)
     assert info2.eps_seq == ((1, 1), (1, 2), (1, 3), (1, 4))
-    assert info2.right_neighbors == ((4, bd.D_FORK),)
+    assert _drops(diagram("D", 4, {4}), 1) == ({4: 2}, {4: 2})
+
+    # the sibling tip of D5:ooo*o meets the fork node, path position 3 of 4
+    dg5 = diagram("D", 5, {4})
+    (info5,) = bd.eligible_strings(dg5)
+    assert info5.nodes == (1, 2, 3, 5)
+    assert _drops(dg5, 1) == ({4: 2}, {4: 3})
 
 
 def test_string_structure_d_isolated_tips():
-    infos = bd.eligible_strings(diagram("D", 4, {1, 2}))
+    dg = diagram("D", 4, {1, 2})
+    infos = bd.eligible_strings(dg)
     assert [s.nodes for s in infos] == [(3,), (4,)]
     tip3, tip4 = infos
     assert tip3.eps_seq == ((1, 3), (1, 4))
     assert tip4.eps_seq == ((1, 3), (-1, 4))
-    assert tip3.left_neighbor == 2 and tip4.left_neighbor == 2
-    assert tip3.right_neighbors == () and tip4.right_neighbors == ()
+    assert _drops(dg, 3) == ({2: 1}, {2: 1})
+    assert _drops(dg, 4) == ({2: 1}, {2: 1})
 
 
 def test_string_structure_d_both_tips_black():
-    (info,) = bd.eligible_strings(diagram("D", 4, {3, 4}))
+    dg = diagram("D", 4, {3, 4})
+    (info,) = bd.eligible_strings(dg)
     assert info.nodes == (1, 2)
-    assert info.right_neighbors == ((3, bd.GENERIC), (4, bd.GENERIC))
+    assert _drops(dg, 1) == ({3: 1, 4: 1}, {3: 2, 4: 2})
 
 
 def test_flag_f():
@@ -116,13 +130,13 @@ def test_end_records_are_shared_and_built_per_end():
     assert data.end.flag == diagram("A", 13, {3, 6, 7, 11}) and data.end.m == 4
 
 
-def _bump_first_drop(drops, info, beta_end):
-    (node, d), *rest = drops(info, beta_end)
+def _bump_first_drop(drops, s0, info, beta_end):
+    (node, d), *rest = drops(s0, info, beta_end)
     return ((node, d + 1), *rest)
 
 
-def _other_end_drops(drops, info, beta_end):
-    return drops(info, "right" if beta_end == "left" else "left")
+def _other_end_drops(drops, s0, info, beta_end):
+    return drops(s0, info, "right" if beta_end == "left" else "left")
 
 
 @pytest.mark.parametrize("mutant", [_bump_first_drop, _other_end_drops])
@@ -130,7 +144,7 @@ def test_end_of_rejects_drops_that_break_the_dual_forms(monkeypatch, mutant):
     # the drops enter only the form's base, so a wrong table breaks its
     # agreement with the oracle, and every command builds its End through end_of
     drops = bd.neighbour_drops
-    monkeypatch.setattr(bd, "neighbour_drops", lambda info, beta_end: mutant(drops, info, beta_end))
+    monkeypatch.setattr(bd, "neighbour_drops", lambda s0, info, beta_end: mutant(drops, s0, info, beta_end))
     bd.end_of.cache_clear()
     try:
         with pytest.raises(AssertionError, match=r"dual forms differ on A5:\*oo\*o string@2"):
@@ -159,7 +173,7 @@ def test_dual_forms_match_weight_arithmetic(dg, draw):
             data = bd.admissible_data(dg, info.start, end, chi)
             m, beta = info.m, rs.simple_roots(alg)[data.end.beta_node - 1]
             chi_w = pi_sum(alg, nodes, chi)
-            drops = bd.neighbour_drops(info, end)
+            drops = bd.neighbour_drops(dg, info, end)
             base = pi_sum(alg, (data.end.beta_node,) + tuple(j for j, _ in drops), (m,) + tuple(-d for _, d in drops))
             form = combination((1 if end == "left" else -1, chi_w), (Fraction(1, m), base))
             assert bd.kappa_z0_form(data) == form, (dg.key(), info.nodes, end, chi)

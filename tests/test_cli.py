@@ -7,14 +7,15 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from flagke import census as cs, cli
+from flagke import census as cs, cli, rootspace as rs
 from flagke.errors import DiagramParseError
 
-from conftest import EXIT_ZERO, FAMILY_MIN_RANK, all_diagrams
+from conftest import EXIT_ZERO, FAMILY_MIN_RANK, all_diagrams, pi_sum, trace_inner
 
 
 def run(capsys, *argv):
@@ -153,6 +154,40 @@ def test_classify_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "A11:oo*oo*ooooo",
                        "--string", "1", "--beta", "left", "--chi", "1,x")
     assert code == 2 and "comma-separated integer list" in err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+@pytest.mark.parametrize("argv, chi", [
+    (("A1:*", "--m1"), (3 * 10**155,)),
+    (("A11:oo*oo*ooooo", "--string", "1", "--beta", "left"), (10**200, 1)),
+], ids=["A1 chi 3e155", "A11 chi 1e200"])
+def test_classify_prints_kappa_sq_past_the_float_range(capsys, argv, chi, json_flag):
+    # kappa^2 = <chi, chi> + (m - 1)/(2cm), by the trace form
+    dg = cli.parse_diagram(argv[0])
+    alg, m = dg.algebra, 1 if "--m1" in argv else 3
+    chi_w = pi_sum(alg, dg.black_nodes, chi)
+    ksq = trace_inner(alg, chi_w, chi_w) + Fraction(m - 1, 2 * m) / alg.killing_constant
+    code, out, err = run(capsys, "classify", *argv, "--chi", ",".join(map(str, chi)), *json_flag)
+    assert (code, err) == (0, "")
+    if json_flag:
+        assert json.loads(out)["kappa_sq"] == rs.frac_str(ksq)
+    else:
+        assert out.splitlines()[-1] == f"kappa_sq={rs.frac_str(ksq)}"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
+@pytest.mark.parametrize("chi, lam, what", [
+    ("-1", str(10**320), "lambda"),
+    ("-1", f"1/{10**320}", "a_alpha of a root pair"),
+    ("3", f"-{10**320}", "lambda"),
+    ("3", f"-1/{10**320}", "a_alpha of a root pair"),
+    (str(-10**200), "1", "kappa^2"),
+], ids=["lambda 1e320", "lambda 1e-320", "lambda -1e320", "lambda -1e-320", "chi -1e200"])
+def test_profile_past_the_float_range_is_one_error_line(capsys, chi, lam, what, json_flag):
+    code, out, err = run(capsys, "profile", "A1:*", "--m1", "--chi", chi, "--lambda", lam, *json_flag)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {what} is about ") and err.endswith(", past the float range\n")
+    assert err.count("\n") == 1
 
 
 def test_profile_point_orbit_matches_hyperbolic_form(capsys):

@@ -617,6 +617,20 @@ def test_t_of_f_matches_mpmath_reference(label):
         assert abs(pf.t_of_f(prof, f) - ref) <= 1e-10 * ref, (label, x)
 
 
+@pytest.mark.parametrize("k", [0, 20, 45, 50, 60, 100])
+def test_turning_point_is_bisected_to_two_ulps_at_any_lambda(k):
+    # a_alpha is proportional to 1/lambda and r_alpha does not depend on it,
+    # so J(u; lambda) = lambda^-(n+1) J(lambda u; 1) and lambda u_end is the
+    # lambda = 1 end for every lambda
+    lam = Fraction(10**k)
+    prof = pf.metric_profile(a11_data((1, 1)), lam)
+    jc, u_end = _exact_j(prof), Fraction(prof.u_sup)
+    two_ulps = 2 * Fraction(math.ulp(prof.u_sup))
+    assert _horner(jc, u_end - two_ulps) > 0 > _horner(jc, u_end + two_ulps)
+    u_one = 3.1510955093250557  # u_end at lambda = 1
+    assert abs(lam * u_end - Fraction(u_one)) <= 4 * Fraction(math.ulp(u_one)), float(lam * u_end)
+
+
 def a9_wall_profile():
     # all 21 root pairs are (3/5, -1/10): Q has a zero of order 21 at the wall
     # u = 6, and t_sup - t(u) shrinks like (6 - u)^11.5

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -93,6 +94,26 @@ def test_benchmark_entry_points_resolve():
     missing = [f"{mod}.{name}" for mod, name in sorted(used)
                if not hasattr(importlib.import_module(f"flagke.{mod}"), name)]
     assert not missing, missing
+
+
+def test_benchmark_passes_run_without_failure(tmp_path):
+    # one small spec per workload through the benchmark worker's own passes:
+    # a change of the package API that would fail every benchmark pass fails here
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    runs = [
+        (worker.chi_sweep_pass, {"chi_range": [-1, 0, 1],
+                                 "diagrams": [{"key": "B4:*oo*", "starts": [2], "k": 2}]}),
+        (worker.profile_pass, {"rows": 2, "data": [{"key": "A11:oo*oo*ooooo", "start": 1, "end": "left",
+                                                    "chi": [1, 1], "lam": "1", "check_rows": [1]}]}),
+        (worker.census_pass, {"family": "A", "max_rank": 3, "out": str(tmp_path / "census.jsonl"),
+                              "summary": str(tmp_path / "census.csv")}),
+    ]
+    for run_pass, pass_spec in runs:
+        p = worker.Pass()
+        run_pass(pass_spec, p, None)
+        assert p.attempted > 0 and p.failed == 0, (run_pass.__name__, p.errors)
 
 
 def test_end_orientation_is_decided_in_bundle():
