@@ -6,41 +6,51 @@ alpha(Z_0) = a_alpha and alpha(Z^0) = r_alpha / kappa.  All sign decisions
 (the vanishing order d, chamber exit, the turning point of the inner
 integral) happen on exact rationals; floats enter only in the quadrature.
 
-Everything is computed in the normalised coordinate u = f / kappa, where the
-chamber polynomial Q(u) = prod(a_alpha + u r_alpha) and the inner integral
-J(u) = int_0^u (m - lambda w) Q(w) dw have exact rational coefficients and
+lambda is a scale.  In the normalised coordinate u = f / kappa the chamber
+polynomial is prod(a_alpha + u r_alpha), and a_alpha is proportional to
+1/lambda.  So the table is built in the unit coordinate v = |lambda| u (v = u
+at lambda = 0) from the unit pairs (|lambda| a_alpha, r_alpha) and sgn =
+sign lambda alone: there the chamber polynomial Q(v) = prod(a + v r) and the
+inner integral J(v) = int_0^v (m - sgn w) Q(w) dw have exact rational
+coefficients, and
 
-    t(f) = int_0^{f/kappa} sqrt(Q(u) / (2 J(u))) du .
+    t(f) = t_hat(|lambda| f/kappa) / sqrt(|lambda|),
+    t_hat(v) = int_0^v sqrt(Q(w) / (2 J(w))) dw ,
 
-Each profile builds one table of t(u), once.  Only lambda > 0 bounds the
+the unit time of the profile at lambda = sgn.  lambda's magnitude enters
+only as the two float scales f = (kappa/|lambda|) v and t = t_hat /
+sqrt(|lambda|) of the queries, so the table, its tolerances and the
+bisection of its end are the same for every lambda of one sign.
+
+Each profile builds one table of t_hat(v), once.  Only lambda > 0 bounds the
 domain (`MetricProfile._end`), and its table has two parts that meet at the
-peak m/lambda of J.  The left part is in v = sqrt(u): Q vanishes to order
-m - 1 and J to order m at 0, so the integrand 2 v sqrt(Q/2J) is analytic in
-v.  The right part is in s = sqrt(u_end - u), where the integrand is
-analytic at a turning point (J has a simple zero), at a chamber wall of
-order k (Q has a zero of order k) and at an exit where J vanishes too.
-There the table holds tau(s) = t_sup - t, so t_sup is an exact panel sum
-and a query near the end is resolved relative to the end.  For lambda <= 0
-the domain is unbounded and has only the left part: [0, 1] in u, then
+peak m of J.  The left part is in y = sqrt(v): Q vanishes to order m - 1
+and J to order m at 0, so the integrand 2 y sqrt(Q/2J) is analytic in y.
+The right part is in s = sqrt(v_end - v), where the integrand is analytic
+at a turning point (J has a simple zero), at a chamber wall of order k (Q
+has a zero of order k) and at an exit where J vanishes too.  There the
+table holds tau(s) = t_hat_sup - t_hat, so t_sup is an exact panel sum and
+a query near the end is resolved relative to the end.  For lambda <= 0 the
+domain is unbounded and has only the left part: [0, 1] in v, then
 [2^k, 2^(k+1)] for k = 0, 1, ..., added as queries reach them, up to the
 top of the float range (NumericsError past it).
 
 The pairs are grouped into their distinct values, each with its multiplicity
-mu (every root of one T-root has the same pair), so Q = prod (a + u r)^mu
+mu (every root of one T-root has the same pair), so Q = prod (a + v r)^mu
 over the distinct pairs and each factor is evaluated once however often it
 occurs.  Each part divides out the factors that vanish at its anchor (the
 a = 0 pairs at 0, the wall pairs at a wall) and integrates K = J/(Q d), d
 the distance from the anchor, which is finite and positive on the whole
-part.  K takes Q(w)/Q(u) at the nodes w of its Gauss rule as one weighted
+part.  K takes Q(w)/Q(v) at the nodes w of its Gauss rule as one weighted
 sum of logs, and never forms Q as a product, which could underflow.
 
-On the right part every factor a + u r is evaluated as (a + u_end r) -
-s^2 r with a + u_end r exact, so a factor that vanishes at a wall is exactly
+On the right part every factor a + v r is evaluated as (a + v_end r) -
+s^2 r with a + v_end r exact, so a factor that vanishes at a wall is exactly
 -s^2 r.  Each part integrates J from its own end: on the left part from 0,
-on the right part from u_end, where J is exact at a wall and 0 at a turning
-point, adding the integral of (lambda w - m) Q over [u, u_end].  The peak
-m/lambda lies between them, so every term of either Gauss sum has one sign
-and neither end cancels.
+on the right part from v_end, where J is exact at a wall and 0 at a turning
+point, adding the integral of (w - m) Q over [v, v_end].  The peak m lies
+between them, so every term of either Gauss sum has one sign and neither
+end cancels.
 
 Each part is a run of 16-point Gauss-Legendre panels.  A panel is bisected
 until an 8-point rule agrees with it to 1e-14 max(1, |integral|), and keeps
@@ -81,7 +91,6 @@ _NEWTON_RTOL = 1e-9  # a Newton step this small leaves an error of about its squ
 # linear start, off by O(theta) relative, is as close and is taken as it is.
 _START_RTOL, _START_ATOL, _LINEAR_START = 1e-12, 1e-15, 1e-8
 _CURVATURE_RTOL = 1e-4  # fitted f''(0+) against kappa in `verdiani_check`
-_BISECTIONS = 200  # halvings of the turning point's bracket; [m/lambda, 2 m/lambda] takes about 53
 
 
 def _finite_float(x: Fraction, what: str) -> float:
@@ -150,13 +159,15 @@ class MetricProfile:
                 raise DomainError(f"alpha(Z_0) = {a} < 0: Z_0 leaves the chamber face")
             if a == 0 and r <= 0:
                 raise DomainError("vanishing alpha(Z_0) requires alpha(Z^0) > 0")
-            if r < 0 and self.lam <= 0:
-                raise DomainError(f"alpha(Z^0) = {r} < 0 with lambda = {self.lam} <= 0: "
-                                  "the segment meets a chamber wall")
+        if self.lam <= 0 and self.u_exit is not None:
+            raise DomainError(f"alpha(Z^0) < 0 with lambda = {self.lam} <= 0: "
+                              f"the segment meets a chamber wall at u = {self.u_exit}")
         _finite_float(self.lam, "lambda")
+        if self.lam:
+            _finite_float(1 / self.lam, "1/lambda")
         _finite_float(self.kappa_sq, "kappa^2")
         for a, r in self._distinct_pairs[0]:
-            _finite_float(a, "a_alpha of a root pair")
+            _finite_float(a, "a_alpha of a unit root pair")
             _finite_float(r, "r_alpha of a root pair")
 
     @property
@@ -169,33 +180,52 @@ class MetricProfile:
         return math.sqrt(self.kappa_sq)
 
     @cached_property
+    def _sign(self) -> int:
+        """sign lambda: the one trace of lambda in the table."""
+        return (self.lam > 0) - (self.lam < 0)
+
+    @cached_property
+    def _scale(self) -> Fraction:
+        """|lambda|, and 1 at lambda = 0: the unit coordinate is v = scale u."""
+        return abs(self.lam) or Fraction(1)
+
+    @cached_property
+    def _float_scales(self) -> tuple[float, float, float]:
+        """(scale, sqrt(scale), kappa/scale) as floats: v = scale f/kappa,
+        t = t_hat/sqrt(scale) and f = (kappa/scale) v at the query boundary."""
+        scale = float(self._scale)
+        return scale, math.sqrt(scale), self.kappa / scale
+
+    @cached_property
     def _distinct_pairs(self) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[int, ...]]:
-        """The distinct values among `pairs`, in order of first occurrence,
-        and the multiplicity of each: Q = prod (a + u r)^mu over them."""
-        counts = collections.Counter(self.pairs)
+        """The distinct values among the unit pairs (|lambda| a, r), in order
+        of first occurrence, and the multiplicity of each: Q = prod (a + v
+        r)^mu over them."""
+        counts = collections.Counter((self._scale * a, r) for a, r in self.pairs)
         return tuple(counts), tuple(counts.values())
 
     @cached_property
     def _j_expansion(self) -> tuple[tuple[int, ...], int]:
-        """(c, K) with J(u) = int_0^u (m - lambda w) Q(w) dw = sum c_k u^k / K,
-        c integral and K > 0.
+        """(c, K) with J(v) = int_0^v (m - sgn w) Q(w) dw = sum c_k v^k / K
+        over the unit pairs, c integral and K > 0.
 
-        Over the pairs' common denominator D, Q = P / D^n with P integral;
-        m - lambda u = (m q - p u) / q for lambda = p/q; and L = lcm(1, ...,
-        n + 2) clears the 1/(k + 1) of the antiderivative.  So K = D^n q L.
+        Over the unit pairs' common denominator D, Q = P / D^n with P
+        integral, and L = lcm(1, ..., n + 2) clears the 1/(k + 1) of the
+        antiderivative.  So K = D^n L.
         """
-        den = math.lcm(*(x.denominator for pair in self.pairs for x in pair))
+        pairs, mult = self._distinct_pairs
+        den = math.lcm(*(x.denominator for pair in pairs for x in pair))
         prod = [1]  # P, ascending
-        for a, r in self.pairs:
+        for (a, r), mu in zip(pairs, mult):
             a_int, r_int = int(a * den), int(r * den)
-            prod = [c * a_int + prev * r_int for c, prev in zip(prod + [0], [0] + prod)]
-        p, q = self.lam.numerator, self.lam.denominator
-        n = len(self.pairs)
+            for _ in range(mu):
+                prod = [c * a_int + prev * r_int for c, prev in zip(prod + [0], [0] + prod)]
+        n = sum(mult)
         lcm = math.lcm(*range(1, n + 3))
-        # u^k in (m q - p u) P has the coefficient m q P_k - p P_(k-1)
-        coeffs = [0] + [(self.m * q * c - p * prev) * (lcm // (k + 1))
+        # v^k in (m - sgn v) P has the coefficient m P_k - sgn P_(k-1)
+        coeffs = [0] + [(self.m * c - self._sign * prev) * (lcm // (k + 1))
                         for k, (c, prev) in enumerate(zip(prod + [0], [0] + prod))]
-        return tuple(coeffs), den ** n * q * lcm
+        return tuple(coeffs), den ** n * lcm
 
     def _j_exact(self, x: Fraction) -> Fraction:
         """J(x), exact: sum c_k X^k Y^(N-k) / (K Y^N) for x = X/Y, by integer
@@ -212,7 +242,7 @@ class MetricProfile:
     def _gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes/weights on [0, 1] that integrate the inner integrand exactly.
 
-        The integrand (m - lambda w) Q(w) is a polynomial of degree |pairs|+1,
+        The integrand (m - sgn w) Q(w) is a polynomial of degree |pairs|+1,
         so Gauss-Legendre with ceil((deg+1)/2) = (|pairs| + 3)//2 points has
         no truncation error; evaluating Q in factored form keeps the rule
         numerically stable where the expanded coefficients would cancel
@@ -228,79 +258,92 @@ class MetricProfile:
 
     @cached_property
     def _end(self) -> tuple[Optional[Fraction], Optional[Fraction]]:
-        """(u_end, J(u_end)) for lambda > 0: the domain end, exact, and the
-        inner integral there, exact at a chamber wall and 0 at a turning point.
-        (None, None) for lambda <= 0, where the domain is unbounded.
+        """(v_end, J(v_end)) for lambda > 0: the domain end in v, exact, and
+        the inner integral there, exact at a chamber wall and 0 at a turning
+        point.  (None, None) for lambda <= 0, where the domain is unbounded.
 
-        For lambda > 0 the inner integral J rises on (0, m/lambda) and falls
-        strictly afterwards while the chamber holds, so its first positive
-        zero is bracketed by exact sign evaluations and bisected to 2 ulps;
-        no general root isolation is needed.  u_end is then that float.
-        NumericsError when the bracket has no finite float or the bisection
-        does not converge.
+        For sgn = 1 the inner integral J rises on (0, m) and falls strictly
+        afterwards while the chamber holds, so its first positive zero is
+        bracketed by exact sign evaluations and bisected to 2 ulps; no
+        general root isolation is needed.  v_end is then that float.  The
+        bracket starts at lo = m >= 1, so ulp(hi) >= 2^-52 and the loop stops
+        once hi - lo <= 2^-51: within log2(hi_0 - m) + 53 halvings for any
+        finite top hi_0, about 53 for [m, 2m].  NumericsError when hi_0 has
+        no finite float.
         """
         # lambda xi_Z0 = sigma_F - m xi0, and m xi0 = sigma_F at lambda = 0, so
         # for lambda <= 0 every r_alpha > 0 by <alpha, sigma_F> > 0 on R_M^+(F)
         # (`__post_init__` rejects a negative slope): no wall, J rises for ever.
-        if self.lam <= 0:
+        if self._sign <= 0:
             return None, None
-        u_exit = self.u_exit
-        # J > 0 on (0, m/lambda] while Q > 0, so a wall before the peak would
-        # pass the test J(u_exit) >= 0 too; none exists, since lambda xi_Z0 =
-        # sigma_F - m xi0 and <alpha, sigma_F> > 0 on R_M^+(F) put every wall
-        # past m/lambda.
-        if u_exit is not None:
-            j_exit = self._j_exact(u_exit)
-            if j_exit >= 0:
-                return u_exit, j_exit
-        peak = Fraction(self.m) / self.lam
+        exits = [-a / r for a, r in self._distinct_pairs[0] if r < 0]
+        v_exit = min(exits) if exits else None
+        peak = Fraction(self.m)
         # With no wall every r_alpha >= 0, so Q is nondecreasing and
-        # J(2m/lambda) = lambda int_0^{m/lambda} s (Q(m/lambda - s) - Q(m/lambda + s)) ds <= 0.
-        lo, hi = peak, 2 * peak if u_exit is None else u_exit
+        # J(2m) = int_0^m s (Q(m - s) - Q(m + s)) ds <= 0.
+        lo, hi = peak, 2 * peak if v_exit is None else v_exit
+        _finite_float(hi, "the top of the bracket of v_end")
+        # J > 0 on (0, m] while Q > 0, so a wall before the peak would pass
+        # the test J(v_exit) >= 0 too; none exists, since lambda xi_Z0 =
+        # sigma_F - m xi0 and <alpha, sigma_F> > 0 on R_M^+(F) put every wall
+        # past m.
+        if v_exit is not None:
+            j_exit = self._j_exact(v_exit)
+            if j_exit >= 0:
+                return v_exit, j_exit
         # J(lo) > 0 >= J(hi): bisect the unique root of the decreasing branch
-        _finite_float(hi, "the top of the bracket of u_end")
-        for _ in range(_BISECTIONS):
-            if float(hi - lo) <= 2.0 * math.ulp(float(hi)):
-                return Fraction(float((lo + hi) / 2)), Fraction(0)
+        while float(hi - lo) > 2.0 * math.ulp(float(hi)):
             mid = (lo + hi) / 2
-            v = self._j_exact(mid)
-            if v > 0:
+            j = self._j_exact(mid)
+            if j > 0:
                 lo = mid
-            elif v < 0:
+            elif j < 0:
                 hi = mid
             else:
                 lo = hi = mid
-        raise NumericsError(f"the domain end's bracket [{float(lo)!r}, {float(hi)!r}] is still "
-                            f"wider than 2 ulps after {_BISECTIONS} bisections")
+        return Fraction(float((lo + hi) / 2)), Fraction(0)
+
+    @cached_property
+    def _v_sup(self) -> float:
+        """Domain end in v (math.inf when unbounded)."""
+        v_end = self._end[0]
+        return float(v_end) if v_end is not None else math.inf
 
     @cached_property
     def u_sup(self) -> float:
-        """Domain end in the normalised coordinate (math.inf when unbounded)."""
-        u_end = self._end[0]
-        return float(u_end) if u_end is not None else math.inf
+        """Domain end in the normalised coordinate u, the exact v_end/|lambda|
+        rounded once (math.inf when unbounded)."""
+        v_end = self._end[0]
+        return _finite_float(v_end / self._scale, "the domain end u_sup") if v_end is not None else math.inf
 
     @cached_property
     def _parts(self) -> tuple[_Part, Optional[_Part], float]:
-        """The table of t(u): its left part, its right part (None when the
-        domain is unbounded) and the u where they meet (inf when unbounded).
+        """The table of t_hat(v): its left part, its right part (None when
+        the domain is unbounded) and the v where they meet (inf when
+        unbounded).
 
-        A bounded domain (lambda > 0) splits at the peak m/lambda of J.  Each
-        part integrates J from its own end, 0 or u_end, so every term of its
-        Gauss sum has one sign.
+        A bounded domain (lambda > 0) splits at the peak m of J.  Each part
+        integrates J from its own end, 0 or v_end, so every term of its Gauss
+        sum has one sign.
         """
-        u_end, j_end = self._end
+        v_end, j_end = self._end
         zero = Fraction(0)
-        if u_end is None:
+        if v_end is None:
             return _Part(self, zero, 1, zero, Fraction(1)), None, math.inf
-        peak = self.m / self.lam
-        right = _Part(self, u_end, -1, j_end, u_end - peak)
+        peak = Fraction(self.m)
+        right = _Part(self, v_end, -1, j_end, v_end - peak)
         return _Part(self, zero, 1, zero, peak), right, float(peak)
+
+    @cached_property
+    def _t_hat_sup(self) -> float:
+        """Supremum of t_hat (math.inf when unbounded), an exact panel sum."""
+        left, right, _ = self._parts
+        return math.inf if right is None else left.panels[1][-1] + right.panels[1][-1]
 
     @cached_property
     def t_sup(self) -> float:
         """Supremum of the reachable parameter values t (math.inf when unbounded)."""
-        left, right, _ = self._parts
-        return math.inf if right is None else left.panels[1][-1] + right.panels[1][-1]
+        return self._t_hat_sup / self._float_scales[1]
 
     @property
     def f_sup(self) -> float:
@@ -308,16 +351,16 @@ class MetricProfile:
 
 
 class _Part:
-    """One part of the domain: the points u = anchor + orientation d, d =
+    """One part of the domain: the points v = anchor + orientation d, d =
     y^2 in [0, length], and the panel table of H(y) = int_0^y h, h(y) =
-    2 y sqrt(Q/2J) = 2/sqrt(2K) with K = J/(Q d).
+    2 y sqrt(Q/2J) = 2/sqrt(2K) with K = J/(Q d), over the unit pairs.
 
-    Each factor a + u r is base + d slope, with base = a + anchor r exact.
+    Each factor a + v r is base + d slope, with base = a + anchor r exact.
     The distinct pairs with base 0 (a = 0 on the left part, the wall pairs
     at a wall) are split off, `order` being their total multiplicity; the
     arrays run over the others, with multiplicities mu.  J is integrated from
     the anchor, where it is j_at, by the exact Gauss rule in d, along which
-    dJ/dd = (e - lambda d) Q with e = orientation (m - lambda anchor).  At
+    dJ/dd = (e - sgn d) Q with e = orientation (m - sgn anchor).  At
     the node w = d x a factor's ratio to its value at d is x if split off,
     else x + (1 - x) base/factor(d), two terms of one sign.  K sums their
     logs weighted by mu, forms no product, and is finite and positive on
@@ -338,10 +381,10 @@ class _Part:
                       - float(mu[~keep] @ np.log(orientation * r[~keep]))) if j_at else None
         x, w = profile._gauss_rule
         self.x, self.one_minus_x = x[:, None], (1.0 - x)[:, None]
-        # (e - lambda w) (w/d)^order times the Gauss weight is w0 - d w1 at the node w = d x
-        e, self.lam = float(orientation * (profile.m - profile.lam * anchor)), float(profile.lam)
+        # (e - sgn w) (w/d)^order times the Gauss weight is w0 - d w1 at the node w = d x
+        e, self.sign = float(orientation * (profile.m - profile._sign * anchor)), float(profile._sign)
         w = w * x ** self.order
-        self.w0, self.w1 = w * e, self.lam * w * x
+        self.w0, self.w1 = w * e, self.sign * w * x
         self.extent = math.sqrt(float(length))  # in y, of the first table
 
     @cached_property
@@ -356,7 +399,7 @@ class _Part:
         return edges, cum, series
 
     def factors(self, d):
-        """a + u r at the distance d (or each entry of an array d), one per
+        """a + v r at the distance d (or each entry of an array d), one per
         kept pair, pairs last."""
         return self.base + np.multiply.outer(d, self.slope)
 
@@ -367,7 +410,7 @@ class _Part:
         q_ratio = np.exp(np.log(ratios) @ self.mu)  # at the nodes, over the kept pairs
         out = (q_ratio * (self.w0 - np.multiply.outer(d, self.w1))).sum(axis=-1)
         if self.log_j is not None:
-            # J(u_end)/(d Q) from logs: +inf at the wall d = 0, where h = 0
+            # J(v_end)/(d Q) from logs: +inf at the wall d = 0, where h = 0
             with np.errstate(divide="ignore", over="ignore"):
                 out = out + np.exp(self.log_j - (self.order + 1) * np.log(d) - np.log(factors) @ self.mu)
         if not np.all(out > 0):
@@ -403,20 +446,20 @@ class _Part:
     def reach(self, y: float = 0.0, target: float = 0.0) -> tuple[list[float], list[float], list[np.ndarray]]:
         """The panel table, holding y and H = target.  On an unbounded domain
         (lambda <= 0) a short table is copied, extended by the panels of
-        [2^k, 2^(k+1)] in u after its last edge y = 2^(k/2) and published
+        [2^k, 2^(k+1)] in v after its last edge y = 2^(k/2) and published
         whole: no published table changes, and each is a prefix of one panel
         sequence, so threads sharing the part get the serial floats.  Every
-        r >= 0 there, so for lambda < 0 J/Q(s u) <= s^2 J/Q(u), that is
+        r >= 0 there, so for lambda < 0 J/Q(s v) <= s^2 J/Q(v), that is
         K(s d) <= s K(d), for s >= 1: the new panels, out to s = 2, stay
         finite while 8 K at the last edge does."""
         edges, cum, series = table = self.panels
-        if self.lam <= 0 and (edges[-1] < y or cum[-1] <= target):
+        if self.sign <= 0 and (edges[-1] < y or cum[-1] <= target):
             edges, cum, series = edges[:], cum[:], series[:]
             while edges[-1] < y or cum[-1] <= target:
                 hi, d = edges[-1] * math.sqrt(2.0), edges[-1] ** 2
-                k = float(self.k(d, self.factors(d))) if self.lam < 0 else 0.0
+                k = float(self.k(d, self.factors(d))) if self.sign < 0 else 0.0
                 if not math.isfinite(hi * hi + 8.0 * k):
-                    raise NumericsError(f"the table of t(u) reaches the end of the float range at u = {d:.6g}")
+                    raise NumericsError(f"the table of t(v) reaches the end of the float range at v = {d:.6g}")
                 self._add_panels(edges, cum, series, hi)
             self.panels = table = edges, cum, series
         return table
@@ -553,7 +596,7 @@ def metric_profile(
 
 
 def _check_f(profile: MetricProfile, f: float) -> float:
-    """Validate f and return the normalised coordinate u."""
+    """Validate f and return the unit coordinate v = |lambda| f/kappa."""
     if not math.isfinite(f):
         raise DomainError(f"f = {f} is not finite")
     if f < 0:
@@ -561,21 +604,24 @@ def _check_f(profile: MetricProfile, f: float) -> float:
     u = f / profile.kappa
     if u == math.inf:
         raise DomainError(f"f = {f} is past the float range of u = f/kappa")
-    if u >= profile.u_sup:
+    v = u * profile._float_scales[0]
+    # an unbounded table raises in `reach` where v is past its float range
+    if math.isfinite(profile._v_sup) and v >= profile._v_sup:
         raise DomainError(f"f = {f} is beyond the domain end {profile.f_sup}")
-    return u
+    return v
 
 
-def _t_of_u(profile: MetricProfile, u: float) -> float:
+def _t_hat(profile: MetricProfile, v: float) -> float:
+    """The unit time t_hat = sqrt(|lambda|) t at v, from the table."""
     left, right, split = profile._parts
-    if u > split:
-        return profile.t_sup - right.integral(math.sqrt(profile.u_sup - u))
-    return left.integral(math.sqrt(u))
+    if v > split:
+        return profile._t_hat_sup - right.integral(math.sqrt(profile._v_sup - v))
+    return left.integral(math.sqrt(v))
 
 
 def t_of_f(profile: MetricProfile, f: float) -> float:
     """Arc-length parameter t as a function of the segment coordinate f."""
-    return _t_of_u(profile, _check_f(profile, f))
+    return _t_hat(profile, _check_f(profile, f)) / profile._float_scales[1]
 
 
 def f_of_t(profile: MetricProfile, t: float) -> float:
@@ -587,43 +633,48 @@ def f_of_t(profile: MetricProfile, t: float) -> float:
         raise DomainError(f"t = {t} is negative")
     if t == 0:
         return 0.0
-    if t >= profile.t_sup:
+    _, root, f_per_v = profile._float_scales
+    t_hat = t * root
+    # as in `_check_f`, an unbounded table raises where t_hat is past its float range
+    if math.isfinite(profile._t_hat_sup) and t_hat >= profile._t_hat_sup:
         raise DomainError(f"t = {t} is beyond the parameter range {profile.t_sup}")
     left, right, _ = profile._parts
-    if right is None or t < left.panels[1][-1]:
-        y = left.solve(t)
-        return profile.kappa * (y * y)
-    s = right.solve(profile.t_sup - t)
-    return profile.kappa * (profile.u_sup - s * s)
+    if right is None or t_hat < left.panels[1][-1]:
+        y = left.solve(t_hat)
+        return f_per_v * (y * y)
+    s = right.solve(profile._t_hat_sup - t_hat)
+    return f_per_v * (profile._v_sup - s * s)
 
 
 def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
-    """Validate f once and return (sqrt(2 J/Q), J S/Q, f'') at u = f/kappa,
-    where S = Q'/Q is the sum of r/(a + u r) over the pairs and f'' = kappa
-    ((m - lambda u) - J S/Q).  On its part J/Q = d K, and a split-off factor
-    d slope adds orientation/d to S, so J S/Q = K (d S_kept + orientation
-    order): no product of d and K, which could overflow on an unbounded
-    domain, and no 0/0 at the anchor.  NumericsError where either of the
-    first two is not a finite float, as within about 1e-6 of a high-order
-    wall, where K overflows."""
-    u = _check_f(profile, f)
+    """Validate f once and return (sqrt(2 J/Q), J S/Q, f'') at v = |lambda|
+    f/kappa, where S = Q'/Q is the sum of r/(a + v r) over the unit pairs and
+    f'' = kappa ((m - sgn v) - J S/Q), which holds no lambda: in v, J/Q
+    carries a factor |lambda| and S its inverse.  On its part J/Q = d K, and
+    a split-off factor d slope adds orientation/d to S, so J S/Q = K (d
+    S_kept + orientation order): no product of d and K, which could overflow
+    on an unbounded domain, and no 0/0 at the anchor.  NumericsError where
+    either of the first two is not a finite float, as within about 1e-6 of a
+    high-order wall, where K overflows."""
+    v = _check_f(profile, f)
     left, right, split = profile._parts
-    part, d = (right, profile.u_sup - u) if u > split else (left, u)
+    part, d = (right, profile._v_sup - v) if v > split else (left, v)
     factors = part.factors(d)
     k, s_kept = float(part.k(d, factors)), float(part.r @ (part.mu / factors))
     speed, jsq = math.sqrt(2.0 * d) * math.sqrt(k), k * (d * s_kept + part.orientation * part.order)
     if not (math.isfinite(speed) and math.isfinite(jsq)):
         raise NumericsError(f"sqrt(2J/Q) = {speed} or J S/Q = {jsq} is not a finite float at f = {f}")
-    return speed, jsq, profile.kappa * ((profile.m - float(profile.lam) * u) - jsq)
+    return speed, jsq, profile.kappa * ((profile.m - profile._sign * v) - jsq)
 
 
 def f_dot(profile: MetricProfile, f: float) -> float:
-    """df/dt = kappa sqrt(2 J/Q) along the profile, from the first integral."""
-    return profile.kappa * _point(profile, f)[0]
+    """df/dt = kappa sqrt(2 J/Q) along the profile, from the first integral;
+    in v the root carries sqrt(|lambda|)."""
+    return profile.kappa * _point(profile, f)[0] / profile._float_scales[1]
 
 
 def f_ddot(profile: MetricProfile, f: float) -> float:
-    """d^2f/dt^2 = kappa ((m - lambda u) - J S / Q), S the log-derivative of Q."""
+    """d^2f/dt^2 = kappa ((m - sgn v) - J S / Q), S the log-derivative of Q."""
     return _point(profile, f)[2]
 
 
@@ -659,7 +710,8 @@ class VerdianiReport:
 
 def verdiani_check(profile: MetricProfile) -> VerdianiReport:
     """Check f(0) = 0, f'(0+) -> 0 and f''(0+) -> kappa on a small-t probe set."""
-    t_ref = _t_of_u(profile, min(1.0, profile.u_sup / 2))  # 1.0 when unbounded
+    # the probe at v = min(1, v_sup/2) is the same point of every profile of one sign
+    t_ref = _t_hat(profile, min(1.0, profile._v_sup / 2)) / profile._float_scales[1]
     probes = tuple(t_ref * s for s in (1e-3, 1e-4, 1e-5))
     f0 = f_of_t(profile, 0.0)
     fs = [f_of_t(profile, t) for t in probes]

@@ -178,9 +178,9 @@ def test_classify_prints_kappa_sq_past_the_float_range(capsys, argv, chi, json_f
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])
 @pytest.mark.parametrize("chi, lam, what", [
     ("-1", str(10**320), "lambda"),
-    ("-1", f"1/{10**320}", "a_alpha of a root pair"),
+    ("-1", f"1/{10**320}", "1/lambda"),
     ("3", f"-{10**320}", "lambda"),
-    ("3", f"-1/{10**320}", "a_alpha of a root pair"),
+    ("3", f"-1/{10**320}", "1/lambda"),
     (str(-10**200), "1", "kappa^2"),
 ], ids=["lambda 1e320", "lambda 1e-320", "lambda -1e320", "lambda -1e-320", "chi -1e200"])
 def test_profile_past_the_float_range_is_one_error_line(capsys, chi, lam, what, json_flag):
@@ -188,6 +188,16 @@ def test_profile_past_the_float_range_is_one_error_line(capsys, chi, lam, what, 
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {what} is about ") and err.endswith(", past the float range\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("A1:*", "--m1", "--chi", "3", "--lambda", str(-10**200)),
+    ("A11:oo*oo*ooooo", "--string", "1", "--beta", "left", "--chi", "3,4", "--lambda", str(-10**30)),
+], ids=["A1 lambda -1e200", "A11 lambda -1e30"])
+def test_profile_at_a_large_negative_lambda_prints_every_row(capsys, argv):
+    code, out, err = run(capsys, "profile", *argv, "--samples", "4")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 3 + 4
 
 
 def test_profile_point_orbit_matches_hyperbolic_form(capsys):

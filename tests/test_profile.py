@@ -443,9 +443,11 @@ def test_f_ddot_matches_exact_rational_value():
         assert sum(mult) == len(prof.pairs) and len(set(pairs)) == len(pairs), label
         hi = 0.9 * prof.f_sup if math.isfinite(prof.f_sup) else 4 * prof.kappa
         fs = [hi * i / 10 for i in range(1, 11)]
+        # the parts meet at split in the unit coordinate v = |lambda| u
         _, right, split = prof._parts
         if right is not None:
-            fs += [prof.kappa * (split + (prof.u_sup - split) * x) for x in (0.1, 0.5, 0.9)]
+            scale, v_sup = float(abs(prof.lam)), float(prof._end[0])
+            fs += [prof.kappa * (split + (v_sup - split) * x) / scale for x in (0.1, 0.5, 0.9)]
         for f in fs:
             exact, scale = exact_f_ddot(prof, f)
             assert abs(pf.f_ddot(prof, f) - exact) <= 1e-12 * scale, (label, f)
@@ -538,38 +540,43 @@ J_CHECK_DATA = [
 
 
 def test_exact_j_matches_fraction_expansion():
-    # the integer expansion of J against the Fraction one, at the exit, the
-    # peak m/lambda and the domain end, for lambdas with and without a
-    # denominator (each datum admits every lambda > 0)
+    # the integer expansion of J in v = lambda u against the Fraction one in
+    # u, at the exit, the peak m/lambda and the domain end, for lambdas with
+    # and without a denominator (each datum admits every lambda > 0): over
+    # the n unit pairs (lambda a, r), J(v) = lambda^(n + 1) J(u)
     for key, string, beta, chi in J_CHECK_DATA:
         data = bd.admissible_data(cli.parse_diagram(key), string, beta, chi)
         for lam in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)):
             prof = pf.metric_profile(data, lam)
-            jc = _exact_j(prof)
-            points = [prof.m / prof.lam, prof._end[0]]
+            jc, n = _exact_j(prof), len(prof.pairs)
+            points = [prof.m / prof.lam, prof._end[0] / prof.lam]
             if prof.u_exit is not None:
                 points.append(prof.u_exit)
             for x in points:
-                assert prof._j_exact(x) == _horner(jc, x), (key, chi, lam, x)
+                assert prof._j_exact(lam * x) == lam ** (n + 1) * _horner(jc, x), (key, chi, lam, x)
 
 
 def test_inner_rule_matches_exact_j_over_q():
     # the inner Gauss rule integrates its degree-(n + 1) integrand exactly:
     # J/Q = d K on both parts against the expansion of J over the pair product.
-    # The right part (lambda > 0 only) integrates from u_end, where J is
-    # taken to be j_end (0 at a turning point rounded to a float)
+    # The parts lie in v = scale u, scale = |lambda| (1 at lambda = 0), where
+    # J and Q over the n unit pairs are scale^(n + 1) and scale^n times those
+    # in u.  The right part (lambda > 0 only) integrates from v_end, where J
+    # is taken to be j_end (0 at a turning point rounded to a float)
     for prof, label in grouping_profiles():
-        jc = _exact_j(prof)
+        jc, n = _exact_j(prof), len(prof.pairs)
+        scale = abs(prof.lam) or 1
         left, right, _ = prof._parts
-        u_end, j_end = prof._end
-        for part, anchor, sign in ((left, Fraction(0), 1), (right, u_end, -1)):
+        v_end, j_end = prof._end
+        for part, anchor, sign in ((left, Fraction(0), 1), (right, v_end, -1)):
             if part is None:
                 continue
-            offset = j_end - _horner(jc, u_end) if sign < 0 else 0
+            offset = j_end - scale ** (n + 1) * _horner(jc, v_end / scale) if sign < 0 else 0
             d = (part.extent * np.arange(1, 10) / 10) ** 2
             for di, got in zip(d.tolist(), (d * part.k(d, part.factors(d))).tolist()):
-                u = anchor + sign * Fraction(di)
-                exact = float((_horner(jc, u) + offset) / math.prod(a + u * r for a, r in prof.pairs))
+                u = (anchor + sign * Fraction(di)) / scale
+                j = scale ** (n + 1) * _horner(jc, u) + offset
+                exact = float(j / (scale ** n * math.prod(a + u * r for a, r in prof.pairs)))
                 assert abs(got - exact) <= 1e-12 * exact, (label, sign, di)
 
 
@@ -629,6 +636,64 @@ def test_turning_point_is_bisected_to_two_ulps_at_any_lambda(k):
     assert _horner(jc, u_end - two_ulps) > 0 > _horner(jc, u_end + two_ulps)
     u_one = 3.1510955093250557  # u_end at lambda = 1
     assert abs(lam * u_end - Fraction(u_one)) <= 4 * Fraction(math.ulp(u_one)), float(lam * u_end)
+
+
+def test_turning_point_before_a_far_wall_is_bisected_to_two_ulps():
+    # the bracket [m, v_exit] is 1e300 wide: the bisection needs about
+    # log2(1e300) + 53 = 1050 halvings, and runs them all
+    pairs = ((Fraction(0), Fraction(1)), (Fraction(10**300), Fraction(-1)))
+    prof = pf.MetricProfile(pairs, Fraction(1), 2, Fraction(1))
+    jc, u_end = _exact_j(prof), Fraction(prof.u_sup)
+    two_ulps = 2 * Fraction(math.ulp(prof.u_sup))
+    assert _horner(jc, u_end - two_ulps) > 0 > _horner(jc, u_end + two_ulps)
+
+
+def a1_data():
+    """`A1:*` at chi = 3: one root pair, admitted for every lambda < 0."""
+    return bd.admissible_data(cli.parse_diagram("A1:*"), None, None, (3,))
+
+
+# a turning point (lambda > 0) and an unbounded domain (lambda < 0)
+LARGE_LAMBDA_DATA = {"A11 turning point": (lambda: a11_data((1, 1)), 1), "A1 unbounded": (a1_data, -1)}
+
+
+@pytest.mark.parametrize("k", [20, 26, 30, 100, 200])
+@pytest.mark.parametrize("label", sorted(LARGE_LAMBDA_DATA))
+def test_profile_at_a_large_lambda_is_the_unit_profile_rescaled(label, k):
+    # rescaling an Einstein metric rescales lambda: f_lambda(t) =
+    # f_sgn(sqrt|lambda| t)/|lambda| for sgn = sign lambda, at the same chi.
+    # The queries include the CLI's f = 0.97 f_sup, or 8 kappa when unbounded
+    make, sign = LARGE_LAMBDA_DATA[label]
+    unit, prof = pf.metric_profile(make(), sign), pf.metric_profile(make(), sign * 10**k)
+    scale, root = 10.0**k, 10.0 ** (k // 2)
+    if math.isfinite(unit.t_sup):
+        assert math.isclose(prof.t_sup, unit.t_sup / root, rel_tol=1e-13)
+        tops = [x * prof.f_sup for x in (0.1, 0.5, 0.9, 0.97)]
+    else:
+        assert math.isinf(prof.t_sup)
+        tops = [x * prof.kappa for x in (0.1, 1.0, 8.0)] + [x * prof.kappa / scale for x in (0.1, 8.0)]
+    for f in tops:
+        t = pf.t_of_f(prof, f)
+        assert math.isclose(t, pf.t_of_f(unit, f * scale) / root, rel_tol=1e-13), (label, k, f)
+        for x in (1e-6, 0.3, 1.0):
+            ref = pf.f_of_t(unit, x * t * root) / scale
+            assert math.isclose(pf.f_of_t(prof, x * t), ref, rel_tol=1e-13), (label, k, f, x)
+
+
+@pytest.mark.parametrize("label", sorted(LARGE_LAMBDA_DATA))
+def test_f_of_t_at_lambda_1e30_matches_mpmath_reference(label):
+    # t(f) by tanh-sinh in mpmath, on the pairs and lambda as given, at the
+    # computed f gives back t to 1e-12 relative; the whole table lies far
+    # below t = 1 here
+    make, sign = LARGE_LAMBDA_DATA[label]
+    prof = pf.metric_profile(make(), sign * 10**30)
+    jc = _exact_j(prof)
+    t_hi = pf.t_of_f(prof, 0.97 * prof.f_sup if math.isfinite(prof.f_sup) else 8 * prof.kappa)
+    assert t_hi < 1e-13
+    for x in (0.01, 0.5, 1.0):
+        t = x * t_hi
+        ref = _reference_t(prof, jc, pf.f_of_t(prof, t))
+        assert abs(ref - t) <= 1e-12 * t, (label, x, ref)
 
 
 def a9_wall_profile():
@@ -805,6 +870,23 @@ def test_verdiani_passes_on_admitted_data():
         assert report.f_at_zero == 0.0
         assert report.relative_error < 1e-4
         assert abs(report.fdot_small) < 0.05 * prof.kappa
+
+
+@pytest.mark.parametrize("k", [8, 30])
+@pytest.mark.parametrize("sign, chi", [(1, (1, 1)), (-1, (3, 4))], ids=["lam+", "lam-"])
+def test_verdiani_report_does_not_depend_on_the_scale_of_lambda(sign, chi, k):
+    # the report at lambda = sign 10^k is the one at lambda = sign, with t
+    # scaled by 10^(-k/2) and f' by its inverse
+    unit = pf.verdiani_check(pf.metric_profile(a11_data(chi), sign))
+    report = pf.verdiani_check(pf.metric_profile(a11_data(chi), sign * 10**k))
+    root = 10.0 ** (k / 2)
+    assert (report.d, report.m, report.kappa, report.f_at_zero, report.passed) == (
+        unit.d, unit.m, unit.kappa, unit.f_at_zero, True)
+    assert math.isclose(report.fitted_curvature, unit.fitted_curvature, rel_tol=1e-9)
+    assert abs(report.relative_error - unit.relative_error) <= 1e-9
+    assert math.isclose(report.fdot_small * root, unit.fdot_small, rel_tol=1e-9)
+    for got, want in zip(report.t_probes, unit.t_probes):
+        assert math.isclose(got * root, want, rel_tol=1e-9)
 
 
 def test_verdiani_fails_on_perturbed_vanishing_order():

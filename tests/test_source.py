@@ -135,6 +135,22 @@ def test_end_orientation_is_decided_in_bundle():
     assert not found, found
 
 
+def test_the_profile_table_reads_lambda_only_through_its_sign():
+    # a profile's table is built in v = |lambda| u from the unit pairs and
+    # sign lambda, so lambda's magnitude and the coordinate u enter only at
+    # the query boundary: the exact set-up and the table read none of them
+    path = Path(flagke.__file__).resolve().parent / "profile.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    table = {"_j_expansion", "_j_exact", "_end", "_parts"}
+    scopes = [node for node in classes["MetricProfile"].body if getattr(node, "name", None) in table]
+    assert {node.name for node in scopes} == table
+    unscaled = {"lam", "pairs", "_scale", "_float_scales", "u_exit", "u_sup"}
+    found = [f"{path.name}:{node.lineno} .{node.attr}" for scope in scopes + [classes["_Part"]]
+             for node in ast.walk(scope) if isinstance(node, ast.Attribute) and node.attr in unscaled]
+    assert not found, found
+
+
 # public names without a reader in the package or the benchmark, and why each stays
 UNREAD_PUBLIC_NAMES = {
     "diagram": "the README library example builds its diagram with it",
