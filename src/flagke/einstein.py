@@ -29,6 +29,8 @@ at the right: the change of the string's 2 rho coefficient p(s + 1 - p) there.
 `criterion` builds the chi-free half once per `bundle.End` record: bounds
 from integer numerators over m, their integer edges by floor division, and
 one shared `Bound` object per (node, op, numerator, m), as bounds are immutable.
+It checks there that the lambda < 0 bounds imply the ray bounds: n_j - d_j
+is the Koszul number of the flag at j, so it is positive.
 """
 
 from __future__ import annotations
@@ -135,12 +137,19 @@ def criterion(end: bd.End) -> Criterion:
     below, above = ("<", ">") if sign > 0 else (">", "<")
     integral = all(n % m == 0 for n in ns)
     drops = dict(end.drops)
+    neg = tuple(_bound(j, above, sign * n, m) for j, n in zip(nodes, ns))
+    ray = tuple(_bound(j, above, sign * drops.get(j, 0), m) for j in nodes)
+    # n_j - d_j is the flag's Koszul number at j, so k_j > n_j/m implies
+    # k_j > d_j/m (rank one: n_j > 0): every lambda < 0 character meets the
+    # ray bounds, at the least admitted integer and so at every one
+    if not all(r.holds(b.edge) for r, b in zip(ray, neg)):
+        raise AssertionError(f"a lambda < 0 character misses a ray bound on {end}")
     return Criterion(
         numbers=ns,
         required_chi=tuple(sign * n // m for n in ns) if integral else None,
         pos=tuple(_bound(j, below, sign * n, m) for j, n in zip(nodes, ns)),
-        neg=tuple(_bound(j, above, sign * n, m) for j, n in zip(nodes, ns)),
-        ray=tuple(_bound(j, above, sign * drops.get(j, 0), m) for j in nodes),
+        neg=neg,
+        ray=ray,
     )
 
 

@@ -90,7 +90,7 @@ _NEWTON_RTOL = 1e-9  # a Newton step this small leaves an error of about its squ
 # panel's mean, so theta is not resolved below 1e-15; below theta = 1e-8 the
 # linear start, off by O(theta) relative, is as close and is taken as it is.
 _START_RTOL, _START_ATOL, _LINEAR_START = 1e-12, 1e-15, 1e-8
-_CURVATURE_RTOL = 1e-4  # fitted f''(0+) against kappa in `verdiani_check`
+_SERIES_RTOL = 1e-10  # f and f' against their two-term series in `verdiani_check`
 
 
 def _finite_float(x: Fraction, what: str) -> float:
@@ -611,17 +611,16 @@ def _check_f(profile: MetricProfile, f: float) -> float:
     return v
 
 
-def _t_hat(profile: MetricProfile, v: float) -> float:
-    """The unit time t_hat = sqrt(|lambda|) t at v, from the table."""
+def t_of_f(profile: MetricProfile, f: float) -> float:
+    """Arc-length parameter t as a function of the segment coordinate f: the
+    unit time t_hat at v from the table, over sqrt(|lambda|)."""
+    v = _check_f(profile, f)
     left, right, split = profile._parts
     if v > split:
-        return profile._t_hat_sup - right.integral(math.sqrt(profile._v_sup - v))
-    return left.integral(math.sqrt(v))
-
-
-def t_of_f(profile: MetricProfile, f: float) -> float:
-    """Arc-length parameter t as a function of the segment coordinate f."""
-    return _t_hat(profile, _check_f(profile, f)) / profile._float_scales[1]
+        t_hat = profile._t_hat_sup - right.integral(math.sqrt(profile._v_sup - v))
+    else:
+        t_hat = left.integral(math.sqrt(v))
+    return t_hat / profile._float_scales[1]
 
 
 def f_of_t(profile: MetricProfile, t: float) -> float:
@@ -695,50 +694,49 @@ def ode_residual(profile: MetricProfile, t: float) -> float:
 
 @dataclass(frozen=True)
 class VerdianiReport:
-    """Small-t boundary behaviour versus the smooth-extension conditions."""
+    """What `verdiani_check` measured: the exact series coefficient u2 (None
+    when d != m - 1), the largest relative deviation of f and f' from their
+    series (inf then) and the probe times."""
 
-    d: int
-    m: int
-    kappa: float
-    f_at_zero: float
-    fdot_small: float          # f'(t) at the smallest probe, should be ~ kappa * t
-    fitted_curvature: float    # least-squares c in f ~ (c/2) t^2
+    u2: Optional[Fraction]
     relative_error: float
     t_probes: tuple[float, ...]
     passed: bool
 
 
 def verdiani_check(profile: MetricProfile) -> VerdianiReport:
-    """Check f(0) = 0, f'(0+) -> 0 and f''(0+) -> kappa on a small-t probe set."""
-    # the probe at v = min(1, v_sup/2) is the same point of every profile of one sign
-    t_ref = _t_hat(profile, min(1.0, profile._v_sup / 2)) / profile._float_scales[1]
-    probes = tuple(t_ref * s for s in (1e-3, 1e-4, 1e-5))
-    f0 = f_of_t(profile, 0.0)
-    fs = [f_of_t(profile, t) for t in probes]
-    # least squares for f = (c/2) t^2 + e t^4: regressing 2f/t^2 on t^2
-    # absorbs the quartic correction, so c is the curvature at 0
-    ys = [2.0 * f / (t * t) for f, t in zip(fs, probes)]
-    xs = [t * t for t in probes]
-    n = len(probes)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    fitted = (sy * sxx - sx * sxy) / (n * sxx - sx * sx)
-    rel = abs(fitted - profile.kappa) / profile.kappa
-    fdot = f_dot(profile, fs[0])
-    d_ok = profile.d == profile.m - 1
-    passed = d_ok and f0 == 0.0 and rel < _CURVATURE_RTOL
-    return VerdianiReport(
-        d=profile.d,
-        m=profile.m,
-        kappa=profile.kappa,
-        f_at_zero=f0,
-        fdot_small=fdot,
-        fitted_curvature=fitted,
-        relative_error=rel,
-        t_probes=probes,
-        passed=passed,
-    )
+    """Check the smooth closing over the singular orbit, f(0) = 0, f'(0) = 0
+    and f''(0) = kappa, against the exact two-term series of f.
+
+    With d = m - 1, J(v) = sum c_k v^k / K starts at c_m v^m, and x =
+    t_hat^2/2 = |lambda| t^2/2 gives v = x + u2 x^2 + O(x^3), u2 = -(c_(m+1)
+    / c_m + sgn)/(3m) exact, so
+
+        f = (kappa/|lambda|) x (1 + u2 x),    f' = kappa t (1 + 2 u2 x).
+
+    `f_of_t`, and `f_dot` at its f, are compared with these at x = 1e-8 rho
+    and 1e-10 rho, rho = min(1, a/|r|) over the unit pairs with a > 0 and r
+    != 0: the distance from 0 to the nearest other zero of Q, capped at 1.
+    So the dropped terms are about 1e-16 relative, and the probes scale with
+    a face point at lambda = 0 as they do with lambda.  The check passes
+    when d = m - 1 and the largest relative deviation is below
+    `_SERIES_RTOL` = 1e-10; when d != m - 1 no series is formed.
+    """
+    m = profile.m
+    if profile.d != m - 1:
+        return VerdianiReport(None, math.inf, (), False)
+    coeffs = profile._j_expansion[0]
+    u2 = -(Fraction(coeffs[m + 1], coeffs[m]) + profile._sign) / (3 * m)
+    rho = min([Fraction(1)] + [a / abs(r) for a, r in profile._distinct_pairs[0] if a > 0 and r])
+    _, root, f_per_v = profile._float_scales
+    xs = (1e-8 * float(rho), 1e-10 * float(rho))
+    probes = tuple(math.sqrt(2.0 * x) / root for x in xs)
+    c, worst = float(u2), 0.0
+    for x, t in zip(xs, probes):
+        f = f_of_t(profile, t)
+        worst = max(worst, abs(f / (f_per_v * x * (1.0 + c * x)) - 1.0),
+                    abs(f_dot(profile, f) / (profile.kappa * t * (1.0 + 2.0 * c * x)) - 1.0))
+    return VerdianiReport(u2, worst, probes, worst < _SERIES_RTOL)
 
 
 def domain_end(profile: MetricProfile) -> float:

@@ -157,6 +157,38 @@ def trace_coordinates(alg: rs.Algebra, x: rs.Weight) -> tuple[Fraction, ...]:
     return tuple(2 * trace_inner(alg, x, a) / trace_inner(alg, a, a) for a in rs.simple_roots(alg))
 
 
+def diagram_automorphism(alg: rs.Algebra) -> dict[int, int]:
+    """The node map of the Dynkin diagram automorphism of A_n (the flip j ->
+    n + 1 - j) or D_n (the swap of the fork tips n - 1 and n), Humphreys
+    12.2; B and C have none."""
+    n = alg.rank
+    if alg.family == "A":
+        return {j: n + 1 - j for j in range(1, n + 1)}
+    if alg.family == "D":
+        return {j: {n - 1: n, n: n - 1}.get(j, j) for j in range(1, n + 1)}
+    raise ValueError(f"{alg} has no diagram automorphism")
+
+
+def automorphism_image(s0, start, beta_end, chi):
+    """(diagram, string start, end, chi) of the image of a datum under
+    `diagram_automorphism`: black nodes, string and chi relabelled.  The A
+    flip reverses the string's path order, so the root painted at one end
+    goes to the root at the other end, which reads chi through k -> -k: there
+    the image takes the other end and -chi."""
+    from flagke import bundle as bd, painted as pd
+
+    perm = diagram_automorphism(s0.algebra)
+    image = pd.PaintedDiagram(s0.algebra, frozenset(perm[j] for j in s0.black))
+    by_node = dict(zip(s0.black_nodes, chi))
+    sign = 1
+    if start is not None:
+        (nodes,) = [s.nodes for s in bd.eligible_strings(s0) if s.start == start]
+        start = min(perm[i] for i in nodes)
+        if s0.algebra.family == "A":
+            beta_end, sign = {"left": "right", "right": "left"}[beta_end], -1
+    return image, start, beta_end, tuple(sign * by_node[perm[j]] for j in image.black_nodes)
+
+
 def all_diagrams(family: str, rank: int):
     """Every painting of the given diagram, all-white included."""
     from flagke import painted as pd

@@ -287,7 +287,7 @@ def test_criterion_09_verdiani_suite_on_sampled_data():
     elapsed = time.monotonic() - t0
     _report("criterion 9 (Verdiani boundary conditions on sampled data)",
             ok and worst_rel < 1e-4, elapsed, 60.0,
-            f"d == m-1 everywhere, worst curvature error {worst_rel:.2e}")
+            f"d == m-1 everywhere, worst deviation from the two-term series {worst_rel:.2e}")
 
 
 def test_criterion_10_census_determinism_family_a_rank_6():

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import flagke
-from flagke import bundle as bd, census as cs, cli, diagram, einstein as es
+from flagke import bundle as bd, census as cs, cli, diagram, einstein as es, profile as pf
 from flagke.errors import ConfigurationError
+
+from conftest import automorphism_image, diagram_automorphism
 
 
 def jsonl_of(family, max_rank):
@@ -144,6 +146,55 @@ def test_smallest_witness():
     assert cs.smallest_witness([mk(">", Fraction(-5, 3))]) == (0,)
     assert cs.smallest_witness([mk(">", 2)]) == (3,)
     assert cs.smallest_witness([mk(">", Fraction(5, 3))]) == (2,)
+
+
+def _image_text(text, perm, mirror):
+    """The bound text ``k_j op v`` with j relabelled by `perm`, and read
+    through k -> -k (op flipped, v negated) when `mirror`."""
+    node, op, value = text.split(" ")
+    if mirror:
+        op = {"<": ">", ">": "<"}[op]
+        if value != "0":
+            value = value[1:] if value.startswith("-") else "-" + value
+    return f"k_{perm[int(node[2:])]} {op} {value}"
+
+
+@pytest.mark.parametrize("family, ranks", [("A", range(1, 8)), ("D", range(4, 8))], ids="AD")
+def test_diagram_automorphisms_map_every_end_to_its_image(family, ranks):
+    # the A flip and the D fork swap map each datum to one that the code
+    # builds separately, on other nodes, epsilon coordinates and path
+    # positions: its bounds, Koszul numbers, lambda = 0 character, kappa^2 and
+    # root pairs are the record's, relabelled.  The census witness breaks
+    # ties by node order, so kappa^2 is compared at the image of the witness
+    records = {(rec["diagram"], rec["string_start"], rec["beta_end"]): rec
+               for rec in cs.enumerate_records(family, ranks[-1])
+               if cli.parse_diagram(rec["diagram"]).algebra.rank in ranks}
+    for (key, start, beta), rec in records.items():
+        s0 = cli.parse_diagram(key)
+        perm = diagram_automorphism(s0.algebra)
+        image_s0, image_start, image_beta, _ = automorphism_image(s0, start, beta, (0,) * len(s0.black))
+        image = records[image_s0.key(), image_start, image_beta]
+        label = (key, start, beta)
+        for tag in ("lambda_pos", "lambda_neg"):
+            moved = sorted((_image_text(text, perm, image_beta != beta) for text in rec[tag]["constraint"]),
+                           key=lambda text: int(text[2:text.index(" ")]))
+            assert moved == list(image[tag]["constraint"]), (label, tag)
+        numbers = {perm[j]: n for j, n in zip(rec["black_nodes"], rec["koszul_numbers"])}
+        assert numbers == dict(zip(image["black_nodes"], image["koszul_numbers"])), label
+        zero_chi = rec["lambda_zero"]["required_chi"]
+        image_zero = None if zero_chi is None else automorphism_image(s0, start, beta, zero_chi)[3]
+        assert image_zero == image["lambda_zero"]["required_chi"], label
+        witnesses = [(1, rec["lambda_pos"]), (-1, rec["lambda_neg"])]
+        if zero_chi is not None:
+            witnesses.append((0, {"witness_chi": zero_chi, "kappa_sq": rec["lambda_zero"]["kappa_sq"]}))
+        for lam, block in witnesses:
+            data = bd.admissible_data(s0, start, beta, block["witness_chi"])
+            moved = bd.admissible_data(*automorphism_image(s0, start, beta, block["witness_chi"]))
+            assert str(bd.kappa(moved)[0]) == block["kappa_sq"], (label, lam)
+            # lambda = 0 at the face point, the sum of the black fundamental
+            # weights, which the automorphism fixes
+            pairs = [sorted(pf.metric_profile(d, lam).pairs) for d in (data, moved)]
+            assert pairs[0] == pairs[1], (label, lam)
 
 
 def test_summary_is_permutation_invariant():

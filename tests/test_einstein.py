@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -145,6 +146,21 @@ def test_neg_admitted_implies_ray_sweep():
                         v = es.classify(data)
                         assert v.lambda_neg.exists
                         assert v.ray_extends, (dg.key(), info.nodes, end)
+
+
+@pytest.mark.parametrize("start, beta", [(1, "left"), (1, "right"), (None, None)], ids=["left", "right", "rank one"])
+def test_criterion_rejects_a_drop_past_its_koszul_number(start, beta):
+    # n_j - d_j is the flag's Koszul number at j, so the lambda < 0 bound
+    # k_j > n_j/m implies the ray bound k_j > d_j/m; `criterion` checks it
+    # once per End.  `end_of` would refuse the raised drop by its dual-form
+    # check, so the record is copied with the drop at node 3, the string's
+    # black neighbour, raised to n_3 + m
+    end = bd.end_of(diagram("A", 11, {3, 6}), start, beta)
+    assert es.criterion(end).neg  # the real record passes
+    n3 = pd.koszul(end.s0).numbers[3]
+    raised = dataclasses.replace(end, drops=((3, n3 + end.m),))
+    with pytest.raises(AssertionError, match="misses a ray bound"):
+        es.criterion(raised)
 
 
 def test_alg_cond_identity_small_sweep():

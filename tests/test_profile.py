@@ -153,12 +153,21 @@ def test_inverse_round_trip():
 
 
 def test_f_of_t_follows_the_series_at_small_t():
-    # f = kappa t^2/2 (1 + O(t^2)) at the singular orbit, down to t where f
-    # is still a normal float
+    # f = kappa (x + U2 x^2 + O(x^3)), x = t^2/2, at the singular orbit, with
+    # U2 = -(c_(m+1)/c_m + lambda)/(3m) from this test's own Fraction
+    # expansion of J in u.  `verdiani_check` forms its coefficient from the
+    # integer expansion in v = |lambda| u, where it is U2/|lambda|.  Down to
+    # t = 1e-100, where f is still a normal float, the leading term holds
     for prof, label in sample_profiles():
-        for t in (1e-6, 1e-9, 1e-12, 1e-100):
-            series = prof.kappa * t * t / 2
-            assert abs(pf.f_of_t(prof, t) - series) <= 1e-9 * series, (label, t)
+        jc, m = _exact_j(prof), prof.m
+        u2 = -(jc[m + 1] / jc[m] + prof.lam) / (3 * m)
+        assert pf.verdiani_check(prof).u2 == u2 / (abs(prof.lam) or 1), label
+        for t in (1e-6, 1e-9, 1e-12):
+            x = t * t / 2
+            series = prof.kappa * x * (1 + float(u2) * x)
+            assert abs(pf.f_of_t(prof, t) - series) <= 1e-13 * series, (label, t)
+        series = prof.kappa * 1e-100 * 1e-100 / 2
+        assert abs(pf.f_of_t(prof, 1e-100) - series) <= 1e-9 * series, label
 
 
 def test_f_of_t_domain_errors():
@@ -866,27 +875,74 @@ def test_verdiani_passes_on_admitted_data():
     for prof, label in sample_profiles():
         report = pf.verdiani_check(prof)
         assert report.passed, (label, report)
-        assert report.d == prof.m - 1
-        assert report.f_at_zero == 0.0
+        assert prof.d == prof.m - 1
+        assert pf.f_of_t(prof, 0.0) == 0.0
         assert report.relative_error < 1e-4
-        assert abs(report.fdot_small) < 0.05 * prof.kappa
+        assert abs(pf.f_dot(prof, pf.f_of_t(prof, min(report.t_probes)))) < 0.05 * prof.kappa
+
+
+# A11 at each sign of lambda, and A1:* at lambda = -1 (rank one, m = 1)
+VERDIANI_DATA = {
+    "a11 lam+": ("A11:oo*oo*ooooo", 1, "left", (1, 1), 1),
+    "a11 lam-": ("A11:oo*oo*ooooo", 1, "left", (3, 4), -1),
+    "a11 lam0": ("A11:oo*oo*ooooo", 1, "left", (2, 3), 0),
+    "A1 lam-": ("A1:*", None, None, (3,), -1),
+}
+
+
+@pytest.mark.parametrize("query", ["f_of_t", "f_dot"])
+@pytest.mark.parametrize("label", sorted(VERDIANI_DATA))
+def test_verdiani_fails_where_f_or_f_dot_is_off_by_1e_8(monkeypatch, label, query):
+    # the check compares both f and f' with their exact two-term series, to
+    # 1e-10: a relative error of 1e-8 in either one fails it
+    key, string, beta, chi, lam = VERDIANI_DATA[label]
+    prof = pf.metric_profile(bd.admissible_data(cli.parse_diagram(key), string, beta, chi), lam)
+    assert pf.verdiani_check(prof).passed
+    exact = getattr(pf, query)
+    monkeypatch.setattr(pf, query, lambda *args: exact(*args) * (1 + 1e-8))
+    report = pf.verdiani_check(prof)
+    assert not report.passed and report.relative_error > 1e-9, report
 
 
 @pytest.mark.parametrize("k", [8, 30])
 @pytest.mark.parametrize("sign, chi", [(1, (1, 1)), (-1, (3, 4))], ids=["lam+", "lam-"])
 def test_verdiani_report_does_not_depend_on_the_scale_of_lambda(sign, chi, k):
     # the report at lambda = sign 10^k is the one at lambda = sign, with t
-    # scaled by 10^(-k/2) and f' by its inverse
-    unit = pf.verdiani_check(pf.metric_profile(a11_data(chi), sign))
-    report = pf.verdiani_check(pf.metric_profile(a11_data(chi), sign * 10**k))
+    # scaled by 10^(-k/2) and f' by its inverse; u2 is a unit coefficient
+    unit_prof = pf.metric_profile(a11_data(chi), sign)
+    prof = pf.metric_profile(a11_data(chi), sign * 10**k)
+    unit, report = pf.verdiani_check(unit_prof), pf.verdiani_check(prof)
     root = 10.0 ** (k / 2)
-    assert (report.d, report.m, report.kappa, report.f_at_zero, report.passed) == (
-        unit.d, unit.m, unit.kappa, unit.f_at_zero, True)
-    assert math.isclose(report.fitted_curvature, unit.fitted_curvature, rel_tol=1e-9)
+    assert (prof.d, prof.m, prof.kappa, pf.f_of_t(prof, 0.0), report.passed) == (
+        unit_prof.d, unit_prof.m, unit_prof.kappa, 0.0, True)
+    assert report.u2 == unit.u2
     assert abs(report.relative_error - unit.relative_error) <= 1e-9
-    assert math.isclose(report.fdot_small * root, unit.fdot_small, rel_tol=1e-9)
-    for got, want in zip(report.t_probes, unit.t_probes):
+    fdots = [pf.f_dot(p, pf.f_of_t(p, r.t_probes[0])) for p, r in ((prof, report), (unit_prof, unit))]
+    assert math.isclose(fdots[0] * root, fdots[1], rel_tol=1e-9)
+    for got, want in zip(report.t_probes, unit.t_probes, strict=True):
         assert math.isclose(got * root, want, rel_tol=1e-9)
+
+
+def test_verdiani_report_does_not_depend_on_the_scale_of_the_face_point():
+    # at lambda = 0, the face point s z0 maps f(t) to s f(t/sqrt(s)): the
+    # probes sit below the nearest other zero of Q, so they scale by sqrt(s)
+    # and u2 by 1/s, and a small face point passes as the unscaled one does
+    data = a11_data((2, 3))
+    alg = data.end.s0.algebra
+
+    def report(s):
+        return pf.verdiani_check(pf.metric_profile(
+            data, 0, z0=combination((s, pi_weight(alg, 3)), (s, pi_weight(alg, 6)))))
+
+    unit = report(1)
+    assert unit.passed
+    for s in (Fraction(1, 10**3), Fraction(1, 10**6)):
+        scaled = report(s)
+        assert scaled.passed, (s, scaled)
+        assert scaled.u2 * s == unit.u2, s
+        for got, want in zip(scaled.t_probes, unit.t_probes, strict=True):
+            assert math.isclose(got, math.sqrt(s) * want, rel_tol=1e-12), s
+    assert report(10**6).passed
 
 
 def test_verdiani_fails_on_perturbed_vanishing_order():
@@ -898,6 +954,8 @@ def test_verdiani_fails_on_perturbed_vanishing_order():
     assert perturbed.d != perturbed.m - 1
     report = pf.verdiani_check(perturbed)
     assert not report.passed
+    # no series is formed
+    assert report.u2 is None and report.relative_error == math.inf
 
 
 def test_profile_rejects_chamber_violation():

@@ -154,7 +154,7 @@ def test_the_profile_table_reads_lambda_only_through_its_sign():
 # public names without a reader in the package or the benchmark, and why each stays
 UNREAD_PUBLIC_NAMES = {
     "diagram": "the README library example builds its diagram with it",
-    "verdiani_check": "ROADMAP item 9 makes it part of `flagke profile --diagnostics`",
+    "verdiani_check": "ROADMAP item 11 makes it part of `flagke profile --diagnostics`",
 }
 
 
