@@ -21,7 +21,6 @@ from . import bundle as bd
 from . import census as cs
 from . import einstein as es
 from . import painted as pd
-from . import profile as pf
 from . import rootspace as rs
 from .errors import ConfigurationError, DiagramParseError, DomainError, FlagkeError, UsageError
 
@@ -161,6 +160,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from . import profile as pf  # numpy loads only where a profile is built
+
     n = args.samples
     if n < 2:
         raise UsageError("--samples must be at least 2")

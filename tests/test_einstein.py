@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, diagram, einstein as es, painted as pd, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, combination, pi_sum, pi_weight, zero_weight
+from conftest import FAMILY_MIN_RANK, all_diagrams, automorphism_image, combination, pi_sum, pi_weight, zero_weight
 
 
 def test_published_verdicts():
@@ -318,6 +318,16 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
             w = es.classify(mirror)
             assert ((w.lambda_pos.exists, w.lambda_neg.exists, w.lambda_zero.exists)
                     == (v.lambda_pos.exists, v.lambda_neg.exists, v.lambda_zero.exists)), (dg.key(), m, chi)
+        if dg.algebra.family in "AD":
+            # the image under the A flip or the D fork swap, built on other
+            # nodes, epsilon coordinates and path positions, has the datum's
+            # verdicts, ray condition and kappa^2
+            moved = bd.admissible_data(*automorphism_image(dg, info and info.start, end, chi))
+            w = es.classify(moved)
+            assert ((w.lambda_pos.exists, w.lambda_neg.exists, w.lambda_zero.exists, w.ray_extends)
+                    == (v.lambda_pos.exists, v.lambda_neg.exists, v.lambda_zero.exists, v.ray_extends)), \
+                (dg.key(), m, end, chi)
+            assert bd.kappa(moved)[0] == bd.kappa(data)[0], (dg.key(), m, end, chi)
         # the ray condition by its geometric definition, and the two other
         # readers of the end-shape table against their independent references
         xi0 = bd.kappa_z0_form(data)

@@ -21,13 +21,26 @@ def test_package_source_has_no_assert_statements():
     assert not found, found
 
 
-def test_import_does_not_load_scipy():
-    # scipy is a test dependency only: the package and its CLI must not need it
-    code = "import sys, flagke, flagke.cli; print('scipy' in sys.modules)"
+def test_import_does_not_load_scipy(tmp_path):
+    # scipy is a test dependency only: the package and its CLI must not need it.
+    # numpy is loaded only where a profile is built: importing the package and
+    # its CLI, the exact commands and reading `__all__` load neither
+    code = "\n".join([
+        "import contextlib, io, sys, flagke, flagke.cli",
+        "def loaded(): print(sorted({'scipy', 'numpy'} & set(sys.modules)))",
+        "loaded()",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['koszul', 'D5:o*oo*'], ['classify', 'A3:*o*', '--m1', '--chi', '1,1'],",
+        f"                 ['census', '--family', 'A', '--max-rank', '2', '--out', {str(tmp_path / 'c.jsonl')!r}]):",
+        "        assert flagke.cli.main(argv) == 0, argv",
+        "loaded()",
+        "names = list(flagke.__all__)",
+        "loaded()",
+    ])
     src = str(Path(flagke.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["[]", "[]", "[]", ""], out.stdout
 
 
 def test_public_names_resolve():
@@ -39,10 +52,17 @@ def test_public_names_resolve():
 
 
 def test_import_loads_every_module():
-    # no module of the package survives only for tests
+    # no module of the package survives only for tests: the package, its CLI
+    # and one `flagke profile` (which loads `flagke.profile`) reach them all
     root = Path(flagke.__file__).resolve().parent
     expected = {f"flagke.{path.stem}" for path in root.glob("*.py")} - {"flagke.__init__", "flagke.__main__"}
-    code = "import sys, flagke, flagke.cli; print(' '.join(sorted(sys.modules)))"
+    code = "\n".join([
+        "import contextlib, io, sys, flagke, flagke.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    argv = ['profile', 'A1:*', '--m1', '--chi', '3', '--lambda', '-1', '--samples', '2']",
+        "    assert flagke.cli.main(argv) == 0",
+        "print(' '.join(sorted(sys.modules)))",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(root.parent)})
     loaded = set(out.stdout.split())
