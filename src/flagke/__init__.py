@@ -28,12 +28,11 @@ __all__ = [
     "enumerate_records", "summarize",
 ]
 
-_PROFILE_NAMES = ("MetricProfile", "domain_end", "f_of_t", "metric_profile", "ode_residual",
-                  "t_of_f", "verdiani_check")
 
-
+# called only for names not bound above, so the names of `__all__` that reach
+# it are the profile names
 def __getattr__(name):
-    if name not in _PROFILE_NAMES:
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import profile
     return getattr(profile, name)

@@ -26,7 +26,7 @@ from . import bundle as bd
 from . import einstein as es
 from . import painted as pd
 from . import rootspace as rs
-from .errors import ConfigurationError
+from .errors import UsageError
 
 SCHEMA_VERSION = 1
 MAX_RANK_BOUND = 9
@@ -58,7 +58,7 @@ def _record_for(dg: pd.PaintedDiagram,
         "lambda_zero": {
             "exists": zero_chi is not None,
             "required_chi": zero_chi,
-            "kappa_sq": None if zero_kappa is None else rs.frac_str(zero_kappa),
+            "kappa_sq": None if zero_kappa is None else str(zero_kappa),
         },
     }
     for tag, bounds in (("pos", crit.pos), ("neg", crit.neg)):
@@ -71,7 +71,7 @@ def _record_for(dg: pd.PaintedDiagram,
         rec["lambda_" + tag] = {
             "constraint": tuple(map(str, bounds)),
             "witness_chi": witness,
-            "kappa_sq": rs.frac_str(bd.kappa(data)[0]),
+            "kappa_sq": str(bd.kappa(data)[0]),
             "ray_extends": es.satisfied(crit.ray, witness),
         }
     rec["lambda_neg"]["complete"] = rec["lambda_neg"]["ray_extends"]
@@ -95,9 +95,9 @@ def enumerate_records(family: str, max_rank: int) -> Iterator[dict]:
     """All census records of one family up to `max_rank`, in canonical order,
     each the schema-1 object; the arguments are checked at the call."""
     if family not in rs.FAMILIES:
-        raise ConfigurationError(f"unknown family {family!r}")
+        raise UsageError(f"unknown family {family!r}")
     if not 1 <= max_rank <= MAX_RANK_BOUND:
-        raise ConfigurationError(f"max_rank must be in 1..{MAX_RANK_BOUND}, got {max_rank}")
+        raise UsageError(f"max_rank must be in 1..{MAX_RANK_BOUND}, got {max_rank}")
     return _records(family, max_rank)
 
 

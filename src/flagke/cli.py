@@ -3,8 +3,10 @@
 Subcommands: ``koszul``, ``classify``, ``profile``, ``census``.  Diagrams are
 written ``<family><rank>:<mask>`` with ``o`` for white and ``*`` for black,
 nodes left to right in index order (D fork tips last).  Diagnostics go to
-stderr; exit code 2 flags parse/usage problems and 3 mathematical domain
-errors.  A closed stdout (`| head`) ends the command silently with exit code 1.
+stderr as one ``error:`` line, and the error's kind sets the exit code: 2 for
+a parse or usage problem, 3 for a mathematical domain error, 1 for a
+numerics failure.  A closed stdout (`| head`) ends the command silently with
+exit code 1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import census as cs
 from . import einstein as es
 from . import painted as pd
 from . import rootspace as rs
-from .errors import ConfigurationError, DiagramParseError, DomainError, FlagkeError, UsageError
+from .errors import DiagramParseError, FlagkeError, UsageError
 
 
 def parse_diagram(text: str) -> pd.PaintedDiagram:
@@ -36,12 +38,12 @@ def parse_diagram(text: str) -> pd.PaintedDiagram:
     if colon < 0:
         raise DiagramParseError("missing ':' between rank and mask", len(text))
     rank_text = text[1:colon]
-    if not rank_text.isdigit():
+    if not (rank_text.isascii() and rank_text.isdigit()):
         raise DiagramParseError(f"rank must be a positive integer, got {rank_text!r}", 1)
     rank = int(rank_text)
     try:
         algebra = rs.Algebra(family, rank)
-    except ConfigurationError as exc:
+    except UsageError as exc:
         raise DiagramParseError(str(exc), 1) from exc
     mask = text[colon + 1:]
     if len(mask) != rank:
@@ -98,13 +100,13 @@ def _cmd_koszul(args) -> int:
     if args.json:
         payload = {
             "diagram": dg.key(),
-            "sigma": [rs.frac_str(c) for c in data.sigma.coeffs],
+            "sigma": [str(c) for c in data.sigma.coeffs],
             "koszul_numbers": {str(j): n for j, n in sorted(data.numbers.items())},
         }
         print(json.dumps(payload, indent=None, separators=(",", ":")))
     else:
         print(f"diagram {dg.key()}")
-        print("sigma " + " ".join(rs.frac_str(c) for c in data.sigma.coeffs))
+        print("sigma " + " ".join(str(c) for c in data.sigma.coeffs))
         print("koszul " + " ".join(f"n_{j}={n}" for j, n in sorted(data.numbers.items())))
     return 0
 
@@ -133,7 +135,7 @@ def _verdict_payload(data: bd.AdmissibleData, verdict: es.EinsteinVerdict) -> di
             "complete": verdict.lambda_neg.complete,
         },
         "ray_extends": verdict.ray_extends,
-        "kappa_sq": rs.frac_str(bd.kappa(data)[0]),
+        "kappa_sq": str(bd.kappa(data)[0]),
     }
 
 
@@ -155,7 +157,7 @@ def _cmd_classify(args) -> int:
           + "; ".join(str(b) for b in verdict.lambda_neg.constraint)
           + f"  complete={'yes' if verdict.lambda_neg.complete else 'no'}")
     print(f"ray_extends={'yes' if verdict.ray_extends else 'no'}")
-    print(f"kappa_sq={rs.frac_str(bd.kappa(data)[0])}")
+    print(f"kappa_sq={bd.kappa(data)[0]}")
     return 0
 
 
@@ -179,17 +181,17 @@ def _cmd_profile(args) -> int:
         payload = {
             "diagram": data.end.s0.key(),
             "m": data.end.m,
-            "lambda": rs.frac_str(lam),
+            "lambda": str(lam),
             "kappa": prof.kappa,
-            "kappa_sq": rs.frac_str(prof.kappa_sq),
+            "kappa_sq": str(prof.kappa_sq),
             "f_sup": None if not math.isfinite(prof.f_sup) else prof.f_sup,
             "d": prof.d,
             "samples": [{"t": t, "f": f, "residual": r} for t, f, r in rows],
         }
         print(json.dumps(payload, separators=(",", ":")))
         return 0
-    print(f"diagram {data.end.s0.key()}  m={data.end.m}  lambda={rs.frac_str(lam)}")
-    print(f"kappa={prof.kappa:.12g}  kappa_sq={rs.frac_str(prof.kappa_sq)}  "
+    print(f"diagram {data.end.s0.key()}  m={data.end.m}  lambda={lam}")
+    print(f"kappa={prof.kappa:.12g}  kappa_sq={prof.kappa_sq}  "
           f"f_sup={'inf' if not math.isfinite(prof.f_sup) else format(prof.f_sup, '.12g')}  d={prof.d}")
     print(f"{'t':>18} {'f(t)':>18} {'residual':>12}")
     for t, f, r in rows:
@@ -284,15 +286,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DiagramParseError, UsageError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FlagkeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ class Bound:
             raise UsageError(f"a bound needs op '<' or '>' and an exact value, got {op!r} {v!r}")
         p, q = v.numerator, v.denominator
         object.__setattr__(self, "edge", -(-p // q) - 1 if op == "<" else p // q + 1)
-        object.__setattr__(self, "text", f"k_{self.node} {op} {rs.frac_str(v)}")
+        object.__setattr__(self, "text", f"k_{self.node} {op} {v}")
 
     def holds(self, k: int) -> bool:
         return k <= self.edge if self.op == "<" else k >= self.edge

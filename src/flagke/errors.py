@@ -1,16 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each kind carries the exit code the command line gives it: a usage error
+(a parse error among them) exits 2, a domain error 3, and any other package
+error, a numerics error included, 1."""
 
 
 class FlagkeError(Exception):
     """Base class for all package-specific errors."""
 
-
-class ConfigurationError(FlagkeError, ValueError):
-    """Invalid family/rank/node data at construction time."""
+    exit_code = 1
 
 
 class UsageError(FlagkeError, ValueError):
     """An operation was called with arguments outside its contract."""
+
+    exit_code = 2
 
 
 class DomainError(FlagkeError, ValueError):
@@ -18,12 +22,14 @@ class DomainError(FlagkeError, ValueError):
     (degenerate bundle, unadmitted Einstein sign, argument beyond the
     profile domain, ...)."""
 
+    exit_code = 3
+
 
 class NumericsError(FlagkeError, ArithmeticError):
     """A quadrature or refinement loop failed to reach its tolerance."""
 
 
-class DiagramParseError(FlagkeError, ValueError):
+class DiagramParseError(UsageError):
     """Malformed diagram string; ``offset`` is the byte position of the
     first offending character."""
 

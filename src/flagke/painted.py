@@ -16,7 +16,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from . import rootspace as rs
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class PaintedDiagram:
     def __post_init__(self):
         black = frozenset(self.black)
         if not all(isinstance(i, int) and 1 <= i <= self.algebra.rank for i in black):
-            raise ConfigurationError(f"black nodes {sorted(self.black)} out of range for {self.algebra}")
+            raise UsageError(f"black nodes {sorted(self.black)} out of range for {self.algebra}")
         object.__setattr__(self, "black", black)
         object.__setattr__(self, "black_nodes", tuple(sorted(black)))
 

@@ -159,9 +159,9 @@ class MetricProfile:
                 raise DomainError(f"alpha(Z_0) = {a} < 0: Z_0 leaves the chamber face")
             if a == 0 and r <= 0:
                 raise DomainError("vanishing alpha(Z_0) requires alpha(Z^0) > 0")
-        if self.lam <= 0 and self.u_exit is not None:
-            raise DomainError(f"alpha(Z^0) < 0 with lambda = {self.lam} <= 0: "
-                              f"the segment meets a chamber wall at u = {self.u_exit}")
+        if self.lam <= 0 and any(r < 0 for _, r in self.pairs):
+            raise DomainError(f"alpha(Z^0) < 0 with lambda = {self.lam} <= 0: the segment meets a "
+                              f"chamber wall at u = {min(-a / r for a, r in self.pairs if r < 0)}")
         _finite_float(self.lam, "lambda")
         if self.lam:
             _finite_float(1 / self.lam, "1/lambda")
@@ -237,24 +237,6 @@ class MetricProfile:
             den_pow *= den
             acc = acc * num + c * den_pow
         return Fraction(acc, scale * den_pow)
-
-    @cached_property
-    def _gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes/weights on [0, 1] that integrate the inner integrand exactly.
-
-        The integrand (m - sgn w) Q(w) is a polynomial of degree |pairs|+1,
-        so Gauss-Legendre with ceil((deg+1)/2) = (|pairs| + 3)//2 points has
-        no truncation error; evaluating Q in factored form keeps the rule
-        numerically stable where the expanded coefficients would cancel
-        catastrophically.
-        """
-        return _legendre((len(self.pairs) + 3) // 2)
-
-    @cached_property
-    def u_exit(self) -> Optional[Fraction]:
-        """First chamber wall along the ray: min of -a/r over the negative slopes."""
-        exits = [-a / r for a, r in self.pairs if r < 0 and a > 0]
-        return min(exits) if exits else None
 
     @cached_property
     def _end(self) -> tuple[Optional[Fraction], Optional[Fraction]]:
@@ -379,7 +361,11 @@ class _Part:
         # log(J(anchor) / prod slope^mu over the vanishing pairs), at a wall
         self.log_j = (math.log(j_at.numerator) - math.log(j_at.denominator)
                       - float(mu[~keep] @ np.log(orientation * r[~keep]))) if j_at else None
-        x, w = profile._gauss_rule
+        # (e - sgn w) Q(w) has degree n + 1 for n = sum(mult) root pairs, so
+        # Gauss-Legendre with (n + 3)//2 points integrates it exactly; Q in
+        # factored form keeps the rule stable where expanded coefficients
+        # would cancel
+        x, w = _legendre((sum(mult) + 3) // 2)
         self.x, self.one_minus_x = x[:, None], (1.0 - x)[:, None]
         # (e - sgn w) (w/d)^order times the Gauss weight is w0 - d w1 at the node w = d x
         e, self.sign = float(orientation * (profile.m - profile._sign * anchor)), float(profile._sign)

@@ -24,16 +24,11 @@ from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
 
-from .errors import ConfigurationError, UsageError
+from .errors import UsageError
 
 FAMILIES = ("A", "B", "C", "D")
 
 MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
-
-
-def frac_str(x: Fraction) -> str:
-    """Canonical text of a rational: ``"p"`` when integral, else ``"p/q"``."""
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 @dataclass(frozen=True, order=True)
@@ -45,9 +40,9 @@ class Algebra:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ConfigurationError(f"unknown family {self.family!r}")
+            raise UsageError(f"unknown family {self.family!r}")
         if not isinstance(self.rank, int) or self.rank < MIN_RANK[self.family]:
-            raise ConfigurationError(
+            raise UsageError(
                 f"family {self.family} requires rank >= {MIN_RANK[self.family]}, got {self.rank!r}"
             )
 

@@ -13,7 +13,7 @@ import pytest
 
 import flagke
 from flagke import bundle as bd, census as cs, cli, diagram, einstein as es, profile as pf
-from flagke.errors import ConfigurationError
+from flagke.errors import UsageError
 
 from conftest import automorphism_image, diagram_automorphism
 
@@ -214,9 +214,9 @@ def test_summary_csv():
 
 
 def test_enumerate_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="unknown family"):
         list(cs.enumerate_records("E", 3))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match=r"max_rank must be in 1\.\.9"):
         list(cs.enumerate_records("A", 12))
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from flagke import census as cs, cli, rootspace as rs
+from flagke import census as cs, cli
 from flagke.errors import DiagramParseError
 
 from conftest import EXIT_ZERO, FAMILY_MIN_RANK, all_diagrams, pi_sum, trace_inner
@@ -58,6 +58,10 @@ def test_parse_errors_carry_offsets():
     with pytest.raises(DiagramParseError, match="rank must be a positive integer") as exc:
         cli.parse_diagram("Ax:o")
     assert exc.value.offset == 1
+    for text in ("A\u00b2:*", "A\u0661:*"):  # a superscript and an Arabic-Indic digit
+        with pytest.raises(DiagramParseError, match="rank must be a positive integer") as exc:
+            cli.parse_diagram(text)
+        assert exc.value.offset == 1
 
 
 def test_koszul_command(capsys):
@@ -81,6 +85,8 @@ def test_koszul_error_codes(capsys):
     assert code == 3 and "flag" in err
     code, _, err = run(capsys, "koszul", "A3:oox")
     assert code == 2
+    code, _, err = run(capsys, "koszul", "A\u00b2:*")
+    assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error: rank must be")
 
 
 def test_classify_command(capsys):
@@ -170,9 +176,9 @@ def test_classify_prints_kappa_sq_past_the_float_range(capsys, argv, chi, json_f
     code, out, err = run(capsys, "classify", *argv, "--chi", ",".join(map(str, chi)), *json_flag)
     assert (code, err) == (0, "")
     if json_flag:
-        assert json.loads(out)["kappa_sq"] == rs.frac_str(ksq)
+        assert json.loads(out)["kappa_sq"] == str(ksq)
     else:
-        assert out.splitlines()[-1] == f"kappa_sq={rs.frac_str(ksq)}"
+        assert out.splitlines()[-1] == f"kappa_sq={ksq}"
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["plain", "json"])

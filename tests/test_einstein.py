@@ -354,4 +354,5 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
                 assert sigma_f == combination((m, xi0)), (dg.key(), m, end, chi)
             prof = pf.metric_profile(data, lam)
             if lam <= 0:
-                assert all(r > 0 for _, r in prof.pairs) and prof.u_exit is None, (dg.key(), m, end, chi, lam)
+                wall = min((-a / r for a, r in prof.pairs if r < 0), default=None)
+                assert all(r > 0 for _, r in prof.pairs) and wall is None, (dg.key(), m, end, chi, lam)

@@ -496,12 +496,18 @@ def exit_zero_profile(key):
     return pf.metric_profile(bd.admissible_data(cli.parse_diagram(key), None, None, (-1,)), 1)
 
 
+def _wall(prof):
+    """The first chamber wall along the ray in u, the least -a/r over r < 0;
+    None when no slope is negative."""
+    return min((-a / r for a, r in prof.pairs if r < 0), default=None)
+
+
 @pytest.mark.parametrize("key", EXIT_ZERO_SAMPLE)
 def test_exit_zero_profile_matches_closed_form(key):
     prof = exit_zero_profile(key)
-    assert _horner(_exact_j(prof), prof.u_exit) == 0
-    assert prof._end == (prof.u_exit, 0)
-    omega = math.sqrt(2 / float(prof.u_exit))
+    assert _horner(_exact_j(prof), _wall(prof)) == 0
+    assert prof._end == (_wall(prof), 0)
+    omega = math.sqrt(2 / float(_wall(prof)))
     t_end = math.pi / omega
     for i in range(1, 50):
         t = 0.999 * t_end * i / 49
@@ -559,8 +565,8 @@ def test_exact_j_matches_fraction_expansion():
             prof = pf.metric_profile(data, lam)
             jc, n = _exact_j(prof), len(prof.pairs)
             points = [prof.m / prof.lam, prof._end[0] / prof.lam]
-            if prof.u_exit is not None:
-                points.append(prof.u_exit)
+            if _wall(prof) is not None:
+                points.append(_wall(prof))
             for x in points:
                 assert prof._j_exact(lam * x) == lam ** (n + 1) * _horner(jc, x), (key, chi, lam, x)
 
@@ -1010,7 +1016,7 @@ def test_domain_end_cases():
     # chamber exit: rank-one with a negative character coefficient
     data = bd.admissible_data(diagram("B", 3, {1}), None, None, (-1,))
     prof = pf.metric_profile(data, 1)
-    assert prof.u_exit == 6
+    assert _wall(prof) == 6
     assert pf.domain_end(prof) <= prof.kappa * 6 + 1e-12
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagke import rootspace as rs
-from flagke.errors import ConfigurationError, UsageError
+from flagke.errors import UsageError
 
 from conftest import FAMILY_MIN_RANK, cartan_matrix, combination, pi_weight, simple_root_coordinates, \
     trace_coordinates, trace_inner, weight, zero_weight
@@ -236,11 +236,11 @@ def test_fundamental_coordinates_match_trace_form(x):
 
 
 def test_algebra_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="requires rank >= 3"):
         rs.Algebra("D", 2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="unknown family"):
         rs.Algebra("E", 6)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="requires rank >= 1"):
         rs.Algebra("A", 0)
 
 
