@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,34 +58,54 @@ def parse_diagram(text: str) -> pd.PaintedDiagram:
     return pd.PaintedDiagram(algebra, frozenset(black))
 
 
+# Every number on the command line is ASCII: int() and Fraction() alone also
+# read underscores and any Unicode decimal digit ('1_0' as 10, '\u0661' as 1)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class _NumberError(FlagkeError):
+    """A number argument outside the grammar, raised by an argparse `type=`.
+    Not a ValueError, so argparse passes it on and `main` prints it as one
+    `error:` line, exit code 2."""
+
+    exit_code = 2
+
+
+def _integer(flag: str):
+    """The argparse `type=` of the integer option `flag`: [+-]?[0-9]+."""
+    def parse(text: str) -> int:
+        if not _INTEGER.fullmatch(text):
+            raise _NumberError(f"{flag} must be an integer in ASCII digits, got {text!r}")
+        return int(text)
+    return parse
+
+
 def _parse_rational(text: str) -> Fraction:
-    """Exact rational from 'p' or 'p/q'; floats are refused."""
-    text = text.strip()
-    if "." in text or "e" in text.lower():
-        raise UsageError(f"exact rational required (use p/q), got {text!r}")
+    """Exact rational from 'p' or 'p/q', [+-]?[0-9]+(/[0-9]+)?, q > 0; floats are refused."""
+    if not _RATIONAL.fullmatch(text):
+        if "." in text or "e" in text.lower():
+            raise _NumberError(f"exact rational required (use p/q), got {text!r}")
+        raise _NumberError(f"cannot parse rational {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse rational {text!r}") from exc
+    except ZeroDivisionError:
+        raise _NumberError(f"cannot parse rational {text!r}") from None
 
 
-def _parse_chi(text: Optional[str], expected: int) -> tuple[int, ...]:
-    if not text:
-        chi: tuple[int, ...] = ()
-    else:
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            chi = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise UsageError(f"chi must be a comma-separated integer list, got {text!r}") from exc
-    if len(chi) != expected:
-        raise UsageError(f"chi needs {expected} entries (one per black node), got {len(chi)}")
-    return chi
+def _parse_chi(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each [+-]?[0-9]+; empty for none."""
+    parts = text.split(",") if text else []
+    if not all(_INTEGER.fullmatch(part) for part in parts):
+        raise _NumberError(f"chi must be a comma-separated integer list, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def _data_from_args(args) -> bd.AdmissibleData:
     dg = parse_diagram(args.diagram)
-    chi = _parse_chi(args.chi, len(dg.black))
+    chi = args.chi
+    if len(chi) != len(dg.black):
+        raise UsageError(f"chi needs {len(dg.black)} entries (one per black node), got {len(chi)}")
     if args.m1:
         if args.string is not None or args.beta is not None:
             raise UsageError("--m1 excludes --string/--beta")
@@ -168,7 +189,7 @@ def _cmd_profile(args) -> int:
     if n < 2:
         raise UsageError("--samples must be at least 2")
     data = _data_from_args(args)
-    lam = _parse_rational(args.lam)
+    lam = args.lam
     prof = pf.metric_profile(data, lam)
     f_hi = 0.97 * prof.f_sup if math.isfinite(prof.u_sup) else 8.0 * prof.kappa
     t_hi = pf.t_of_f(prof, f_hi)
@@ -236,11 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_data_args(q):
         q.add_argument("diagram")
-        q.add_argument("--string", type=int, default=None,
+        q.add_argument("--string", type=_integer("--string"), default=None,
                        help="least node index of the white string (m > 1)")
         q.add_argument("--beta", choices=("left", "right"), default=None)
         q.add_argument("--m1", action="store_true", help="rank-one bundle: no string")
-        q.add_argument("--chi", default="", help="comma-separated integers, one per black node")
+        q.add_argument("--chi", type=_parse_chi, default=(), help="comma-separated integers, one per black node")
         q.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify", help="Einstein existence verdict for a bundle datum")
@@ -249,13 +270,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="sampled profile f(t) of an admitted datum")
     add_data_args(p)
-    p.add_argument("--lambda", dest="lam", required=True, help="Einstein constant, exact p/q")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--lambda", dest="lam", type=_parse_rational, required=True,
+                   help="Einstein constant, exact p/q")
+    p.add_argument("--samples", type=_integer("--samples"), default=64)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("census", help="enumerate and classify all data of a family")
     p.add_argument("--family", required=True, choices=rs.FAMILIES)
-    p.add_argument("--max-rank", type=int, required=True)
+    p.add_argument("--max-rank", type=_integer("--max-rank"), required=True)
     p.add_argument("--out", required=True, help="output JSONL path, or - for stdout")
     p.add_argument("--summary", default=None, help="optional CSV summary path")
     p.set_defaults(func=_cmd_census)
@@ -272,10 +294,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             tokens.append(tok)
     try:
-        args = parser.parse_args(tokens)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = parser.parse_args(tokens)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
         status = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at interpreter exit
         return status

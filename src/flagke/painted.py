@@ -96,6 +96,12 @@ def r_m_plus(dg: PaintedDiagram) -> tuple[rs.Weight, ...]:
     return tuple(r for r, s in zip(roots, supports) if s & black)
 
 
+def root_sum(roots: tuple[rs.Weight, ...]) -> tuple[int, ...]:
+    """The numerators of the sum of positive `roots`, over denominator 1:
+    positive roots have integer epsilon coordinates, so it is a column sum."""
+    return tuple(map(sum, zip(*(root.num for root in roots))))
+
+
 @dataclass(frozen=True)
 class KoszulData:
     sigma: rs.Weight
@@ -108,9 +114,7 @@ def koszul(dg: PaintedDiagram) -> KoszulData:
     checked against `koszul_rule` when they are built."""
     if not dg.black:
         raise DomainError(f"{dg.key()}: all-white diagram is not a proper flag manifold")
-    # positive roots have integer epsilon coordinates: sigma is a column sum
-    sums = map(sum, zip(*(root.num for root in r_m_plus(dg))))
-    sigma = rs.Weight.from_numerators(dg.algebra, tuple(sums), 1)
+    sigma = rs.Weight.from_numerators(dg.algebra, root_sum(r_m_plus(dg)), 1)
     coords = rs.fundamental_coordinates(dg.algebra, sigma)
     numbers = {j: coords[j - 1] for j in dg.black_nodes}
     rule = koszul_rule(dg)

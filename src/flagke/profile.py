@@ -6,6 +6,15 @@ alpha(Z_0) = a_alpha and alpha(Z^0) = r_alpha / kappa.  All sign decisions
 (the vanishing order d, chamber exit, the turning point of the inner
 integral) happen on exact rationals; floats enter only in the quadrature.
 
+The exact set-up works on integers.  A positive root has integer epsilon
+coordinates, so each root's pair is two integer dot products of its
+numerators with those of xi_Z0 and xi_0, and the roots with one integer pair
+share one Fraction pair.  Once per distinct pair, `metric_profile` checks
+lambda a + m r = <alpha, sigma_F> on integers, sigma_F the Koszul form of F,
+the root sum of R_M^+(F): lambda xi_Z0 + m xi_0 = sigma_F by the Koszul
+update relations (m xi_0 = sigma_F at lambda = 0), and the check shares only
+the roots with the pairs, so it catches a wrong xi_Z0, drop or dual form.
+
 lambda is a scale.  In the normalised coordinate u = f / kappa the chamber
 polynomial is prod(a_alpha + u r_alpha), and a_alpha is proportional to
 1/lambda.  So the table is built in the unit coordinate v = |lambda| u (v = u
@@ -66,12 +75,12 @@ evaluation.
 from __future__ import annotations
 
 import bisect
-import collections
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -154,14 +163,16 @@ class MetricProfile:
                              f"{self.pairs!r}, {self.lam!r}, {self.kappa_sq!r}, {self.m!r}")
         if self.kappa_sq <= 0 or self.m < 1:
             raise DomainError(f"a profile needs kappa^2 > 0 and m >= 1, got {self.kappa_sq}, {self.m}")
-        for a, r in self.pairs:
+        # the first pair that fails a check is the first occurrence of its value
+        pairs = self._groups[0]
+        for a, r in pairs:
             if a < 0:
                 raise DomainError(f"alpha(Z_0) = {a} < 0: Z_0 leaves the chamber face")
             if a == 0 and r <= 0:
                 raise DomainError("vanishing alpha(Z_0) requires alpha(Z^0) > 0")
-        if self.lam <= 0 and any(r < 0 for _, r in self.pairs):
+        if self.lam <= 0 and any(r < 0 for _, r in pairs):
             raise DomainError(f"alpha(Z^0) < 0 with lambda = {self.lam} <= 0: the segment meets a "
-                              f"chamber wall at u = {min(-a / r for a, r in self.pairs if r < 0)}")
+                              f"chamber wall at u = {min(-a / r for a, r in pairs if r < 0)}")
         _finite_float(self.lam, "lambda")
         if self.lam:
             _finite_float(1 / self.lam, "1/lambda")
@@ -173,7 +184,7 @@ class MetricProfile:
     @property
     def d(self) -> int:
         """Vanishing order of the chamber polynomial at 0."""
-        return sum(1 for a, _ in self.pairs if a == 0)
+        return sum(mu for (a, _), mu in zip(*self._groups) if a == 0)
 
     @property
     def kappa(self) -> float:
@@ -197,12 +208,34 @@ class MetricProfile:
         return scale, math.sqrt(scale), self.kappa / scale
 
     @cached_property
+    def _groups(self) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[int, ...]]:
+        """The distinct values among the pairs (a, r), in order of first
+        occurrence, and the multiplicity of each.  A pair is keyed by the
+        integer numerators and denominators of a and r, which hash at the cost
+        of a tuple of ints; a Fraction's hash takes a modular inverse."""
+        groups: dict[tuple[int, int, int, int], list] = {}
+        for pair in self.pairs:
+            a, r = pair
+            groups.setdefault((a.numerator, a.denominator, r.numerator, r.denominator), [pair, 0])[1] += 1
+        return tuple(pair for pair, _ in groups.values()), tuple(mu for _, mu in groups.values())
+
+    @cached_property
     def _distinct_pairs(self) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[int, ...]]:
         """The distinct values among the unit pairs (|lambda| a, r), in order
         of first occurrence, and the multiplicity of each: Q = prod (a + v
         r)^mu over them."""
-        counts = collections.Counter((self._scale * a, r) for a, r in self.pairs)
-        return tuple(counts), tuple(counts.values())
+        pairs, mult = self._groups
+        scale = self._scale
+        return tuple((scale * a, r) for a, r in pairs), mult
+
+    @cached_property
+    def _unit_integers(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """The distinct unit pairs as integers (A, R) over their one common
+        denominator D: (a, r) = (A/D, R/D)."""
+        pairs = self._distinct_pairs[0]
+        den = math.lcm(*(x.denominator for pair in pairs for x in pair))
+        return tuple((a.numerator * (den // a.denominator), r.numerator * (den // r.denominator))
+                     for a, r in pairs), den
 
     @cached_property
     def _j_expansion(self) -> tuple[tuple[int, ...], int]:
@@ -213,11 +246,9 @@ class MetricProfile:
         integral, and L = lcm(1, ..., n + 2) clears the 1/(k + 1) of the
         antiderivative.  So K = D^n L.
         """
-        pairs, mult = self._distinct_pairs
-        den = math.lcm(*(x.denominator for pair in pairs for x in pair))
+        (ints, den), mult = self._unit_integers, self._distinct_pairs[1]
         prod = [1]  # P, ascending
-        for (a, r), mu in zip(pairs, mult):
-            a_int, r_int = int(a * den), int(r * den)
+        for (a_int, r_int), mu in zip(ints, mult):
             for _ in range(mu):
                 prod = [c * a_int + prev * r_int for c, prev in zip(prod + [0], [0] + prod)]
         n = sum(mult)
@@ -351,11 +382,17 @@ class _Part:
 
     def __init__(self, profile: MetricProfile, anchor: Fraction, orientation: int,
                  j_at: Fraction, length: Fraction):
-        pairs, mult = profile._distinct_pairs
-        exact = [a + anchor * r for a, r in pairs]
+        (ints, den), mult = profile._unit_integers, profile._distinct_pairs[1]
+        # a + anchor r = (A q + p R) / (D q) for anchor = p/q; int/int true
+        # division rounds once, correctly, as float(Fraction) does
+        p, q = anchor.numerator, anchor.denominator
+        exact = [a * q + p * r for a, r in ints]
+        base_den = den * q
         keep = np.array([b != 0 for b in exact], dtype=bool)
-        base, r, mu = (np.array(v, dtype=float) for v in (exact, [r for _, r in pairs], mult))
-        self.order = int(mu[~keep].sum())
+        base = np.array([b / base_den for b in exact])
+        r = np.array([r_int / den for _, r_int in ints])
+        mu = np.array(mult, dtype=float)
+        self.order = sum(k for k, b in zip(mult, exact) if not b)
         self.base, self.r, self.mu = base[keep], r[keep], mu[keep]
         self.slope, self.orientation = orientation * self.r, orientation
         # log(J(anchor) / prod slope^mu over the vanishing pairs), at a wall
@@ -368,7 +405,7 @@ class _Part:
         x, w = _legendre((sum(mult) + 3) // 2)
         self.x, self.one_minus_x = x[:, None], (1.0 - x)[:, None]
         # (e - sgn w) (w/d)^order times the Gauss weight is w0 - d w1 at the node w = d x
-        e, self.sign = float(orientation * (profile.m - profile._sign * anchor)), float(profile._sign)
+        e, self.sign = orientation * (profile.m * q - profile._sign * p) / q, float(profile._sign)
         w = w * x ** self.order
         self.w0, self.w1 = w * e, self.sign * w * x
         self.extent = math.sqrt(float(length))  # in y, of the first table
@@ -399,7 +436,7 @@ class _Part:
             # J(v_end)/(d Q) from logs: +inf at the wall d = 0, where h = 0
             with np.errstate(divide="ignore", over="ignore"):
                 out = out + np.exp(self.log_j - (self.order + 1) * np.log(d) - np.log(factors) @ self.mu)
-        if not np.all(out > 0):
+        if not out.min() > 0:  # NaN fails too
             raise NumericsError(f"inner integral not positive inside the domain (d in [{np.min(d)}, {np.max(d)}])")
         return out
 
@@ -571,11 +608,34 @@ def metric_profile(
         xi_z0 = z0 if z0 is not None else es.z0_face_point(data.end)
         if not pd.chamber_contains(data.end.s0, xi_z0):
             raise DomainError("supplied z0 is not an interior face point")
-    xi0, m = bd.kappa_z0_form(data), data.end.m
-    pairs = tuple(
-        (rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(data.end.flag)
-    )
-    profile = MetricProfile(pairs=pairs, kappa_sq=bd.kappa(data)[0], m=m, lam=lam)
+    end, xi0 = data.end, bd.kappa_z0_form(data)
+    m, roots = end.m, pd.r_m_plus(end.flag)
+    sigma = pd.root_sum(roots)
+    # A positive root has denominator 1, so <alpha, xi> is the integer dot
+    # product of the numerators over den(xi) 2c.  Equal integer pairs share
+    # one Fraction pair, and lambda xi_Z0 + m xi_0 = sigma_F (the Koszul
+    # update relations; m xi_0 = sigma_F at lambda = 0) is checked once per
+    # distinct pair, times 2c q den(xi_Z0) den(xi_0) for lambda = p/q.
+    z_num, z_den, x_num, x_den = xi_z0.num, xi_z0.den, xi0.num, xi0.den
+    two_c, p, q = end.flag.algebra.two_c, lam.numerator, lam.denominator
+    shared: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+    pairs = []
+    for alpha in roots:
+        key = (sum(map(mul, alpha.num, z_num)), sum(map(mul, alpha.num, x_num)))
+        pair = shared.get(key)
+        if pair is None:
+            ka, kr = key
+            ks = sum(map(mul, alpha.num, sigma))
+            if p * ka * x_den + m * kr * q * z_den != ks * q * z_den * x_den:
+                where = end.s0.key() + ("" if end.string is None else
+                                        f" string@{end.string.start} beta={end.beta_end}")
+                raise AssertionError(
+                    f"{where} chi={data.chi} lambda={lam}: lambda a + m r = "
+                    f"{lam * Fraction(ka, two_c * z_den) + m * Fraction(kr, two_c * x_den)} differs from "
+                    f"<alpha, sigma_F> = {Fraction(ks, two_c)} at alpha = {alpha}")
+            pair = shared[key] = (Fraction(ka, two_c * z_den), Fraction(kr, two_c * x_den))
+        pairs.append(pair)
+    profile = MetricProfile(pairs=tuple(pairs), kappa_sq=bd.kappa(data)[0], m=m, lam=lam)
     if profile.d != m - 1:
         raise AssertionError(f"vanishing order {profile.d} differs from m - 1 = {m - 1}")
     return profile

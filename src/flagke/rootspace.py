@@ -64,8 +64,9 @@ class Algebra:
         return Fraction(2 * (n - 1))
 
     @cached_property
-    def _two_c(self) -> int:
-        """2c as an integer, the denominator of <eps_i, eps_i>."""
+    def two_c(self) -> int:
+        """2c as an integer, the denominator of <eps_i, eps_i>: <x, y> is the
+        integer dot product of the numerators over x.den y.den 2c."""
         return 2 * self.killing_constant.numerator
 
     def __str__(self) -> str:
@@ -163,7 +164,7 @@ def inner(x: Weight, y: Weight) -> Fraction:
     alg = x.algebra
     if alg != y.algebra:
         raise UsageError(f"algebra mismatch: {alg} vs {y.algebra}")
-    return Fraction(sum(map(mul, x.num, y.num)), x.den * y.den * alg._two_c)
+    return Fraction(sum(map(mul, x.num, y.num)), x.den * y.den * alg.two_c)
 
 
 @lru_cache(maxsize=None)

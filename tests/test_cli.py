@@ -249,6 +249,26 @@ def test_profile_checks_samples_before_building(capsys, chi):
     assert (code, out, err) == (2, "", "error: --samples must be at least 2\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "A1:*", "--m1", "--chi", "1_0"),
+    ("classify", "A1:*", "--m1", "--chi", "\u0661"),  # an Arabic-Indic one
+    ("classify", "A1:*", "--m1", "--chi", " 1"),
+    ("profile", "A1:o", "--string", "1", "--beta", "left", "--lambda", "-1_0/\u0663"),
+    ("profile", "A1:o", "--string", "1", "--beta", "left", "--lambda", "1/ 2"),
+    ("profile", "A1:o", "--string", "\u0663", "--beta", "left", "--lambda", "1"),
+    ("profile", "A1:o", "--string", "1", "--beta", "left", "--lambda", "1", "--samples", "\u0663"),
+    ("census", "--family", "A", "--max-rank", "\u0662", "--out", "-"),
+    ("census", "--family", "A", "--max-rank", "2.0", "--out", "-"),
+], ids=["chi 1_0", "chi arabic 1", "chi space", "lambda -1_0/arabic 3", "lambda space",
+        "string arabic 3", "samples arabic 3", "max-rank arabic 2", "max-rank 2.0"])
+def test_numbers_are_ascii(capsys, argv):
+    # int() and Fraction() alone read '1_0' as 10 and a non-ASCII decimal digit
+    # as its value; every number on the command line is [+-]?[0-9]+ (over
+    # [0-9]+ for --lambda), and anything else is one usage error line
+    code, out, err = run(capsys, *argv)
+    assert (code, out, len(err.splitlines())) == (2, "", 1) and err.startswith("error: "), err
+
+
 def test_profile_accepts_fractions(capsys):
     code, out, _ = run(capsys, "profile", "A1:o", "--string", "1", "--beta", "left",
                        "--chi", "", "--lambda", "1/2", "--samples", "4", "--json")

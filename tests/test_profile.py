@@ -1,3 +1,4 @@
+import collections
 import inspect
 import math
 import random
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from flagke import bundle as bd, cli, diagram, einstein as es, profile as pf, rootspace as rs
+from flagke import bundle as bd, cli, diagram, einstein as es, painted as pd, profile as pf, rootspace as rs
 from flagke.errors import DomainError, NumericsError, UsageError
 
 from conftest import EXIT_ZERO, FAMILY_MIN_RANK, combination, pi_weight
@@ -25,33 +26,49 @@ def a11_data(chi):
     return bd.admissible_data(diagram("A", 11, {3, 6}), 1, "left", chi)
 
 
-def sample_profiles():
+def sample_data():
+    """(data, lambda, label) of `sample_profiles`."""
     return [
-        (pf.metric_profile(a11_data((1, 1)), Fraction(1)), "a11 lam+"),
-        (pf.metric_profile(a11_data((3, 4)), Fraction(-1)), "a11 lam-"),
-        (pf.metric_profile(a11_data((2, 3)), Fraction(0)), "a11 lam0"),
-        (pf.metric_profile(bd.admissible_data(diagram("B", 3, {1}), None, None, (2,)), Fraction(1)), "b3 m1"),
-        (pf.metric_profile(bd.admissible_data(diagram("D", 4, {3}), 1, "left", (1,)), Fraction(2)), "d4 fork"),
+        (a11_data((1, 1)), Fraction(1), "a11 lam+"),
+        (a11_data((3, 4)), Fraction(-1), "a11 lam-"),
+        (a11_data((2, 3)), Fraction(0), "a11 lam0"),
+        (bd.admissible_data(diagram("B", 3, {1}), None, None, (2,)), Fraction(1), "b3 m1"),
+        (bd.admissible_data(diagram("D", 4, {3}), 1, "left", (1,)), Fraction(2), "d4 fork"),
     ]
 
 
-def multiplicity_profiles():
+def profiles_of(cases):
+    return [(pf.metric_profile(data, lam), label) for data, lam, label in cases]
+
+
+def sample_profiles():
+    return profiles_of(sample_data())
+
+
+def multiplicity_data():
     """Data whose pairs repeat most: D9 rank one at lambda = 0 has one pair
     of multiplicity 16; A8 rank one at lambda = 1 has 25 pairs in 6 distinct
     values and ends at a wall."""
     return [
-        (pf.metric_profile(bd.admissible_data(cli.parse_diagram("D9:*oooooooo"), None, None, (16,)), 0),
-         "d9 one pair"),
-        (pf.metric_profile(bd.admissible_data(cli.parse_diagram("A8:**oooo*o"), None, None, (-1, 0, -2)), 1),
-         "a8 wall"),
+        (bd.admissible_data(cli.parse_diagram("D9:*oooooooo"), None, None, (16,)), Fraction(0), "d9 one pair"),
+        (bd.admissible_data(cli.parse_diagram("A8:**oooo*o"), None, None, (-1, 0, -2)), Fraction(1), "a8 wall"),
     ]
 
 
+def grouping_data():
+    """`sample_data`, a wall at lambda = 1 and `multiplicity_data`."""
+    wall = bd.admissible_data(diagram("B", 3, {1}), None, None, (-1,))
+    return sample_data() + [(wall, Fraction(1), "b3 wall")] + multiplicity_data()
+
+
+def multiplicity_profiles():
+    return profiles_of(multiplicity_data())
+
+
 def grouping_profiles():
-    """`sample_profiles`, a wall at lambda = 1 and `multiplicity_profiles`."""
-    wall = pf.metric_profile(bd.admissible_data(diagram("B", 3, {1}), None, None, (-1,)), 1)
-    assert math.isfinite(wall.f_sup)
-    return sample_profiles() + [(wall, "b3 wall")] + multiplicity_profiles()
+    profiles = profiles_of(grouping_data())
+    assert all(math.isfinite(prof.f_sup) for prof, label in profiles if "wall" in label)
+    return profiles
 
 
 def test_point_orbit_flat_profile():
@@ -460,6 +477,65 @@ def test_f_ddot_matches_exact_rational_value():
         for f in fs:
             exact, scale = exact_f_ddot(prof, f)
             assert abs(pf.f_ddot(prof, f) - exact) <= 1e-12 * scale, (label, f)
+
+
+def test_integer_setup_matches_the_fraction_oracle():
+    # the set-up works on integers: each pair from two integer dot products,
+    # the distinct pairs grouped by their integer parts, each part's floats
+    # from integers over one denominator.  The oracle: two `rs.inner`
+    # Fractions per root, a Counter of Fraction pairs, float(a + anchor r)
+    alg = a11_data((2, 3)).end.s0.algebra
+    face = combination((2, pi_weight(alg, 3)), (5, pi_weight(alg, 6)))
+    cases = [(data, lam, None, label) for data, lam, label in grouping_data()] + [
+        (a11_data((1, 1)), Fraction(5, 2), None, "a11 lam 5/2"),
+        (a11_data((3, 4)), Fraction(-2, 3), None, "a11 lam -2/3"),
+        (a11_data((2, 3)), Fraction(0), face, "a11 lam0 face point"),
+    ]
+    for data, lam, z0, label in cases:
+        prof = pf.metric_profile(data, lam, z0=z0)
+        xi_z0 = es.z0_form(data, lam) if lam else z0 or es.z0_face_point(data.end)
+        xi0 = bd.kappa_z0_form(data)
+        pairs = tuple((rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(data.end.flag))
+        assert prof.pairs == pairs, label
+        counts = collections.Counter(((abs(lam) or 1) * a, r) for a, r in pairs)
+        assert prof._distinct_pairs == (tuple(counts), tuple(counts.values())), label
+        left, right, _ = prof._parts
+        for part, anchor in ((left, Fraction(0)), (right, prof._end[0])):
+            if part is None:
+                continue
+            exact = [(a + anchor * r, r, mu) for (a, r), mu in counts.items()]
+            kept = [(b, r, mu) for b, r, mu in exact if b]
+            assert part.base.tolist() == [float(b) for b, _, _ in kept], label
+            assert part.r.tolist() == [float(r) for _, r, _ in kept], label
+            assert part.mu.tolist() == [mu for _, _, mu in kept], label
+            assert part.order == sum(mu for b, _, mu in exact if not b), label
+
+
+def test_profile_checks_its_pairs_against_the_koszul_form(monkeypatch):
+    # lambda xi_Z0 + m xi_0 = sigma_F, checked on the root of each distinct
+    # pair: z0_form with the sign of its chi term flipped (at lambda = 1)
+    # breaks it, and the profile names the datum
+    def flipped(data, lam):
+        end = data.end
+        ks = [n + end.sign * end.m * k for n, k in zip(es.criterion(end).numbers, data.chi)]
+        return rs.Weight.from_numerators(end.s0.algebra, end.pi_sum(ks), end.den)
+
+    data = a11_data((-1, -1))
+    pf.metric_profile(data, 1)
+    monkeypatch.setattr(es, "z0_form", flipped)
+    with pytest.raises(AssertionError, match=r"^A11:oo\*oo\*ooooo string@1 beta=left chi=\(-1, -1\) lambda=1: "):
+        pf.metric_profile(data, 1)
+
+
+@pytest.mark.parametrize("part_index", [0, 1], ids=["left", "right"])
+def test_k_raises_where_it_is_not_a_positive_float(part_index):
+    # K = J/(Q d) > 0 on the whole part: a NaN among its points raises, as a
+    # non-positive value does
+    part = pf.metric_profile(a11_data((1, 1)), 1)._parts[part_index]
+    d = np.array([0.25, math.nan, 0.5])
+    with pytest.raises(NumericsError, match="inner integral not positive"):
+        part.k(d, part.factors(d))
+    assert part.k(d[::2], part.factors(d[::2])).min() > 0
 
 
 def test_f_of_t_matches_integrated_second_order_equation():

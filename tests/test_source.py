@@ -171,6 +171,18 @@ def test_the_profile_table_reads_lambda_only_through_its_sign():
     assert not found, found
 
 
+def test_the_profile_pairs_roots_without_rootspace_inner():
+    # a profile takes each root's pair as two integer dot products, one
+    # Fraction pair per distinct value; `inner` makes a Fraction per root
+    path = Path(flagke.__file__).resolve().parent / "profile.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "inner"
+             or isinstance(node, ast.Name) and node.id == "inner"
+             or isinstance(node, ast.alias) and node.name == "inner"]
+    assert not found, found
+
+
 # public names without a reader in the package or the benchmark, and why each stays
 UNREAD_PUBLIC_NAMES = {
     "diagram": "the README library example builds its diagram with it",
