@@ -3,10 +3,10 @@
 Subcommands: ``koszul``, ``classify``, ``profile``, ``census``.  Diagrams are
 written ``<family><rank>:<mask>`` with ``o`` for white and ``*`` for black,
 nodes left to right in index order (D fork tips last).  Diagnostics go to
-stderr as one ``error:`` line, and the error's kind sets the exit code: 2 for
-a parse or usage problem, 3 for a mathematical domain error, 1 for a
-numerics failure.  A closed stdout (`| head`) ends the command silently with
-exit code 1.
+stderr as one ``error:`` line, argparse's own among them, and the error's kind
+sets the exit code: 2 for a parse or usage problem, 3 for a mathematical
+domain error, 1 for a numerics failure.  A closed stdout (`| head`) ends the
+command silently with exit code 1.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def parse_diagram(text: str) -> pd.PaintedDiagram:
     rank_text = text[1:colon]
     if not (rank_text.isascii() and rank_text.isdigit()):
         raise DiagramParseError(f"rank must be a positive integer, got {rank_text!r}", 1)
+    if len(rank_text) > MAX_DIGITS:
+        raise DiagramParseError(f"rank has more than {MAX_DIGITS} digits", 1)
     rank = int(rank_text)
     try:
         algebra = rs.Algebra(family, rank)
@@ -59,46 +61,44 @@ def parse_diagram(text: str) -> pd.PaintedDiagram:
 
 
 # Every number on the command line is ASCII: int() and Fraction() alone also
-# read underscores and any Unicode decimal digit ('1_0' as 10, '\u0661' as 1)
+# read underscores and any Unicode decimal digit ('1_0' as 10, '\u0661' as 1).
+# A number has at most MAX_DIGITS digits: Python converts ints of up to 4,300
+# digits to and from text, and kappa^2 of a character at the cap has about
+# twice as many.
+MAX_DIGITS = 2000
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_CHI = re.compile(r"([+-]?[0-9]+(,[+-]?[0-9]+)*)?")
+_TOO_LONG = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")
 
 
-class _NumberError(FlagkeError):
-    """A number argument outside the grammar, raised by an argparse `type=`.
-    Not a ValueError, so argparse passes it on and `main` prints it as one
-    `error:` line, exit code 2."""
+def _ascii(text: str, grammar: re.Pattern, refusal: str) -> str:
+    """text, if `grammar` matches it whole and none of its numbers has more
+    than MAX_DIGITS digits; else ArgumentTypeError, which argparse prints
+    after the option's name."""
+    if not grammar.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{refusal} {text!r}")
+    if _TOO_LONG.search(text):
+        raise argparse.ArgumentTypeError(f"a number has more than {MAX_DIGITS} digits")
+    return text
 
-    exit_code = 2
 
-
-def _integer(flag: str):
-    """The argparse `type=` of the integer option `flag`: [+-]?[0-9]+."""
-    def parse(text: str) -> int:
-        if not _INTEGER.fullmatch(text):
-            raise _NumberError(f"{flag} must be an integer in ASCII digits, got {text!r}")
-        return int(text)
-    return parse
+def _parse_integer(text: str) -> int:
+    """The argparse `type=` of an integer option: [+-]?[0-9]+."""
+    return int(_ascii(text, _INTEGER, "must be an integer in ASCII digits, got"))
 
 
 def _parse_rational(text: str) -> Fraction:
     """Exact rational from 'p' or 'p/q', [+-]?[0-9]+(/[0-9]+)?, q > 0; floats are refused."""
-    if not _RATIONAL.fullmatch(text):
-        if "." in text or "e" in text.lower():
-            raise _NumberError(f"exact rational required (use p/q), got {text!r}")
-        raise _NumberError(f"cannot parse rational {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise _NumberError(f"cannot parse rational {text!r}") from None
+    if "." in text or "e" in text.lower():
+        raise argparse.ArgumentTypeError(f"exact rational required (use p/q), got {text!r}")
+    return Fraction(_ascii(text, _RATIONAL, "cannot parse rational"))
 
 
 def _parse_chi(text: str) -> tuple[int, ...]:
     """Comma-separated integers, each [+-]?[0-9]+; empty for none."""
-    parts = text.split(",") if text else []
-    if not all(_INTEGER.fullmatch(part) for part in parts):
-        raise _NumberError(f"chi must be a comma-separated integer list, got {text!r}")
-    return tuple(map(int, parts))
+    text = _ascii(text, _CHI, "must be a comma-separated integer list, got")
+    return tuple(map(int, text.split(","))) if text else ()
 
 
 def _data_from_args(args) -> bd.AdmissibleData:
@@ -242,8 +242,17 @@ def _cmd_census(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the package's one error path: a malformed command line
+    (a missing or unknown option, a bad choice, a failing `type=`) raises
+    UsageError, which `main` prints as one `error:` line, exit code 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagke",
         description="Kaehler-Einstein existence tests and metric profiles for "
                     "homogeneous bundles over classical flag manifolds",
@@ -257,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_data_args(q):
         q.add_argument("diagram")
-        q.add_argument("--string", type=_integer("--string"), default=None,
+        q.add_argument("--string", type=_parse_integer, default=None,
                        help="least node index of the white string (m > 1)")
         q.add_argument("--beta", choices=("left", "right"), default=None)
         q.add_argument("--m1", action="store_true", help="rank-one bundle: no string")
@@ -272,12 +281,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_data_args(p)
     p.add_argument("--lambda", dest="lam", type=_parse_rational, required=True,
                    help="Einstein constant, exact p/q")
-    p.add_argument("--samples", type=_integer("--samples"), default=64)
+    p.add_argument("--samples", type=_parse_integer, default=64)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("census", help="enumerate and classify all data of a family")
     p.add_argument("--family", required=True, choices=rs.FAMILIES)
-    p.add_argument("--max-rank", type=_integer("--max-rank"), required=True)
+    p.add_argument("--max-rank", type=_parse_integer, required=True)
     p.add_argument("--out", required=True, help="output JSONL path, or - for stdout")
     p.add_argument("--summary", default=None, help="optional CSV summary path")
     p.set_defaults(func=_cmd_census)
@@ -296,8 +305,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         try:
             args = parser.parse_args(tokens)
-        except SystemExit as exc:
-            return 2 if exc.code not in (0, None) else 0
+        except SystemExit:  # --help, printed
+            return 0
         status = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at interpreter exit
         return status

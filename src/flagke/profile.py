@@ -163,28 +163,32 @@ class MetricProfile:
                              f"{self.pairs!r}, {self.lam!r}, {self.kappa_sq!r}, {self.m!r}")
         if self.kappa_sq <= 0 or self.m < 1:
             raise DomainError(f"a profile needs kappa^2 > 0 and m >= 1, got {self.kappa_sq}, {self.m}")
-        # the first pair that fails a check is the first occurrence of its value
-        pairs = self._groups[0]
-        for a, r in pairs:
-            if a < 0:
-                raise DomainError(f"alpha(Z_0) = {a} < 0: Z_0 leaves the chamber face")
-            if a == 0 and r <= 0:
+        # the first pair that fails a check is the first occurrence of its
+        # value; a unit pair (A, R) has the signs of (a, r), and a = A/(D scale)
+        ints, _, den = self._unit_pairs
+        for a_int, r_int in ints:
+            if a_int < 0:
+                raise DomainError(f"alpha(Z_0) = {Fraction(a_int, den) / self._scale} < 0: "
+                                  "Z_0 leaves the chamber face")
+            if a_int == 0 and r_int <= 0:
                 raise DomainError("vanishing alpha(Z_0) requires alpha(Z^0) > 0")
-        if self.lam <= 0 and any(r < 0 for _, r in pairs):
+        if self.lam <= 0 and any(r_int < 0 for _, r_int in ints):
+            wall = min(Fraction(-a_int, r_int) for a_int, r_int in ints if r_int < 0) / self._scale
             raise DomainError(f"alpha(Z^0) < 0 with lambda = {self.lam} <= 0: the segment meets a "
-                              f"chamber wall at u = {min(-a / r for a, r in pairs if r < 0)}")
+                              f"chamber wall at u = {wall}")
         _finite_float(self.lam, "lambda")
         if self.lam:
             _finite_float(1 / self.lam, "1/lambda")
         _finite_float(self.kappa_sq, "kappa^2")
-        for a, r in self._distinct_pairs[0]:
-            _finite_float(a, "a_alpha of a unit root pair")
-            _finite_float(r, "r_alpha of a root pair")
+        for a_int, r_int in ints:
+            _finite_float(Fraction(a_int, den), "a_alpha of a unit root pair")
+            _finite_float(Fraction(r_int, den), "r_alpha of a root pair")
 
     @property
     def d(self) -> int:
         """Vanishing order of the chamber polynomial at 0."""
-        return sum(mu for (a, _), mu in zip(*self._groups) if a == 0)
+        ints, mult, _ = self._unit_pairs
+        return sum(mu for (a_int, _), mu in zip(ints, mult) if a_int == 0)
 
     @property
     def kappa(self) -> float:
@@ -208,34 +212,22 @@ class MetricProfile:
         return scale, math.sqrt(scale), self.kappa / scale
 
     @cached_property
-    def _groups(self) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[int, ...]]:
-        """The distinct values among the pairs (a, r), in order of first
-        occurrence, and the multiplicity of each.  A pair is keyed by the
-        integer numerators and denominators of a and r, which hash at the cost
-        of a tuple of ints; a Fraction's hash takes a modular inverse."""
+    def _unit_pairs(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
+        """(ints, mult, D): the distinct values among the unit pairs (|lambda|
+        a, r), in order of first occurrence, as integers (A, R) over their
+        least common denominator D, and the multiplicity of each, so that Q =
+        prod ((A + v R)/D)^mu.  A pair is keyed by the integer numerators and
+        denominators of a and r, which hash at the cost of a tuple of ints; a
+        Fraction's hash takes a modular inverse."""
         groups: dict[tuple[int, int, int, int], list] = {}
         for pair in self.pairs:
             a, r = pair
             groups.setdefault((a.numerator, a.denominator, r.numerator, r.denominator), [pair, 0])[1] += 1
-        return tuple(pair for pair, _ in groups.values()), tuple(mu for _, mu in groups.values())
-
-    @cached_property
-    def _distinct_pairs(self) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[int, ...]]:
-        """The distinct values among the unit pairs (|lambda| a, r), in order
-        of first occurrence, and the multiplicity of each: Q = prod (a + v
-        r)^mu over them."""
-        pairs, mult = self._groups
         scale = self._scale
-        return tuple((scale * a, r) for a, r in pairs), mult
-
-    @cached_property
-    def _unit_integers(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """The distinct unit pairs as integers (A, R) over their one common
-        denominator D: (a, r) = (A/D, R/D)."""
-        pairs = self._distinct_pairs[0]
+        pairs = [(scale * a, r) for (a, r), _ in groups.values()]
         den = math.lcm(*(x.denominator for pair in pairs for x in pair))
-        return tuple((a.numerator * (den // a.denominator), r.numerator * (den // r.denominator))
-                     for a, r in pairs), den
+        ints = tuple((a.numerator * (den // a.denominator), r.numerator * (den // r.denominator)) for a, r in pairs)
+        return ints, tuple(mu for _, mu in groups.values()), den
 
     @cached_property
     def _j_expansion(self) -> tuple[tuple[int, ...], int]:
@@ -246,7 +238,7 @@ class MetricProfile:
         integral, and L = lcm(1, ..., n + 2) clears the 1/(k + 1) of the
         antiderivative.  So K = D^n L.
         """
-        (ints, den), mult = self._unit_integers, self._distinct_pairs[1]
+        ints, mult, den = self._unit_pairs
         prod = [1]  # P, ascending
         for (a_int, r_int), mu in zip(ints, mult):
             for _ in range(mu):
@@ -289,7 +281,7 @@ class MetricProfile:
         # (`__post_init__` rejects a negative slope): no wall, J rises for ever.
         if self._sign <= 0:
             return None, None
-        exits = [-a / r for a, r in self._distinct_pairs[0] if r < 0]
+        exits = [Fraction(-a, r) for a, r in self._unit_pairs[0] if r < 0]
         v_exit = min(exits) if exits else None
         peak = Fraction(self.m)
         # With no wall every r_alpha >= 0, so Q is nondecreasing and
@@ -382,7 +374,7 @@ class _Part:
 
     def __init__(self, profile: MetricProfile, anchor: Fraction, orientation: int,
                  j_at: Fraction, length: Fraction):
-        (ints, den), mult = profile._unit_integers, profile._distinct_pairs[1]
+        ints, mult, den = profile._unit_pairs
         # a + anchor r = (A q + p R) / (D q) for anchor = p/q; int/int true
         # division rounds once, correctly, as float(Fraction) does
         p, q = anchor.numerator, anchor.denominator
@@ -773,7 +765,7 @@ def verdiani_check(profile: MetricProfile) -> VerdianiReport:
         return VerdianiReport(None, math.inf, (), False)
     coeffs = profile._j_expansion[0]
     u2 = -(Fraction(coeffs[m + 1], coeffs[m]) + profile._sign) / (3 * m)
-    rho = min([Fraction(1)] + [a / abs(r) for a, r in profile._distinct_pairs[0] if a > 0 and r])
+    rho = min([Fraction(1)] + [Fraction(a, abs(r)) for a, r in profile._unit_pairs[0] if a > 0 and r])
     _, root, f_per_v = profile._float_scales
     xs = (1e-8 * float(rho), 1e-10 * float(rho))
     probes = tuple(math.sqrt(2.0 * x) / root for x in xs)

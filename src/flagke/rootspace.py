@@ -51,23 +51,13 @@ class Algebra:
         """Length of the epsilon coordinate vectors."""
         return self.rank + 1 if self.family == "A" else self.rank
 
-    @property
-    def killing_constant(self) -> Fraction:
-        """The constant c with <eps_i, eps_j> = delta_ij/(2c)."""
-        n = self.rank
-        if self.family == "A":
-            return Fraction(n + 1)
-        if self.family == "B":
-            return Fraction(2 * n - 1)
-        if self.family == "C":
-            return Fraction(2 * (n + 1))
-        return Fraction(2 * (n - 1))
-
     @cached_property
     def two_c(self) -> int:
-        """2c as an integer, the denominator of <eps_i, eps_i>: <x, y> is the
-        integer dot product of the numerators over x.den y.den 2c."""
-        return 2 * self.killing_constant.numerator
+        """2c, with <eps_i, eps_j> = delta_ij/(2c) (c as in the module
+        docstring): <x, y> is the integer dot product of the numerators over
+        x.den y.den 2c."""
+        n = self.rank
+        return 2 * {"A": n + 1, "B": 2 * n - 1, "C": 2 * (n + 1), "D": 2 * (n - 1)}[self.family]
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -120,6 +120,15 @@ def trace_free(w: rs.Weight) -> list[Fraction]:
     return [c - mean for c in coeffs]
 
 
+def killing_c(alg: rs.Algebra) -> int:
+    """The constant c with <eps_i, eps_j> = delta_ij/(2c) for the Killing form
+    (Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates I-IV): n + 1 for
+    A_n, 2n - 1 for B_n, 2n + 2 for C_n and 2n - 2 for D_n, independent of
+    rootspace's own table."""
+    n = alg.rank
+    return {"A": n + 1, "B": 2 * n - 1, "C": 2 * n + 2, "D": 2 * n - 2}[alg.family]
+
+
 def trace_inner(alg: rs.Algebra, x: rs.Weight, y: rs.Weight) -> Fraction:
     """Killing-form pairing via explicit diagonal matrix representatives.
 
@@ -128,7 +137,7 @@ def trace_inner(alg: rs.Algebra, x: rs.Weight, y: rs.Weight) -> Fraction:
     orthogonal) otherwise; the Killing form is the family multiple of the
     trace form.  Independent of the epsilon-dot shortcut in rootspace.
     """
-    c = alg.killing_constant
+    c = killing_c(alg)
     xp = trace_free(x)
     yp = trace_free(y)
     if alg.family == "A":

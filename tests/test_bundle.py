@@ -294,7 +294,7 @@ def test_kappa_against_trace_norm_formula():
     # kappa^2 = <chi, chi> + (m-1)/(2cm): the center part via the matrix
     # trace oracle, the su_m part from the Killing norm of the generator
     # i diag(m-1, -1, ..., -1), which is embedding-independent
-    from conftest import trace_inner
+    from conftest import killing_c, trace_inner
 
     cases = [
         ("A", 11, {3, 6}, 1, "left", (2, 3)),
@@ -309,7 +309,7 @@ def test_kappa_against_trace_norm_formula():
     for fam, rank, black, start, end, chi in cases:
         dg = diagram(fam, rank, black)
         data = bd.admissible_data(dg, start, end, chi)
-        c = dg.algebra.killing_constant
+        c = killing_c(dg.algebra)
         m = data.end.m
         chi_w = pi_sum(dg.algebra, dg.black_nodes, chi)
         expected = trace_inner(dg.algebra, chi_w, chi_w)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,11 +12,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from flagke import census as cs, cli
 from flagke.errors import DiagramParseError
 
-from conftest import EXIT_ZERO, FAMILY_MIN_RANK, all_diagrams, pi_sum, trace_inner
+from conftest import EXIT_ZERO, FAMILY_MIN_RANK, all_diagrams, killing_c, pi_sum, trace_inner
 
 
 def run(capsys, *argv):
@@ -62,6 +64,12 @@ def test_parse_errors_carry_offsets():
         with pytest.raises(DiagramParseError, match="rank must be a positive integer") as exc:
             cli.parse_diagram(text)
         assert exc.value.offset == 1
+    at_cap = "1" * cli.MAX_DIGITS  # a rank has as many digits as any number
+    for text, message, offset in ((f"A{at_cap}:*", f"mask must have exactly {at_cap} characters", len(at_cap) + 2),
+                                  (f"A{at_cap}1:*", f"rank has more than {cli.MAX_DIGITS} digits", 1)):
+        with pytest.raises(DiagramParseError, match=message) as exc:
+            cli.parse_diagram(text)
+        assert exc.value.offset == offset
 
 
 def test_koszul_command(capsys):
@@ -166,13 +174,16 @@ def test_classify_usage_errors(capsys):
 @pytest.mark.parametrize("argv, chi", [
     (("A1:*", "--m1"), (3 * 10**155,)),
     (("A11:oo*oo*ooooo", "--string", "1", "--beta", "left"), (10**200, 1)),
-], ids=["A1 chi 3e155", "A11 chi 1e200"])
+    # a character at the digit cap: kappa^2 has about 4,000 digits, under Python's 4,300
+    (("A1:*", "--m1"), (-(10**cli.MAX_DIGITS - 1),)),
+    (("A11:oo*oo*ooooo", "--string", "1", "--beta", "left"), (10**cli.MAX_DIGITS - 1, 10**cli.MAX_DIGITS - 1)),
+], ids=["A1 chi 3e155", "A11 chi 1e200", "A1 chi at the digit cap", "A11 chi at the digit cap"])
 def test_classify_prints_kappa_sq_past_the_float_range(capsys, argv, chi, json_flag):
     # kappa^2 = <chi, chi> + (m - 1)/(2cm), by the trace form
     dg = cli.parse_diagram(argv[0])
     alg, m = dg.algebra, 1 if "--m1" in argv else 3
     chi_w = pi_sum(alg, dg.black_nodes, chi)
-    ksq = trace_inner(alg, chi_w, chi_w) + Fraction(m - 1, 2 * m) / alg.killing_constant
+    ksq = trace_inner(alg, chi_w, chi_w) + Fraction(m - 1, 2 * m * killing_c(alg))
     code, out, err = run(capsys, "classify", *argv, "--chi", ",".join(map(str, chi)), *json_flag)
     assert (code, err) == (0, "")
     if json_flag:
@@ -188,7 +199,8 @@ def test_classify_prints_kappa_sq_past_the_float_range(capsys, argv, chi, json_f
     ("3", f"-{10**320}", "lambda"),
     ("3", f"-1/{10**320}", "1/lambda"),
     (str(-10**200), "1", "kappa^2"),
-], ids=["lambda 1e320", "lambda 1e-320", "lambda -1e320", "lambda -1e-320", "chi -1e200"])
+    ("3", "-" + "9" * cli.MAX_DIGITS, "lambda"),  # at the digit cap: read, and past the float range
+], ids=["lambda 1e320", "lambda 1e-320", "lambda -1e320", "lambda -1e-320", "chi -1e200", "lambda at the digit cap"])
 def test_profile_past_the_float_range_is_one_error_line(capsys, chi, lam, what, json_flag):
     code, out, err = run(capsys, "profile", "A1:*", "--m1", "--chi", chi, "--lambda", lam, *json_flag)
     assert (code, out) == (1, "")
@@ -259,14 +271,21 @@ def test_profile_checks_samples_before_building(capsys, chi):
     ("profile", "A1:o", "--string", "1", "--beta", "left", "--lambda", "1", "--samples", "\u0663"),
     ("census", "--family", "A", "--max-rank", "\u0662", "--out", "-"),
     ("census", "--family", "A", "--max-rank", "2.0", "--out", "-"),
+    # past the digit cap (the fuzz tests below take the other positions there)
+    ("profile", "A1:o", "--string", "1", "--beta", "left", "--lambda", "1", "--samples", "9" * 4301),
 ], ids=["chi 1_0", "chi arabic 1", "chi space", "lambda -1_0/arabic 3", "lambda space",
-        "string arabic 3", "samples arabic 3", "max-rank arabic 2", "max-rank 2.0"])
+        "string arabic 3", "samples arabic 3", "max-rank arabic 2", "max-rank 2.0", "samples 4301 digits"])
 def test_numbers_are_ascii(capsys, argv):
     # int() and Fraction() alone read '1_0' as 10 and a non-ASCII decimal digit
     # as its value; every number on the command line is [+-]?[0-9]+ (over
     # [0-9]+ for --lambda), and anything else is one usage error line
     code, out, err = run(capsys, *argv)
     assert (code, out, len(err.splitlines())) == (2, "", 1) and err.startswith("error: "), err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "classify", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: flagke classify")
 
 
 def test_profile_accepts_fractions(capsys):
@@ -486,3 +505,80 @@ def test_census_command_runs_under_python_w_error(tmp_path, capsys):
     assert count_line == "census: 155 records for family B up to rank 5\n"
     assert proc.stdout == out_path.read_bytes()
     assert summary.read_text().startswith("family,rank,")
+
+
+# The command line as a contract, fuzzed.  Each position takes text from
+# digits, signs, separators, a space and non-ASCII digits (a superscript two
+# and Arabic-Indic, Devanagari and fullwidth digits).  The run ends with exit
+# 0, 2 or 3, or 1 with a numerics error; stderr is empty or one `error:` line
+# (and census's summary line on exit 0); and whatever exits 0 was read as the
+# value `int` or `Fraction` gives its ASCII text.  Part of the draws are short
+# numbers in the grammar, so that exit 0 is reached often.
+FUZZ_ALPHABET = "0123456789_+-/.e \u00b2\u0661\u0663\u0966\uff13"
+NUMERICS_ERROR = re.compile(r"error: .*(float range|not positive|unresolved|did not converge|not a finite float)")
+CAP = cli.MAX_DIGITS
+_INTEGER_TEXT = re.compile(f"[+-]?[0-9]{{1,{CAP}}}")
+_RATIONAL_TEXT = re.compile(f"[+-]?[0-9]{{1,{CAP}}}(/[0-9]{{1,{CAP}}})?")
+
+
+def _census_line(text, out, err):
+    return err == f"census: {len(out.splitlines())} records for family A up to rank {int(text)}\n"
+
+
+# position: (argv around the text, the ASCII grammar of a text read at exit 0,
+# whether the output shows the value of that text)
+FUZZ_POSITIONS = {
+    "--chi": (lambda x: ["classify", "A1:*", "--m1", "--chi", x, "--json"], _INTEGER_TEXT,
+              lambda x, out, err: json.loads(out)["chi"] == [int(x)]),
+    "--lambda": (lambda x: ["profile", "A1:o", "--string", "1", "--beta", "left", "--lambda", x,
+                            "--samples", "2", "--json"], _RATIONAL_TEXT,
+                 lambda x, out, err: json.loads(out)["lambda"] == str(Fraction(x))),
+    "--string": (lambda x: ["classify", "A11:oo*oo*ooooo", "--string", x, "--beta", "left", "--chi", "1,1",
+                            "--json"], _INTEGER_TEXT,
+                 lambda x, out, err: json.loads(out)["string_start"] == int(x)),
+    "diagram": (lambda x: ["koszul", f"A{x}:*", "--json"], re.compile(f"[0-9]{{1,{CAP}}}"),
+                lambda x, out, err: json.loads(out)["diagram"] == f"A{int(x)}:*"),
+    "--beta": (lambda x: ["classify", "A11:oo*oo*ooooo", "--string", "1", "--beta", x, "--chi", "1,1"],
+               None, None),
+    "--family": (lambda x: ["census", "--family", x, "--max-rank", "2", "--out", "-"], None, None),
+    "subcommand": (lambda x: [x, "A1:*"], None, None),
+    # counts: drawn at most 2 characters long, so a run stays small
+    "--samples": (lambda x: ["profile", "A1:o", "--string", "1", "--beta", "left", "--lambda", "1",
+                             "--samples", x, "--json"], _INTEGER_TEXT,
+                  lambda x, out, err: len(json.loads(out)["samples"]) == int(x)),
+    "--max-rank": (lambda x: ["census", "--family", "A", "--max-rank", x, "--out", "-"], _INTEGER_TEXT,
+                   _census_line),
+}
+
+
+def check_fuzzed_position(position, text):
+    argv, grammar, shows = FUZZ_POSITIONS[position]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv(text))
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert grammar is not None and grammar.fullmatch(text) and shows(text, out, err), (position, text)
+        assert err == "" or position == "--max-rank", err
+        return
+    assert code in (2, 3) or code == 1 and NUMERICS_ERROR.match(err), (position, text, code, err)
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ") and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("position", ["--chi", "--lambda", "--string", "diagram", "--beta", "--family", "subcommand"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.text(FUZZ_ALPHABET, max_size=12) | st.from_regex(r"[+-]?[0-9]{1,4}(/[0-9]{1,4})?", fullmatch=True))
+@example(text="9" * CAP)
+@example(text="-" + "9" * CAP)
+@example(text="9" * (CAP + 1))
+@example(text="1" * 4301)
+@example(text="1/" + "9" * (CAP + 1))
+def test_fuzzed_argument(position, text):
+    check_fuzzed_position(position, text)
+
+
+@pytest.mark.parametrize("position", ["--samples", "--max-rank"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.text(FUZZ_ALPHABET, max_size=2))
+def test_fuzzed_count(position, text):
+    check_fuzzed_position(position, text)

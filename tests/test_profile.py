@@ -18,6 +18,13 @@ from flagke.errors import DomainError, NumericsError, UsageError
 from conftest import EXIT_ZERO, FAMILY_MIN_RANK, combination, pi_weight
 
 
+def distinct_unit_pairs(prof):
+    """The profile's distinct unit pairs (|lambda| a, r) as Fractions, from its
+    integer view (A, R) over D, and their multiplicities."""
+    ints, mult, den = prof._unit_pairs
+    return tuple((Fraction(a, den), Fraction(r, den)) for a, r in ints), mult
+
+
 def point_orbit(m):
     return bd.admissible_data(diagram("A", m - 1, set()), 1, "left", ())
 
@@ -132,7 +139,7 @@ def test_polynomial_p_structure():
 
 def test_polynomial_p_matches_pair_product():
     prof = pf.metric_profile(a11_data((1, 1)), Fraction(1))
-    pairs, mult = prof._distinct_pairs
+    pairs, mult = distinct_unit_pairs(prof)
     left = prof._parts[0]
     for u in (0.1, 0.4, 0.9):
         via_q = float(_horner(_exact_q(prof), Fraction(u)))
@@ -465,7 +472,7 @@ def exact_f_ddot(prof, f):
 def test_f_ddot_matches_exact_rational_value():
     # on both parts, where each distinct pair is weighted by its multiplicity
     for prof, label in grouping_profiles():
-        pairs, mult = prof._distinct_pairs
+        pairs, mult = distinct_unit_pairs(prof)
         assert sum(mult) == len(prof.pairs) and len(set(pairs)) == len(pairs), label
         hi = 0.9 * prof.f_sup if math.isfinite(prof.f_sup) else 4 * prof.kappa
         fs = [hi * i / 10 for i in range(1, 11)]
@@ -498,7 +505,7 @@ def test_integer_setup_matches_the_fraction_oracle():
         pairs = tuple((rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(data.end.flag))
         assert prof.pairs == pairs, label
         counts = collections.Counter(((abs(lam) or 1) * a, r) for a, r in pairs)
-        assert prof._distinct_pairs == (tuple(counts), tuple(counts.values())), label
+        assert distinct_unit_pairs(prof) == (tuple(counts), tuple(counts.values())), label
         left, right, _ = prof._parts
         for part, anchor in ((left, Fraction(0)), (right, prof._end[0])):
             if part is None:
@@ -576,6 +583,34 @@ def _wall(prof):
     """The first chamber wall along the ray in u, the least -a/r over r < 0;
     None when no slope is negative."""
     return min((-a / r for a, r in prof.pairs if r < 0), default=None)
+
+
+# lambda = 1 data whose domain ends where J vanishes: the exit-zero walls, the
+# point orbits and A2:** at chi = (1, -1) close up (v_end = m + k + 1); the A11
+# datum and three more end at a turning point that does not close
+FAR_END_DATA = {
+    **{key: bd.admissible_data(cli.parse_diagram(key), None, None, (-1,)) for key in EXIT_ZERO_SAMPLE},
+    **{f"point orbit m={m}": point_orbit(m) for m in (2, 3, 5)},
+    "A2:** chi (1, -1)": bd.admissible_data(diagram("A", 2, {1, 2}), None, None, (1, -1)),
+    "A11 chi (1, 1)": a11_data((1, 1)),
+    "B3:*o* string 2": bd.admissible_data(cli.parse_diagram("B3:*o*"), 2, "left", (1, 1)),
+    "C3:o** chi (2, 1)": bd.admissible_data(cli.parse_diagram("C3:o**"), None, None, (2, 1)),
+    "D4:**oo chi (1, -1)": bd.admissible_data(cli.parse_diagram("D4:**oo"), None, None, (1, -1)),
+}
+
+
+@pytest.mark.parametrize("data", FAR_END_DATA.values(), ids=FAR_END_DATA.keys())
+def test_far_end_curvature_follows_the_vanishing_order(data):
+    # where J(v_end) = 0, Q ~ C w^k and J ~ (v_end - m) C w^(k+1)/(k+1) in w =
+    # v_end - v, k the multiplicity of the pairs that vanish at v_end, so
+    # f'' -> -kappa (v_end - m)/(k + 1) at t_sup: -kappa on a closing end
+    prof = pf.metric_profile(data, 1)
+    v_end, j_end = prof._end
+    assert j_end == 0
+    pairs, mult = distinct_unit_pairs(prof)
+    k = sum(mu for (a, r), mu in zip(pairs, mult) if a + v_end * r == 0)
+    rule = -prof.kappa * float(v_end - prof.m) / (k + 1)
+    assert abs(pf.f_ddot(prof, (1 - 1e-6) * prof.f_sup) - rule) <= 1e-4 * prof.kappa, (k, rule / prof.kappa)
 
 
 @pytest.mark.parametrize("key", EXIT_ZERO_SAMPLE)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from flagke import rootspace as rs
 from flagke.errors import UsageError
 
-from conftest import FAMILY_MIN_RANK, cartan_matrix, combination, pi_weight, simple_root_coordinates, \
-    trace_coordinates, trace_inner, weight, zero_weight
+from conftest import FAMILY_MIN_RANK, cartan_matrix, combination, killing_c, pi_weight, \
+    simple_root_coordinates, trace_coordinates, trace_inner, weight, zero_weight
 
 
 def w(alg, *coeffs):
@@ -126,7 +126,7 @@ def test_fundamental_numerators_match_the_inverse_cartan_matrix_to_rank_16():
 def test_inner_killing_normalisation_a3():
     a3 = rs.Algebra("A", 3)
     alpha = w(a3, 1, -1, 0, 0)
-    assert a3.killing_constant == 4
+    assert a3.two_c == 2 * killing_c(a3) == 8
     assert rs.inner(alpha, alpha) == Fraction(1, 4)
 
 
