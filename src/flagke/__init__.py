@@ -6,7 +6,7 @@ profile names (`MetricProfile`, `domain_end`, `f_of_t`, `metric_profile`,
 `ode_residual`, `t_of_f`, `verdiani_check`) load `flagke.profile`, and with
 it numpy, on their first read."""
 
-from .rootspace import Algebra, Weight, inner, positive_roots, simple_roots
+from .rootspace import Algebra, Weight, positive_roots, simple_roots
 from .painted import KoszulData, PaintedDiagram, chamber_contains, diagram, koszul, \
     koszul_rule, r_m_plus, white_components
 from .bundle import AdmissibleData, StringInfo, admissible_data, eligible_strings, kappa, \
@@ -17,7 +17,7 @@ from .census import enumerate_records, summarize
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "Weight", "inner", "positive_roots", "simple_roots",
+    "Algebra", "Weight", "positive_roots", "simple_roots",
     "KoszulData", "PaintedDiagram", "chamber_contains", "diagram", "koszul", "koszul_rule",
     "r_m_plus", "white_components",
     "AdmissibleData", "StringInfo", "admissible_data", "eligible_strings", "kappa",

@@ -211,6 +211,13 @@ def kappa_z0_oracle(data: AdmissibleData) -> rs.Weight:
     return rs.Weight.from_numerators(alg, tuple(num if val > 0 else [-a for a in num]), m * den)
 
 
+def _form_numerators(data: AdmissibleData) -> list[int]:
+    """The numerators of xi_0 over m den: +-m chi + `form_base`."""
+    end = data.end
+    scale = end.sign * end.m
+    return [scale * a + b for a, b in zip(data.chi_num, end.form_base)]
+
+
 def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
     """xi_0 assembled from black fundamental weights: chi for rank one, else
 
@@ -221,16 +228,20 @@ def kappa_z0_form(data: AdmissibleData) -> rs.Weight:
     Over m den it is +-m chi + `form_base`.
     """
     end = data.end
-    scale = end.sign * end.m
-    num = tuple([scale * a + b for a, b in zip(data.chi_num, end.form_base)])
-    return rs.Weight.from_numerators(end.s0.algebra, num, end.m * end.den)
+    return rs.Weight.from_numerators(end.s0.algebra, tuple(_form_numerators(data)), end.m * end.den)
 
 
 def kappa(data: AdmissibleData) -> tuple[Fraction, float]:
     """(kappa^2, kappa) of `data`: the exact squared Killing norm of xi_0
-    and its root as a float, inf past the float range."""
-    xi0 = kappa_z0_form(data)
-    ksq = rs.inner(xi0, xi0)
+    and its root as a float, inf past the float range.
+
+    kappa^2 is one integer dot product of xi_0's numerators over
+    (m den)^2 2c, with no weight built.  A family-A column of
+    `fundamental_numerators` sums to 0, so these numerators are already
+    trace-free and need no projection."""
+    end = data.end
+    num = _form_numerators(data)
+    ksq = Fraction(sum(map(mul, num, num)), (end.m * end.den) ** 2 * end.s0.algebra.two_c)
     if ksq <= 0:
         raise AssertionError(f"kappa^2 = {ksq} must be positive")
     try:

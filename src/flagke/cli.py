@@ -44,6 +44,8 @@ def parse_diagram(text: str) -> pd.PaintedDiagram:
     if len(rank_text) > MAX_DIGITS:
         raise DiagramParseError(f"rank has more than {MAX_DIGITS} digits", 1)
     rank = int(rank_text)
+    if rank > MAX_RANK:
+        raise DiagramParseError(f"rank must be at most {MAX_RANK}", 1)
     try:
         algebra = rs.Algebra(family, rank)
     except UsageError as exc:
@@ -66,6 +68,11 @@ def parse_diagram(text: str) -> pd.PaintedDiagram:
 # digits to and from text, and kappa^2 of a character at the cap has about
 # twice as many.
 MAX_DIGITS = 2000
+# A rank or a sample count inside MAX_DIGITS could still ask for hours of
+# work (a command's time grows about as rank^3.6, a profile's with its rows),
+# so both have a cap of their own.  The library has none.
+MAX_RANK = 64
+MAX_SAMPLES = 10_000
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _CHI = re.compile(r"([+-]?[0-9]+(,[+-]?[0-9]+)*)?")
@@ -188,6 +195,8 @@ def _cmd_profile(args) -> int:
     n = args.samples
     if n < 2:
         raise UsageError("--samples must be at least 2")
+    if n > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}")
     data = _data_from_args(args)
     lam = args.lam
     prof = pf.metric_profile(data, lam)

@@ -6,8 +6,9 @@ otherwise), stored as a tuple of integer numerators over one positive common
 denominator, reduced by their gcd.  A weight is a value with no arithmetic:
 it is built only by `Weight.from_numerators`, and every sum is formed on
 integer numerators first (the root tables here, `fundamental_numerators`
-and the black pi sums of `bundle.End`).  The inner product is one integer
-dot product; only its result is a Fraction.
+and the black pi sums of `bundle.End`).  A Killing-form inner product is
+one integer dot product of numerators over their denominators and 2c
+(`Algebra.two_c`); only its result is a Fraction.
 The Cartan subalgebra of su(n) is the trace-free hyperplane, so a family-A
 weight is stored by its trace-free representative.
 
@@ -87,11 +88,11 @@ class Weight:
             total = sum(num)
             if total:
                 n = len(num)
-                num = tuple(n * a - total for a in num)
+                num = tuple([n * a - total for a in num])
                 den *= n
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(a // g for a in num)
+            num = tuple([a // g for a in num])
             den //= g
         w = object.__new__(cls)
         set_ = object.__setattr__  # the dataclass is frozen
@@ -146,15 +147,6 @@ def positive_roots(algebra: Algebra) -> tuple[Weight, ...]:
         c = 1 if algebra.family == "B" else 2
         terms += [((i, c),) for i in range(1, ell + 1)]
     return tuple(_root(algebra, t) for t in terms)
-
-
-def inner(x: Weight, y: Weight) -> Fraction:
-    """Killing-form inner product <x, y>: one integer dot product over the
-    common denominator dx*dy*2c."""
-    alg = x.algebra
-    if alg != y.algebra:
-        raise UsageError(f"algebra mismatch: {alg} vs {y.algebra}")
-    return Fraction(sum(map(mul, x.num, y.num)), x.den * y.den * alg.two_c)
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,12 @@
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 import pytest
 
 from flagke import rootspace as rs
+from flagke.errors import UsageError
 
 FAMILY_MIN_RANK = {"A": 1, "B": 1, "C": 1, "D": 3}
 
@@ -129,6 +131,17 @@ def killing_c(alg: rs.Algebra) -> int:
     return {"A": n + 1, "B": 2 * n - 1, "C": 2 * n + 2, "D": 2 * n - 2}[alg.family]
 
 
+def inner(x: rs.Weight, y: rs.Weight) -> Fraction:
+    """Killing-form inner product <x, y>: one integer dot product of the
+    numerators over x.den y.den 2c, c from `killing_c`.  A family-A weight
+    is stored trace-free, so no projection is needed.  Pairing weights of
+    two algebras is a usage error."""
+    alg = x.algebra
+    if alg != y.algebra:
+        raise UsageError(f"algebra mismatch: {alg} vs {y.algebra}")
+    return Fraction(sum(map(mul, x.num, y.num)), x.den * y.den * 2 * killing_c(alg))
+
+
 def trace_inner(alg: rs.Algebra, x: rs.Weight, y: rs.Weight) -> Fraction:
     """Killing-form pairing via explicit diagonal matrix representatives.
 
@@ -158,6 +171,28 @@ def trace_inner(alg: rs.Algebra, x: rs.Weight, y: rs.Weight) -> Fraction:
             diag_x.append(Fraction(0))
             diag_y.append(Fraction(0))
     return factor * sum(a * b for a, b in zip(diag_x, diag_y))
+
+
+@lru_cache(maxsize=None)
+def pi_gram(alg: rs.Algebra) -> tuple[tuple[Fraction, ...], ...]:
+    """G_ij = <pi_i, pi_j> (0-based), paired by `trace_inner` over
+    `pi_weight`: the inverse Cartan matrix and the Killing constant of
+    `killing_c` (Humphreys 13.2; Bourbaki, ch. VI, plates I-IV), with no
+    production weight table or inner product."""
+    pis = _fundamental_weights(alg)
+    return tuple(tuple(trace_inner(alg, x, y) for y in pis) for x in pis)
+
+
+def kappa_sq_oracle(s0, m: int, chi) -> Fraction:
+    """kappa^2 of a datum of rank m with character chi over the black nodes
+    of s0: chi^T G chi + (m - 1)/(2cm), G from `pi_gram`.  xi_0 = +-(chi +
+    w/m), with w the trace-free virtual-epsilon vector (m - 1) e_beta - sum
+    of the other m - 1 e_i of the string.  w is a sum of the string's white
+    simple roots, so it is orthogonal to every black pi_j; the cross term
+    vanishes, so the sign of chi cannot show, and |w|^2 = m(m - 1)/(2c)."""
+    gram, nodes = pi_gram(s0.algebra), s0.black_nodes
+    quad = sum(a * b * gram[i - 1][j - 1] for i, a in zip(nodes, chi) for j, b in zip(nodes, chi))
+    return quad + Fraction(m - 1, 2 * killing_c(s0.algebra) * m)
 
 
 def trace_coordinates(alg: rs.Algebra, x: rs.Weight) -> tuple[Fraction, ...]:

@@ -109,6 +109,9 @@ COMMANDS = [
     ("classify", "A1:*", "--m1", "--chi", "1" * 4301),
     ("profile", *A1_POINT, "--lambda", "1" * 4301),
     ("koszul", "A" + "1" * 4400 + ":*"),
+    # a rank and a sample count past their caps
+    ("koszul", "A65:*" + "o" * 64),
+    ("profile", *A1_POINT, "--lambda", "1", "--samples", "100000000"),
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, cli, diagram, painted as pd, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, combination, pi_sum, pi_weight, weight
+from conftest import FAMILY_MIN_RANK, all_diagrams, combination, inner, pi_sum, pi_weight, weight
 
 
 def test_string_eligibility_excludes_tails():
@@ -185,7 +185,7 @@ def test_dual_forms_match_weight_arithmetic(dg, draw):
             for sign, idx in rest:
                 w[idx - 1] -= sign
             xi = combination((1, chi_w), (Fraction(1, m), weight(alg, w)))
-            oracle = xi if rs.inner(xi, beta) > 0 else combination((-1, xi))
+            oracle = xi if inner(xi, beta) > 0 else combination((-1, xi))
             assert bd.kappa_z0_oracle(data) == oracle, (dg.key(), info.nodes, end, chi)
 
 
@@ -229,7 +229,7 @@ def test_right_end_sign_normalisation():
     data = bd.admissible_data(dg, 2, "right", (1, -1))
     xi = bd.kappa_z0_form(data)
     beta = rs.simple_roots(dg.algebra)[3]  # node 4 = right end of the string
-    assert rs.inner(beta, xi) > 0
+    assert inner(beta, xi) > 0
     assert xi == bd.kappa_z0_oracle(data)
 
 
@@ -260,8 +260,8 @@ def test_xi0_lies_in_the_center_direction():
                         xi = bd.kappa_z0_form(data)
                         flag = data.end.flag
                         simples = rs.simple_roots(dg.algebra)
-                        assert all(rs.inner(xi, simples[w - 1]) == 0 for w in sorted(flag.white))
-                        assert rs.inner(xi, simples[data.end.beta_node - 1]) > 0
+                        assert all(inner(xi, simples[w - 1]) == 0 for w in sorted(flag.white))
+                        assert inner(xi, simples[data.end.beta_node - 1]) > 0
 
 
 def test_kappa_su2_point_orbit():
@@ -287,7 +287,7 @@ def test_kappa_m1_scaling():
     pi = pi_weight(dg.algebra, 2)
     for n in (1, 3, 5):
         data = bd.admissible_data(dg, None, None, (n,))
-        assert bd.kappa(data)[0] == n * n * rs.inner(pi, pi)
+        assert bd.kappa(data)[0] == n * n * inner(pi, pi)
 
 
 def test_kappa_against_trace_norm_formula():

@@ -15,7 +15,7 @@ import flagke
 from flagke import bundle as bd, census as cs, cli, diagram, einstein as es, profile as pf
 from flagke.errors import UsageError
 
-from conftest import automorphism_image, diagram_automorphism
+from conftest import automorphism_image, diagram_automorphism, kappa_sq_oracle
 
 
 def jsonl_of(family, max_rank):
@@ -195,6 +195,26 @@ def test_diagram_automorphisms_map_every_end_to_its_image(family, ranks):
             # weights, which the automorphism fixes
             pairs = [sorted(pf.metric_profile(d, lam).pairs) for d in (data, moved)]
             assert pairs[0] == pairs[1], (label, lam)
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_every_kappa_sq_is_the_gram_form_in_chi(family):
+    # kappa^2 = chi^T G chi + (m - 1)/(2cm), with G the Gram matrix of the
+    # black fundamental weights from the inverse Cartan matrix and the
+    # closed-form Killing constant: no production weight, table or pairing.
+    # Every kappa^2 of every record up to rank 7 (the lambda = 0 character
+    # and both witnesses)
+    checked = 0
+    for rec in cs.enumerate_records(family, 7):
+        s0 = cli.parse_diagram(rec["diagram"])
+        zero = rec["lambda_zero"]
+        pairs = [(block["witness_chi"], block["kappa_sq"]) for block in (rec["lambda_pos"], rec["lambda_neg"])]
+        pairs += [(zero["required_chi"], zero["kappa_sq"])] if zero["exists"] else []
+        for chi, kappa_sq in pairs:
+            want = kappa_sq_oracle(s0, rec["m"], chi)
+            assert Fraction(kappa_sq) == want, (rec["diagram"], rec["string_start"], rec["beta_end"], chi)
+            checked += 1
+    assert checked > 1000
 
 
 def test_summary_is_permutation_invariant():

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
@@ -65,7 +66,10 @@ def test_parse_errors_carry_offsets():
             cli.parse_diagram(text)
         assert exc.value.offset == 1
     at_cap = "1" * cli.MAX_DIGITS  # a rank has as many digits as any number
-    for text, message, offset in ((f"A{at_cap}:*", f"mask must have exactly {at_cap} characters", len(at_cap) + 2),
+    top = str(cli.MAX_RANK)
+    for text, message, offset in ((f"A{top}:*", f"mask must have exactly {top} characters", len(top) + 2),
+                                  (f"A{cli.MAX_RANK + 1}:*", f"rank must be at most {top}", 1),
+                                  (f"A{at_cap}:*", f"rank must be at most {top}", 1),
                                   (f"A{at_cap}1:*", f"rank has more than {cli.MAX_DIGITS} digits", 1)):
         with pytest.raises(DiagramParseError, match=message) as exc:
             cli.parse_diagram(text)
@@ -259,6 +263,25 @@ def test_profile_checks_samples_before_building(capsys, chi):
     code, out, err = run(capsys, "profile", "A11:oo*oo*ooooo", "--string", "1", "--beta", "left",
                          "--chi", chi, "--lambda", "1", "--samples", "1")
     assert (code, out, err) == (2, "", "error: --samples must be at least 2\n")
+
+
+def test_command_line_caps_the_work(capsys):
+    # a rank or a sample count inside the digit cap could ask for hours of
+    # work: past its cap each is one usage error line, found before any work
+    point = ("A1:o", "--string", "1", "--beta", "left", "--lambda", "1")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "profile", *point, "--samples", "100000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: --samples must be at most {cli.MAX_SAMPLES}\n")
+    code, out, err = run(capsys, "profile", *point, "--samples", str(cli.MAX_SAMPLES), "--json")
+    assert (code, err, len(json.loads(out)["samples"])) == (0, "", cli.MAX_SAMPLES)
+    top = "A{}:*" + "o" * (cli.MAX_RANK - 1)
+    code, out, err = run(capsys, "koszul", top.format(cli.MAX_RANK))
+    assert (code, err) == (0, "") and out.startswith(f"diagram A{cli.MAX_RANK}:*o")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "koszul", top.format(cli.MAX_RANK + 1) + "o")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: rank must be at most {cli.MAX_RANK} (at offset 1)\n")
 
 
 @pytest.mark.parametrize("argv", [

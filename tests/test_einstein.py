@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from flagke import bundle as bd, diagram, einstein as es, painted as pd, profile as pf, rootspace as rs
 from flagke.errors import DomainError, UsageError
 
-from conftest import FAMILY_MIN_RANK, all_diagrams, automorphism_image, combination, pi_sum, pi_weight, zero_weight
+from conftest import FAMILY_MIN_RANK, all_diagrams, automorphism_image, combination, inner, kappa_sq_oracle, \
+    pi_sum, pi_weight, zero_weight
 
 
 def test_published_verdicts():
@@ -70,9 +71,9 @@ def test_rank_one_direction_forced_by_z0_positivity():
     dg = diagram("B", 3, {1})
     beta1 = rs.simple_roots(dg.algebra)[0]
     z_pos = es.z0_form(bd.admissible_data(dg, None, None, (2,)), Fraction(1))
-    assert rs.inner(beta1, z_pos) > 0
+    assert inner(beta1, z_pos) > 0
     z_neg = es.z0_form(bd.admissible_data(dg, None, None, (8,)), Fraction(-1))
-    assert rs.inner(beta1, z_neg) > 0
+    assert inner(beta1, z_neg) > 0
     with pytest.raises(DomainError):
         es.z0_form(bd.admissible_data(dg, None, None, (8,)), Fraction(1))
 
@@ -91,8 +92,8 @@ def test_z0_form_scaling_and_face_conditions():
     assert es.z0_form(data, Fraction(2)) == combination((Fraction(1, 2), es.z0_form(data, Fraction(1))))
     z0 = es.z0_form(data, Fraction(1))
     simples = rs.simple_roots(dg.algebra)
-    assert rs.inner(z0, simples[data.end.beta_node - 1]) == 0
-    assert all(rs.inner(z0, simples[j - 1]) > 0 for j in data.end.s0.black_nodes)
+    assert inner(z0, simples[data.end.beta_node - 1]) == 0
+    assert all(inner(z0, simples[j - 1]) > 0 for j in data.end.s0.black_nodes)
     with pytest.raises(UsageError):
         es.z0_form(data, Fraction(0))
 
@@ -217,7 +218,7 @@ def test_z0_vanishing_set_is_exactly_the_string_block():
                         data = bd.admissible_data(dg, info.start, end, chi)
                         z0 = es.z0_form(data, Fraction(1))
                         flag = data.end.flag
-                        zeros = sum(1 for a in pd.r_m_plus(flag) if rs.inner(a, z0) == 0)
+                        zeros = sum(1 for a in pd.r_m_plus(flag) if inner(a, z0) == 0)
                         assert zeros == data.end.m - 1, (dg.key(), info.nodes, end)
 
 
@@ -331,8 +332,9 @@ def test_verdicts_match_chamber_geometry_past_rank_bound(dg, draw):
         # the ray condition by its geometric definition, and the two other
         # readers of the end-shape table against their independent references
         xi0 = bd.kappa_z0_form(data)
+        assert bd.kappa(data)[0] == kappa_sq_oracle(dg, m, chi), (dg.key(), m, end, chi)
         simples = rs.simple_roots(dg.algebra)
-        assert v.ray_extends == all(rs.inner(xi0, simples[j - 1]) > 0 for j in nodes), (dg.key(), m, end, chi)
+        assert v.ray_extends == all(inner(xi0, simples[j - 1]) > 0 for j in nodes), (dg.key(), m, end, chi)
         if m > 1:
             assert xi0 == bd.kappa_z0_oracle(data), (dg.key(), m, end, chi)
             assert bd.koszul_update_check(data.end), (dg.key(), m, end)

@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from flagke import bundle as bd, cli, diagram, einstein as es, painted as pd, profile as pf, rootspace as rs
 from flagke.errors import DomainError, NumericsError, UsageError
 
-from conftest import EXIT_ZERO, FAMILY_MIN_RANK, combination, pi_weight
+from conftest import EXIT_ZERO, FAMILY_MIN_RANK, combination, inner, pi_weight
 
 
 def distinct_unit_pairs(prof):
@@ -489,7 +489,7 @@ def test_f_ddot_matches_exact_rational_value():
 def test_integer_setup_matches_the_fraction_oracle():
     # the set-up works on integers: each pair from two integer dot products,
     # the distinct pairs grouped by their integer parts, each part's floats
-    # from integers over one denominator.  The oracle: two `rs.inner`
+    # from integers over one denominator.  The oracle: two `inner`
     # Fractions per root, a Counter of Fraction pairs, float(a + anchor r)
     alg = a11_data((2, 3)).end.s0.algebra
     face = combination((2, pi_weight(alg, 3)), (5, pi_weight(alg, 6)))
@@ -502,7 +502,7 @@ def test_integer_setup_matches_the_fraction_oracle():
         prof = pf.metric_profile(data, lam, z0=z0)
         xi_z0 = es.z0_form(data, lam) if lam else z0 or es.z0_face_point(data.end)
         xi0 = bd.kappa_z0_form(data)
-        pairs = tuple((rs.inner(alpha, xi_z0), rs.inner(alpha, xi0)) for alpha in pd.r_m_plus(data.end.flag))
+        pairs = tuple((inner(alpha, xi_z0), inner(alpha, xi0)) for alpha in pd.r_m_plus(data.end.flag))
         assert prof.pairs == pairs, label
         counts = collections.Counter(((abs(lam) or 1) * a, r) for a, r in pairs)
         assert distinct_unit_pairs(prof) == (tuple(counts), tuple(counts.values())), label

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from flagke import rootspace as rs
 from flagke.errors import UsageError
 
-from conftest import FAMILY_MIN_RANK, cartan_matrix, combination, killing_c, pi_weight, \
+from conftest import FAMILY_MIN_RANK, cartan_matrix, combination, inner, killing_c, pi_weight, \
     simple_root_coordinates, trace_coordinates, trace_inner, weight, zero_weight
 
 
@@ -101,7 +101,7 @@ def test_fundamental_weight_defining_relations():
             for i in range(1, rank + 1):
                 pi = table_pi(alg, i)
                 for j, alpha in enumerate(simples, start=1):
-                    val = 2 * rs.inner(pi, alpha) / rs.inner(alpha, alpha)
+                    val = 2 * inner(pi, alpha) / inner(alpha, alpha)
                     assert val == (1 if i == j else 0), (fam, rank, i, j)
 
 
@@ -127,7 +127,7 @@ def test_inner_killing_normalisation_a3():
     a3 = rs.Algebra("A", 3)
     alpha = w(a3, 1, -1, 0, 0)
     assert a3.two_c == 2 * killing_c(a3) == 8
-    assert rs.inner(alpha, alpha) == Fraction(1, 4)
+    assert inner(alpha, alpha) == Fraction(1, 4)
 
 
 def test_inner_matches_trace_oracle():
@@ -143,7 +143,7 @@ def test_inner_matches_trace_oracle():
             ]
             for x in vecs:
                 for y in vecs:
-                    assert rs.inner(x, y) == trace_inner(alg, x, y), (fam, rank)
+                    assert inner(x, y) == trace_inner(alg, x, y), (fam, rank)
 
 
 def test_highest_root_norm_is_inverse_dual_coxeter():
@@ -154,7 +154,7 @@ def test_highest_root_norm_is_inverse_dual_coxeter():
         ("D", 4): (w(rs.Algebra("D", 4), 1, 1, 0, 0), 6),
     }
     for (fam, rank), (theta, hv) in cases.items():
-        assert rs.inner(theta, theta) == Fraction(1, hv), (fam, rank)
+        assert inner(theta, theta) == Fraction(1, hv), (fam, rank)
 
 
 def test_family_a_projection_semantics():
@@ -162,7 +162,7 @@ def test_family_a_projection_semantics():
     x = w(a3, 1, 1, 0, 0)
     alpha = w(a3, 1, -1, 0, 0)
     # pairing a non-trace-free representative with a root needs no projection
-    assert rs.inner(x, alpha) == sum(a * b for a, b in zip(x.coeffs, alpha.coeffs)) / 8
+    assert inner(x, alpha) == sum(a * b for a, b in zip(x.coeffs, alpha.coeffs)) / 8
     # representatives differing by a trace multiple compare equal
     ones = w(a3, 1, 1, 1, 1)
     assert x == combination((1, x), (1, ones))
@@ -174,7 +174,7 @@ def simple_coordinates(alg, w):
     """Coordinates of `w` in the simple-root basis, as Fractions: its pairings
     with the fundamental coweights 2 pi_i / <alpha_i, alpha_i>, since
     <alpha_j, pi_i> = delta_ij <alpha_i, alpha_i> / 2."""
-    return tuple(2 * rs.inner(w, pi_weight(alg, i)) / rs.inner(alpha, alpha)
+    return tuple(2 * inner(w, pi_weight(alg, i)) / inner(alpha, alpha)
                  for i, alpha in enumerate(rs.simple_roots(alg), start=1))
 
 
@@ -248,7 +248,7 @@ def test_algebra_mismatch_rejected():
     a2 = rs.Algebra("A", 2)
     b2 = rs.Algebra("B", 2)
     with pytest.raises(UsageError):
-        rs.inner(zero_weight(a2), zero_weight(b2))
+        inner(zero_weight(a2), zero_weight(b2))
     with pytest.raises(UsageError):
         rs.fundamental_coordinates(a2, zero_weight(b2))
 
@@ -298,9 +298,9 @@ def test_weight_matches_fraction_tuples(case, shift):
     assert (shifted == wx) == (alg.family == "A" or shift == 0)
     if alg.family == "A":
         assert hash(shifted) == hash(wx)
-        assert rs.inner(shifted, wy) == rs.inner(wx, wy)
+        assert inner(shifted, wy) == inner(wx, wy)
 
-    assert rs.inner(wx, wy) == trace_inner(alg, wx, wy)
+    assert inner(wx, wy) == trace_inner(alg, wx, wy)
     for field in ("algebra", "num", "den", "coeffs"):
         with pytest.raises(AttributeError):
             setattr(wx, field, getattr(wy, field))

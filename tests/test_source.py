@@ -183,6 +183,23 @@ def test_the_profile_pairs_roots_without_rootspace_inner():
     assert not found, found
 
 
+def test_kappa_sq_builds_no_weight():
+    # kappa^2 is one integer dot product of xi_0's numerators: `bundle.kappa`
+    # and the module functions it calls build no weight and pair none
+    path = Path(flagke.__file__).resolve().parent / "bundle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = {node.func.id for node in ast.walk(defs["kappa"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in defs}
+    forbidden = {"from_numerators", "Weight", "kappa_z0_form", "inner"}
+    found = [f"{path.name}:{node.lineno}" for scope in ["kappa", *sorted(called)]
+             for node in ast.walk(defs[scope])
+             if isinstance(node, ast.Attribute) and node.attr in forbidden
+             or isinstance(node, ast.Name) and node.id in forbidden
+             or isinstance(node, ast.alias) and node.name in forbidden]
+    assert not found, found
+
+
 # public names without a reader in the package or the benchmark, and why each stays
 UNREAD_PUBLIC_NAMES = {
     "diagram": "the README library example builds its diagram with it",
