@@ -4,10 +4,10 @@ One record per (diagram, bundle datum): rank-one bundles contribute a single
 record per diagram with at least one black node; every eligible string
 contributes one record per end choice.  Character-dependent verdicts are
 reported as symbolic bounds plus the smallest-magnitude integer witness.
-Before a record is emitted its witnesses are checked against their bounds
-and, for m > 1, its `bundle.End` against the Koszul update relations, which
-do not depend on chi; the dual forms of xi_0 were checked when
-`bundle.end_of` built that `End`.
+Before a record is emitted its witnesses are checked against their bounds'
+exact values, not the edges that built them, and for m > 1 its `bundle.End`
+against the Koszul update relations, which do not depend on chi; the dual
+forms of xi_0 were checked when `bundle.end_of` built that `End`.
 
 Each record is the schema-1 JSON object itself (documented in the README): a
 dict in the schema's field order, its rationals canonical ``"p/q"`` text, so
@@ -66,8 +66,10 @@ def _record_for(dg: pd.PaintedDiagram,
         if string_start is None and not any(witness):
             witness = _nonzero_witness(bounds, witness)
         data = bd.AdmissibleData(end, witness)
-        if not es.satisfied(bounds, witness):
-            raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
+        for b, k in zip(bounds, witness):
+            p, q = b.value.as_integer_ratio()
+            if not (k * q < p if b.op == "<" else k * q > p):
+                raise AssertionError(f"witness {witness} violates its own {tag} bounds for {data}")
         rec["lambda_" + tag] = {
             "constraint": tuple(map(str, bounds)),
             "witness_chi": witness,

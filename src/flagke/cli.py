@@ -200,7 +200,7 @@ def _cmd_profile(args) -> int:
     data = _data_from_args(args)
     lam = args.lam
     prof = pf.metric_profile(data, lam)
-    f_hi = 0.97 * prof.f_sup if math.isfinite(prof.u_sup) else 8.0 * prof.kappa
+    f_hi = 0.97 * prof.f_sup if math.isfinite(prof.f_sup) else 8.0 * prof.kappa
     t_hi = pf.t_of_f(prof, f_hi)
     # the last row is the pair (t_hi, f_hi) itself: inverting t_hi again can
     # land on t_sup in floating point, or stall where t(f) is flat near a wall

@@ -44,6 +44,11 @@ domain is unbounded and has only the left part: [0, 1] in v, then
 [2^k, 2^(k+1)] for k = 0, 1, ..., added as queries reach them, up to the
 top of the float range (NumericsError past it).
 
+Each query is tested once, in its own coordinate: f on [0, f_sup), t on
+[0, t_sup).  An admitted f whose v rounds onto v_end is at the end, and
+f(t) stays below f_sup.  NumericsError is raised where f_sup, kappa/|lambda|
+or an f is past the float range.
+
 The pairs are grouped into their distinct values, each with its multiplicity
 mu (every root of one T-root has the same pair), so Q = prod (a + v r)^mu
 over the distinct pairs and each factor is evaluated once however often it
@@ -102,13 +107,17 @@ _START_RTOL, _START_ATOL, _LINEAR_START = 1e-12, 1e-15, 1e-8
 _SERIES_RTOL = 1e-10  # f and f' against their two-term series in `verdiani_check`
 
 
+def _past_range(what: str, log10_size: float, sign: str = "") -> NumericsError:
+    return NumericsError(f"{what} is about {sign}1e{log10_size:.0f}, past the float range")
+
+
 def _finite_float(x: Fraction, what: str) -> float:
     """float(x); NumericsError naming `what` and its magnitude when x is past the float range."""
     try:
         return float(x)
     except OverflowError:
         size = math.log10(abs(x.numerator)) - math.log10(x.denominator)
-        raise NumericsError(f"{what} is about {'-' if x < 0 else ''}1e{size:.0f}, past the float range") from None
+        raise _past_range(what, size, "-" if x < 0 else "") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,7 +199,7 @@ class MetricProfile:
         ints, mult, _ = self._unit_pairs
         return sum(mu for (a_int, _), mu in zip(ints, mult) if a_int == 0)
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         return math.sqrt(self.kappa_sq)
 
@@ -309,12 +318,6 @@ class MetricProfile:
         return Fraction(float((lo + hi) / 2)), Fraction(0)
 
     @cached_property
-    def _v_sup(self) -> float:
-        """Domain end in v (math.inf when unbounded)."""
-        v_end = self._end[0]
-        return float(v_end) if v_end is not None else math.inf
-
-    @cached_property
     def u_sup(self) -> float:
         """Domain end in the normalised coordinate u, the exact v_end/|lambda|
         rounded once (math.inf when unbounded)."""
@@ -347,18 +350,23 @@ class MetricProfile:
 
     @cached_property
     def t_sup(self) -> float:
-        """Supremum of the reachable parameter values t (math.inf when unbounded)."""
+        """Domain end in t: a query t is admitted on [0, t_sup) (math.inf when unbounded)."""
         return self._t_hat_sup / self._float_scales[1]
 
-    @property
+    @cached_property
     def f_sup(self) -> float:
-        return self.kappa * self.u_sup
+        """Domain end in f, kappa u_sup: a query f is admitted on [0, f_sup) (math.inf
+        when unbounded).  NumericsError where a bounded end is past the float range."""
+        f_sup = self.kappa * self.u_sup
+        if f_sup == math.inf and self._end[0] is not None:
+            raise _past_range("the domain end f_sup", math.log10(self.kappa) + math.log10(self.u_sup))
+        return f_sup
 
 
 class _Part:
-    """One part of the domain: the points v = anchor + orientation d, d =
-    y^2 in [0, length], and the panel table of H(y) = int_0^y h, h(y) =
-    2 y sqrt(Q/2J) = 2/sqrt(2K) with K = J/(Q d), over the unit pairs.
+    """One part of the domain: the points v = v0 + orientation d, v0 the
+    anchor as a float and d = y^2 in [0, length], and the panel table of
+    H(y) = int_0^y h, h(y) = 2 y sqrt(Q/2J) = 2/sqrt(2K), K = J/(Q d).
 
     Each factor a + v r is base + d slope, with base = a + anchor r exact.
     The distinct pairs with base 0 (a = 0 on the left part, the wall pairs
@@ -386,7 +394,7 @@ class _Part:
         mu = np.array(mult, dtype=float)
         self.order = sum(k for k, b in zip(mult, exact) if not b)
         self.base, self.r, self.mu = base[keep], r[keep], mu[keep]
-        self.slope, self.orientation = orientation * self.r, orientation
+        self.slope, self.orientation, self.v0 = orientation * self.r, orientation, float(anchor)
         # log(J(anchor) / prod slope^mu over the vanishing pairs), at a wall
         self.log_j = (math.log(j_at.numerator) - math.log(j_at.denominator)
                       - float(mu[~keep] @ np.log(orientation * r[~keep]))) if j_at else None
@@ -488,13 +496,15 @@ class _Part:
         return cum[i] + (y - lo) * float(self.h(lo + (y - lo) * _X16) @ _W16)
 
     def solve(self, target: float) -> float:
-        """y with H(y) = target > 0, within the panels on a bounded domain.
+        """y with H(y) = target (0 for target <= 0), within the panels on a bounded domain.
 
         The start is the root of the panel's interpolant (`_interpolant_root`),
         which costs no evaluation of h.  From there Newton runs in (log y,
         log H), so that a power law H = c y^p takes one step, inside the
         panel's bracket, on the exact 16-point value of H.
         """
+        if target <= 0:
+            return 0.0
         edges, cum, series = self.reach(target=target)
         i = _panel_index(cum, target)
         lo, start = edges[i], cum[i]
@@ -633,58 +643,57 @@ def metric_profile(
     return profile
 
 
-def _check_f(profile: MetricProfile, f: float) -> float:
-    """Validate f and return the unit coordinate v = |lambda| f/kappa."""
-    if not math.isfinite(f):
-        raise DomainError(f"f = {f} is not finite")
-    if f < 0:
-        raise DomainError(f"f = {f} is negative")
+def _admit(x: float, name: str, sup: float, end: str) -> None:
+    """DomainError unless the query `name` = x lies in [0, sup), sup its `end`."""
+    if not math.isfinite(x):
+        raise DomainError(f"{name} = {x} is not finite")
+    if x < 0:
+        raise DomainError(f"{name} = {x} is negative")
+    if x >= sup:
+        raise DomainError(f"{name} = {x} is beyond the {end} {sup}")
+
+
+def _locate(profile: MetricProfile, f: float) -> tuple[float, _Part, float]:
+    """Admit f and return (v, part, d): v = |lambda| f/kappa, the part holding it and
+    the distance d from the part's anchor, 0 where v rounds onto the domain end."""
+    _admit(f, "f", profile.f_sup, "domain end")
     u = f / profile.kappa
     if u == math.inf:
         raise DomainError(f"f = {f} is past the float range of u = f/kappa")
     v = u * profile._float_scales[0]
-    # an unbounded table raises in `reach` where v is past its float range
-    if math.isfinite(profile._v_sup) and v >= profile._v_sup:
-        raise DomainError(f"f = {f} is beyond the domain end {profile.f_sup}")
-    return v
+    left, right, split = profile._parts
+    part = right if v > split else left
+    return v, part, max(part.orientation * (v - part.v0), 0.0)
 
 
 def t_of_f(profile: MetricProfile, f: float) -> float:
     """Arc-length parameter t as a function of the segment coordinate f: the
     unit time t_hat at v from the table, over sqrt(|lambda|)."""
-    v = _check_f(profile, f)
-    left, right, split = profile._parts
-    if v > split:
-        t_hat = profile._t_hat_sup - right.integral(math.sqrt(profile._v_sup - v))
-    else:
-        t_hat = left.integral(math.sqrt(v))
-    return t_hat / profile._float_scales[1]
+    _, part, d = _locate(profile, f)
+    h = part.integral(math.sqrt(d))
+    return (h if part.orientation > 0 else profile._t_hat_sup - h) / profile._float_scales[1]
 
 
 def f_of_t(profile: MetricProfile, t: float) -> float:
-    """Inverse of t_of_f: Newton on the panel of the table that holds t,
-    started from that panel's interpolant."""
-    if not math.isfinite(t):
-        raise DomainError(f"t = {t} is not finite")
-    if t < 0:
-        raise DomainError(f"t = {t} is negative")
-    if t == 0:
-        return 0.0
+    """Inverse of t_of_f: Newton on the panel of the table that holds t, started from
+    that panel's interpolant.  Below f_sup; NumericsError past the float range."""
+    _admit(t, "t", profile.t_sup, "parameter range")
     _, root, f_per_v = profile._float_scales
     t_hat = t * root
-    # as in `_check_f`, an unbounded table raises where t_hat is past its float range
-    if math.isfinite(profile._t_hat_sup) and t_hat >= profile._t_hat_sup:
-        raise DomainError(f"t = {t} is beyond the parameter range {profile.t_sup}")
     left, right, _ = profile._parts
-    if right is None or t_hat < left.panels[1][-1]:
-        y = left.solve(t_hat)
-        return f_per_v * (y * y)
-    s = right.solve(profile._t_hat_sup - t_hat)
-    return f_per_v * (profile._v_sup - s * s)
+    part = left if right is None or t_hat < left.panels[1][-1] else right
+    y = part.solve(t_hat if part is left else profile._t_hat_sup - t_hat)
+    v = part.v0 + part.orientation * (y * y)
+    f = f_per_v * v
+    if not f < math.inf:  # nan where kappa/|lambda| = inf and v = 0
+        if f_per_v == math.inf:
+            raise _past_range("kappa/|lambda|", math.log10(profile.kappa) - math.log10(profile._float_scales[0]))
+        raise _past_range(f"f at t = {t}", math.log10(f_per_v) + math.log10(v))
+    return min(f, math.nextafter(profile.f_sup, 0.0))
 
 
 def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
-    """Validate f once and return (sqrt(2 J/Q), J S/Q, f'') at v = |lambda|
+    """Admit f once and return (sqrt(2 J/Q), J S/Q, f'') at v = |lambda|
     f/kappa, where S = Q'/Q is the sum of r/(a + v r) over the unit pairs and
     f'' = kappa ((m - sgn v) - J S/Q), which holds no lambda: in v, J/Q
     carries a factor |lambda| and S its inverse.  On its part J/Q = d K, and
@@ -692,10 +701,8 @@ def _point(profile: MetricProfile, f: float) -> tuple[float, float, float]:
     S_kept + orientation order): no product of d and K, which could overflow
     on an unbounded domain, and no 0/0 at the anchor.  NumericsError where
     either of the first two is not a finite float, as within about 1e-6 of a
-    high-order wall, where K overflows."""
-    v = _check_f(profile, f)
-    left, right, split = profile._parts
-    part, d = (right, profile._v_sup - v) if v > split else (left, v)
+    high-order wall, where K overflows, and at a wall itself."""
+    v, part, d = _locate(profile, f)
     factors = part.factors(d)
     k, s_kept = float(part.k(d, factors)), float(part.r @ (part.mu / factors))
     speed, jsq = math.sqrt(2.0 * d) * math.sqrt(k), k * (d * s_kept + part.orientation * part.order)
@@ -778,6 +785,6 @@ def verdiani_check(profile: MetricProfile) -> VerdianiReport:
 
 
 def domain_end(profile: MetricProfile) -> float:
-    """f_sup: least of the inner-integral turning point (lambda > 0) and the
-    chamber exit, +inf when neither occurs."""
+    """f_sup: for lambda > 0 the first of the turning point of the inner integral
+    and the chamber exit, one of which occurs; +inf for lambda <= 0."""
     return profile.f_sup

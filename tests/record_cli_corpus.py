@@ -112,6 +112,10 @@ COMMANDS = [
     # a rank and a sample count past their caps
     ("koszul", "A65:*" + "o" * 64),
     ("profile", *A1_POINT, "--lambda", "1", "--samples", "100000000"),
+    # kappa/|lambda| = 3.5e349: the end of a bounded domain, and f(t) on an unbounded one
+    *[("profile", "A1:*", "--m1", "--chi", chi, "--lambda", lam) + fmt
+      for chi, lam in (("-1" + "0" * 100, "1/1" + "0" * 250), ("1" + "0" * 100, "-1/1" + "0" * 250))
+      for fmt in ((), ("--json",))],
 ]
 
 

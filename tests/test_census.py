@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -303,3 +305,22 @@ def test_violating_witness_raises_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: witness (2,) violates its own pos bounds"), proc.stdout
+
+
+def test_witness_check_compares_with_the_exact_bound_not_its_edge(monkeypatch):
+    # `smallest_witness` builds a witness from `Bound.edge`, so a check that
+    # read the edge again could never see a wrong one: with the edge of
+    # k_1 > 2 off by one, the witness (2,) must fail the exact comparison
+    dg = diagram("A", 1, {1})
+    crit = es.criterion(bd.end_of(dg, None, None))
+
+    def edge_off_by_one(bound):
+        wrong = copy.copy(bound)
+        object.__setattr__(wrong, "edge", bound.edge - 1)
+        return wrong
+
+    assert [str(b) for b in crit.neg] == ["k_1 > 2"]
+    wrong = dataclasses.replace(crit, neg=tuple(map(edge_off_by_one, crit.neg)))
+    monkeypatch.setattr(es, "criterion", lambda end: wrong)
+    with pytest.raises(AssertionError, match=r"^witness \(2,\) violates its own neg bounds"):
+        cs._record_for(dg, None, None)

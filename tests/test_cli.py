@@ -204,7 +204,11 @@ def test_classify_prints_kappa_sq_past_the_float_range(capsys, argv, chi, json_f
     ("3", f"-1/{10**320}", "1/lambda"),
     (str(-10**200), "1", "kappa^2"),
     ("3", "-" + "9" * cli.MAX_DIGITS, "lambda"),  # at the digit cap: read, and past the float range
-], ids=["lambda 1e320", "lambda 1e-320", "lambda -1e320", "lambda -1e-320", "chi -1e200", "lambda at the digit cap"])
+    # kappa = 3.5e99 over |lambda| = 1e-250: the end of a bounded domain, and f(t) on an unbounded one
+    (str(-10**100), f"1/{10**250}", "the domain end f_sup"),
+    (str(10**100), f"-1/{10**250}", "kappa/|lambda|"),
+], ids=["lambda 1e320", "lambda 1e-320", "lambda -1e320", "lambda -1e-320", "chi -1e200", "lambda at the digit cap",
+        "f_sup 1e350", "kappa/lambda 1e350"])
 def test_profile_past_the_float_range_is_one_error_line(capsys, chi, lam, what, json_flag):
     code, out, err = run(capsys, "profile", "A1:*", "--m1", "--chi", chi, "--lambda", lam, *json_flag)
     assert (code, out) == (1, "")

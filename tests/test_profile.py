@@ -1,4 +1,6 @@
 import collections
+import functools
+import importlib.util
 import inspect
 import math
 import random
@@ -6,6 +8,7 @@ import sys
 import threading
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -284,6 +287,112 @@ def test_f_past_the_float_range_of_u_is_named():
     prof = pf.metric_profile(point_orbit(2), -1)
     with pytest.raises(DomainError, match=r"^f = 1\.7e\+308 is past the float range of u = f/kappa$"):
         pf.t_of_f(prof, 1.7e308)
+
+
+DOMAIN_END_SCALES = (Fraction(1), Fraction(3, 7), Fraction(10**6), Fraction(1, 10**5))
+
+
+@functools.lru_cache(maxsize=None)
+def domain_end_profiles():
+    """(label, profile): the lambda = 1 data of seeds 0-9 of the benchmark's
+    `profile_sample` (100, each ending at a wall or a turning point) and the
+    bounded data of `grouping_data`, each at lambda times every scale of
+    `DOMAIN_END_SCALES`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    cases = [(bd.admissible_data(cli.parse_diagram(item["key"]), item["start"], item["end"], tuple(item["chi"])),
+              Fraction(1), f"{item['key']} {item['start']} {item['end']} {item['chi']}")
+             for seed in range(10) for item in inputs.profile_sample(seed) if item["lam"] == "1"]
+    assert len(cases) == 100
+    cases += [case for case in grouping_data() if case[1] > 0]
+    return tuple((f"{label} lambda={lam * k}", pf.metric_profile(data, lam * k))
+                 for data, lam, label in cases for k in DOMAIN_END_SCALES)
+
+
+def test_queries_next_to_the_domain_end_stay_inside_it():
+    # f scaled to v and t to t_hat round along other paths than f_sup and
+    # t_sup, so an end test there would refuse an f or t inside the domain
+    # (A8:**oooo*o at lambda = 1: "f = 1.9999999999999998 is beyond the
+    # domain end 2.0") or map a t inside it onto f_sup (A9:o**oo*o** at
+    # lambda = 1): the last float below f_sup is an f, f(t) stays below
+    # f_sup for t just below t_sup, and t(f) takes that f back
+    faults = []
+    for label, prof in domain_end_profiles():
+        f = math.nextafter(prof.f_sup, 0.0)
+        for query in (pf.t_of_f, pf.f_dot, pf.f_ddot, pf.residual_at):
+            try:
+                query(prof, f)
+            except DomainError as exc:
+                faults.append(f"{label}: {query.__name__}: {exc}")
+            except NumericsError:  # where f rounds onto a wall, tested below
+                pass
+        for t in (math.nextafter(prof.t_sup, 0.0), prof.t_sup * (1 - 1e-15)):
+            try:
+                f = pf.f_of_t(prof, t)
+                if not f < prof.f_sup:
+                    faults.append(f"{label}: f_of_t({t!r}) = {f!r} >= f_sup")
+                pf.t_of_f(prof, f)
+            except DomainError as exc:
+                faults.append(f"{label}: round trip at t = {t!r}: {exc}")
+    assert not faults, (len(faults), faults[:5])
+
+
+def test_an_f_that_rounds_onto_the_end_is_at_the_end():
+    # where v = |lambda| f/kappa rounds onto v_end the distance d is 0: at a
+    # wall, where K = J/(Q d) is infinite, the derivatives raise; at a
+    # turning point f' = 0 and f'' = kappa (m - v_end) are floats
+    seen = collections.Counter()
+    for label, prof in domain_end_profiles():
+        f = math.nextafter(prof.f_sup, 0.0)
+        _, part, d = pf._locate(prof, f)
+        if d:
+            continue
+        if part.log_j is not None or part.order:
+            seen["wall"] += 1
+            for query in (pf.f_dot, pf.f_ddot, pf.residual_at):
+                with pytest.raises(NumericsError, match="not a finite float"):
+                    query(prof, f)
+        else:
+            seen["turning point"] += 1
+            assert pf.f_dot(prof, f) == 0.0, label
+            assert math.isfinite(pf.f_ddot(prof, f)) and math.isfinite(pf.residual_at(prof, f)), label
+    assert seen["wall"] and seen["turning point"], seen
+
+
+def overflow_profile(chi, lam):
+    """A1:* at kappa ~ 3.5e99 |chi|/1e100: at |lambda| = 1e-250, kappa/|lambda|
+    is past the float range, and so is f_sup for lambda > 0."""
+    return pf.metric_profile(bd.admissible_data(diagram("A", 1, {1}), None, None, (chi,)), lam)
+
+
+def test_a_bounded_end_past_the_float_range_raises():
+    prof = overflow_profile(-10**100, Fraction(1, 10**250))
+    assert prof.u_sup == 1e250 and math.isfinite(prof.t_sup)
+    for query in (lambda: prof.f_sup, lambda: pf.domain_end(prof), lambda: pf.t_of_f(prof, 1.0)):
+        with pytest.raises(NumericsError, match=r"^the domain end f_sup is about 1e350, past the float range$"):
+            query()
+
+
+@pytest.mark.parametrize("chi, lam", [(-10**100, Fraction(1, 10**250)), (10**100, Fraction(-1, 10**250))],
+                         ids=["bounded", "unbounded"])
+def test_an_f_from_kappa_over_lambda_past_the_float_range_raises(chi, lam):
+    prof = overflow_profile(chi, lam)
+    t = prof.t_sup / 2 if lam > 0 else 1.0
+    for query in (lambda: pf.f_of_t(prof, t), lambda: pf.f_of_t(prof, 0.0), lambda: pf.ode_residual(prof, t),
+                  lambda: pf.verdiani_check(prof)):
+        with pytest.raises(NumericsError, match=r"^kappa/\|lambda\| is about 1e350, past the float range$"):
+            query()
+
+
+def test_an_f_past_the_float_range_on_the_unbounded_tail_raises():
+    # kappa/|lambda| = 35355 is a float, and f = 1.8e308 is reached at v =
+    # 5.1e303, where the table of t(v) still has room
+    prof = overflow_profile(100, Fraction(-1, 1000))
+    assert pf.f_of_t(prof, 27000.0) < math.inf
+    with pytest.raises(NumericsError, match=r"^f at t = 27200\.0 is about 1e309, past the float range$"):
+        pf.f_of_t(prof, 27200.0)
 
 
 @pytest.mark.parametrize("lam, chi", [(-1, (3, 4)), (0, (2, 3))])
